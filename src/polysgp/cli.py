@@ -21,7 +21,7 @@ Coordinates are integers, exact decimals, or fractions ``p/q``; commas,
 brackets and parentheses are interchangeable with spaces.  An input path
 of ``-`` (the default) reads standard input, so commands pipe:
 
-    polysgp family --gorenstein --k 3 | polysgp is-gorenstein
+    polysgp family --k 3 | polysgp is-gorenstein
 
 Exit status: 0 for any computed verdict (including "no"), 2 when the
 configuration falls outside the decided cases or a budget ran out, 1 for
@@ -57,7 +57,6 @@ from .errors import (
     OutsideCone,
     ParseError,
     PolysgpError,
-    UnsupportedCase,
 )
 from .geometry import Point3, Polyhedron, dilate, hull_union
 from .rings import (
@@ -209,8 +208,6 @@ def _check_format(fmt: str, allowed: tuple[str, ...]) -> None:
 
 
 def _validate_common(args) -> None:
-    if getattr(args, "threads", 1) < 1:
-        raise BadParameter("--threads must be at least 1")
     if getattr(args, "budget_layers", 1) < 1:
         raise BadParameter("--budget-layers must be positive")
 
@@ -375,13 +372,6 @@ def _cmd_gaps(args) -> int:
 def _cmd_decompose(args) -> int:
     h = _load_handle(args.input)
     cls = classify(h)
-    sep_reason = None
-    try:
-        from .decomposition import separation_level
-
-        separation_level(h, cls)
-    except (UnsupportedCase, BadParameter) as exc:
-        sep_reason = str(exc)
     region = gap_region(h, cls)
 
     verts = h.body.vertices
@@ -431,7 +421,7 @@ def _cmd_decompose(args) -> int:
             },
             "overlap_level": region.overlap,
             "separation_level": region.separation,
-            "separation_unavailable_reason": sep_reason,
+            "separation_unavailable_reason": region.separation_reason,
             "base_level": region.base_level,
             "hull_part_vertices": list(region.hull_part.vertices),
             "corner_slabs": corners,
@@ -456,7 +446,7 @@ def _cmd_decompose(args) -> int:
             print("  %s: %s" % (name, shown))
         print("overlap_level: %d" % region.overlap)
         if region.separation is None:
-            print("separation_level: unavailable (%s)" % sep_reason)
+            print("separation_level: unavailable (%s)" % region.separation_reason)
         else:
             print("separation_level: %d" % region.separation)
         print("base_level: %d" % region.base_level)
@@ -731,10 +721,6 @@ def _build_parser() -> _Parser:
             "--format", choices=formats, default="text",
             help="output format (default text)",
         )
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="worker cap; computations here run in-process",
-        )
 
     def with_input(p):
         p.add_argument(
@@ -773,10 +759,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("family", help="emit a Gorenstein family member")
     common(p)
     p.add_argument("--k", type=int, required=True, help="family parameter, k >= 2")
-    p.add_argument(
-        "--gorenstein", action="store_true",
-        help="accepted for clarity; the family is the Gorenstein one",
-    )
     p.add_argument(
         "--table", action="store_true",
         help="also print the Apery intersection rows",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from .errors import (
@@ -29,6 +28,9 @@ from .geometry import (
     ORIGIN,
     Point3,
     Polyhedron,
+    _frac_floor,
+    _primitive_direction,
+    _sign,
     clip_segment_facets,
     contains,
     convex_hull,
@@ -60,8 +62,6 @@ class VertexClassification:
     exit_extremal: tuple[int, ...]
     entry_inner: tuple[int, ...]
     exit_inner: tuple[int, ...]
-    paired_point: dict[int, Point3]
-    chords: dict[int, tuple[Fraction, Fraction]]
 
     def entry_classes(self) -> frozenset[int]:
         return frozenset(self.entry_extremal) | frozenset(self.entry_inner)
@@ -69,40 +69,19 @@ class VertexClassification:
     def exit_classes(self) -> frozenset[int]:
         return frozenset(self.exit_extremal) | frozenset(self.exit_inner)
 
-    def class_of(self, vi: int) -> str:
-        for name in (
-            "point_extremal",
-            "entry_extremal",
-            "exit_extremal",
-            "entry_inner",
-            "exit_inner",
-        ):
-            if vi in getattr(self, name):
-                return name
-        raise BadParameter("vertex index %d not classified" % vi)
-
 
 @dataclass(frozen=True)
 class CornerSlab:
     """Gap slab at one corner: the region between level k and level k+1
-    hanging off a point-chord ray, spanned by the two apexes and a fan
-    of crossing points.
-
-    The authoritative region is the hull of apexes and fan; the
-    tetrahedra list is its spoke-by-spoke presentation and its cells
-    degenerate to flat pieces when two fan points line up behind one
-    another as seen from the axis (the hull can then be flat too)."""
+    hanging off a point-chord ray: the hull of the two apexes and a fan
+    of crossing points.  The hull can be flat, for instance when the fan
+    is empty or its points line up behind one another as seen from the
+    axis."""
 
     ray: int
     level: int
     apex_pair: tuple[Point3, Point3]
     fan: tuple[Point3, ...]
-    tetrahedra: tuple[tuple[Point3, Point3, Point3, Point3], ...]
-
-    def is_empty(self) -> bool:
-        """True when no crossing points exist; the apex segment itself
-        still carries gap points in that case."""
-        return not self.fan
 
     def vertex_list(self) -> tuple[Point3, ...]:
         return (*self.apex_pair, *self.fan)
@@ -139,20 +118,20 @@ class SlabSet:
 @dataclass(frozen=True)
 class GapRegion:
     """Everything needed to enumerate and reason about the gap set: the
-    overlap and separation levels, the hull covering the low levels, the
+    overlap and separation levels (with the reason when the separation
+    level is unavailable), the hull covering the low levels, and the
     slab templates at the base level with their per-ray translation
-    periods, and the slabs forming one full period (the finite region
-    all divisibility questions reduce to)."""
+    periods."""
 
     overlap: int
     separation: Optional[int]
+    separation_reason: Optional[str]
     base_level: int
     hull_part: Polyhedron
     corner_templates: tuple[CornerSlab, ...]
     bridge_templates: tuple[BridgeSlab, ...]
     period_vectors: dict[int, Point3]
     periods: dict[int, int]
-    period_slabs: tuple[CornerSlab, ...]
 
 
 def classify(h) -> VertexClassification:
@@ -160,13 +139,9 @@ def classify(h) -> VertexClassification:
     out of the body."""
     ray_dirs = {r.int_tuple() for r in h.rays}
     point_e, entry_e, exit_e, entry_i, exit_i = [], [], [], [], []
-    paired: dict[int, Point3] = {}
-    chords: dict[int, tuple[Fraction, Fraction]] = {}
     for vi, v in enumerate(h.body.vertices):
-        hit = _vertex_chord(h.body, v)
-        lo, hi = hit
-        chords[vi] = (lo, hi)
-        extremal = _primitive(v) in ray_dirs
+        lo, hi = _vertex_chord(h.body, v)
+        extremal = _primitive_direction(v) in ray_dirs
         if lo == hi:
             if not extremal:
                 raise UnsupportedCase(
@@ -174,13 +149,10 @@ def classify(h) -> VertexClassification:
                     % (v,)
                 )
             point_e.append(vi)
-            paired[vi] = v
         elif lo == 1:
             (entry_e if extremal else entry_i).append(vi)
-            paired[vi] = v * hi
         elif hi == 1:
             (exit_e if extremal else exit_i).append(vi)
-            paired[vi] = v * lo
         else:
             raise AssumptionViolated(
                 "vertex %s lies strictly inside its chord" % (v,)
@@ -191,8 +163,6 @@ def classify(h) -> VertexClassification:
         tuple(exit_e),
         tuple(entry_i),
         tuple(exit_i),
-        paired,
-        chords,
     )
 
 
@@ -220,13 +190,6 @@ def _vertex_chord(body: Polyhedron, v: Point3) -> tuple[Fraction, Fraction]:
     if hi is None or not lo <= 1 <= hi:
         raise AssumptionViolated("vertex %s escapes its own chord" % (v,))
     return (lo, hi)
-
-
-def _primitive(v: Point3) -> IntVec:
-    mult = v.denominator_lcm()
-    ix, iy, iz = int(v.x * mult), int(v.y * mult), int(v.z * mult)
-    g = gcd(gcd(abs(ix), abs(iy)), abs(iz))
-    return (ix // g, iy // g, iz // g)
 
 
 def _interior_window(body: Polyhedron, q: Point3) -> tuple[Fraction, Fraction]:
@@ -279,7 +242,7 @@ def overlap_level(h, cls: Optional[VertexClassification] = None) -> int:
             raise UnsupportedCase(
                 "chord of vertex %s touches the body boundary" % (q,)
             )
-        k = _floor(1 / (mhi - 1)) + 1
+        k = _frac_floor(1 / (mhi - 1)) + 1
         if not Fraction(k + 1, k) > mlo:
             raise UnsupportedCase(
                 "interior window of vertex %s excludes all levels" % (q,)
@@ -294,7 +257,7 @@ def overlap_level(h, cls: Optional[VertexClassification] = None) -> int:
             raise UnsupportedCase(
                 "chord of vertex %s touches the body boundary" % (q,)
             )
-        k = _floor(mlo / (1 - mlo)) + 1
+        k = _frac_floor(mlo / (1 - mlo)) + 1
         if not Fraction(k, k + 1) < mhi:
             raise UnsupportedCase(
                 "interior window of vertex %s excludes all levels" % (q,)
@@ -302,10 +265,6 @@ def overlap_level(h, cls: Optional[VertexClassification] = None) -> int:
         _check_interior(h, q, k + 1, k, exempt)
         best = max(best, k)
     return best
-
-
-def _floor(v: Fraction) -> int:
-    return v.numerator // v.denominator
 
 
 def _check_interior(h, q: Point3, outer: int, inner: int, exempt) -> None:
@@ -356,26 +315,6 @@ def ray_period(h, i: int) -> int:
     return hit.lo.denominator
 
 
-def corner_vertex_set(
-    h, cls: VertexClassification, i: int, k: int
-) -> list[Point3]:
-    """Vertex set of the corner slab of point-chord ray i at level k:
-    both apexes plus, per adjacent vertex on a segment chord, the point
-    where the scaled edge toward it crosses into the neighboring
-    dilation."""
-    if h.ray_data[i].kind != "point":
-        raise BadParameter("ray %d does not meet the body in a point" % i)
-    if k < 1:
-        raise BadParameter("corner slabs start at level 1")
-    vi = _ray_vertex_index(h, cls, i)
-    if vi is None:
-        raise AssumptionViolated("point chord of ray %d is not a vertex" % i)
-    p = h.body.vertices[vi]
-    out = [p * k, p * (k + 1)]
-    out.extend(pt for pt, _fids in _corner_fan_points(h, cls, i, k))
-    return out
-
-
 def _corner_fan_points(
     h, cls: VertexClassification, i: int, k: int
 ) -> list[tuple[Point3, tuple[int, ...]]]:
@@ -423,10 +362,6 @@ def _corner_fan_points(
 def _transverse(x: Point3, d: Point3) -> Point3:
     """Component of x across the axis d, scaled by |d|^2 to stay exact."""
     return x * d.dot(d) - d * d.dot(x)
-
-
-def _sign(v: Fraction) -> int:
-    return (v > 0) - (v < 0)
 
 
 def _ordered_fan(
@@ -485,16 +420,7 @@ def _ordered_fan(
 
 def _corner_slab(h, cls: VertexClassification, i: int, k: int) -> CornerSlab:
     apexes, fan = _ordered_fan(h, cls, i, k)
-    tets = tuple(
-        (apexes[0], apexes[1], a, b) for a, b in zip(fan, fan[1:])
-    )
-    return CornerSlab(
-        ray=i,
-        level=k,
-        apex_pair=apexes,
-        fan=tuple(fan),
-        tetrahedra=tets,
-    )
+    return CornerSlab(ray=i, level=k, apex_pair=apexes, fan=tuple(fan))
 
 
 def _bridge_slab(
@@ -741,11 +667,12 @@ def gap_region(
     if cls is None:
         cls = classify(h)
     kappa = overlap_level(h, cls)
-    sep: Optional[int]
+    sep: Optional[int] = None
+    reason: Optional[str] = None
     try:
         sep = separation_level(h, cls)
-    except (UnsupportedCase, NotSimplicial):
-        sep = None
+    except UnsupportedCase as exc:
+        reason = str(exc)
     base = max(1, sep if sep is not None else kappa)
 
     t = len(h.rays)
@@ -759,22 +686,16 @@ def gap_region(
     period_vectors = {
         i: h.rays[i] * (h.ray_data[i].lo * periods[i]) for i in periods
     }
-    period_slabs: list[CornerSlab] = []
-    for s in slab_set.corner:
-        for k in range(base, base + periods[s.ray]):
-            period_slabs.append(
-                s if k == base else _corner_slab(h, cls, s.ray, k)
-            )
     return GapRegion(
         overlap=kappa,
         separation=sep,
+        separation_reason=reason,
         base_level=base,
         hull_part=hull_part,
         corner_templates=slab_set.corner,
         bridge_templates=slab_set.bridge,
         period_vectors=period_vectors,
         periods=periods,
-        period_slabs=tuple(period_slabs),
     )
 
 

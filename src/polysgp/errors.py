@@ -18,10 +18,6 @@ class OutsideCone(PolysgpError):
     """Query point is not in the cone spanned by the polytope."""
 
 
-class BudgetExceeded(PolysgpError):
-    """A configurable enumeration cap was hit before certification."""
-
-
 class AssumptionViolated(PolysgpError):
     """A geometric invariant the construction relies on failed to hold."""
 

@@ -15,8 +15,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import AssumptionViolated, BadParameter, DegenerateInput
 
-Rat = Fraction
-
 
 def _frac(value) -> Fraction:
     """Exact conversion; strings like '33/16' and '2.2' parse exactly."""
@@ -153,19 +151,10 @@ class RayHit:
 
 
 @dataclass(frozen=True, slots=True)
-class SegmentHit:
-    """Intersection of a closed segment with one facet of a polytope."""
-
-    kind: str  # "empty" | "point" | "segment"
-    points: tuple[Point3, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class OriginPoint:
     """Degenerate zero-fold dilation: the single point at the origin."""
 
     point: Point3 = ORIGIN
-    is_degenerate: bool = True
 
 
 class Polyhedron:
@@ -220,8 +209,16 @@ class Polyhedron:
         )
 
 
-def _sign(v: int) -> int:
+def _sign(v) -> int:
     return (v > 0) - (v < 0)
+
+
+def _primitive_direction(v: Point3) -> tuple[int, int, int]:
+    """The primitive integer vector pointing along a nonzero v."""
+    mult = v.denominator_lcm()
+    ix, iy, iz = int(v.x * mult), int(v.y * mult), int(v.z * mult)
+    g = gcd(gcd(abs(ix), abs(iy)), abs(iz))
+    return (ix // g, iy // g, iz // g)
 
 
 def _orient(a, b, c, d) -> int:
@@ -337,27 +334,30 @@ def _plane_key(pts, tri) -> tuple[int, int, int, int]:
     return (nx // g, ny // g, nz // g, off // g)
 
 
-def _hull2d_strict(points2d: list[tuple[int, int, int]]) -> list[int]:
-    """Monotone chain over (u, w, id) triples; returns ids of the strict
-    hull corners in counterclockwise order (collinear points dropped)."""
-    pts = sorted(set(points2d))
+def _cross2(o, a, b):
+    """Twice the signed area of the plane triangle (o, a, b)."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _hull2d(points: Iterable[tuple]) -> list[tuple]:
+    """Monotone chain over tuples whose first two entries are plane
+    coordinates (further entries, such as ids, ride along); returns the
+    strict hull corners in counterclockwise order, collinear points
+    dropped."""
+    pts = sorted(set(points))
     if len(pts) < 3:
-        return [p[2] for p in pts]
-
-    def cross(o, a, b) -> int:
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
+        return pts
     lower: list = []
     for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+        while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
     upper: list = []
     for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+        while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    return [p[2] for p in lower[:-1] + upper[:-1]]
+    return lower[:-1] + upper[:-1]
 
 
 def convex_hull(points: Iterable) -> Polyhedron:
@@ -396,7 +396,7 @@ def convex_hull(points: Iterable) -> Polyhedron:
         flat = [
             (ipts[i][keep[0]], ipts[i][keep[1]], i) for i in groups[key]
         ]
-        cycle = _hull2d_strict(flat)
+        cycle = [p[2] for p in _hull2d(flat)]
         if len(cycle) < 3:
             raise AssumptionViolated("facet degenerated to fewer than 3 corners")
         if (nx, ny, nz)[axis] < 0:
@@ -587,33 +587,6 @@ def clip_segment(
     return (t0, t1)
 
 
-def segment_plane_hit(
-    poly: Polyhedron, facet_index: int, a: Point3, b: Point3
-) -> SegmentHit:
-    """Intersection of the closed segment [a, b] with one facet of the
-    polytope (the boundary plane restricted to the facet's 2D extent)."""
-    facet = poly.facets[facet_index]
-    va = facet.value(a)
-    vb = facet.value(b)
-    if (va > 0 and vb > 0) or (va < 0 and vb < 0):
-        return SegmentHit("empty", ())
-    if va == 0 and vb == 0:
-        clipped = clip_segment(poly, a, b)
-        if clipped is None:
-            return SegmentHit("empty", ())
-        t0, t1 = clipped
-        d = b - a
-        p0, p1 = a + d * t0, a + d * t1
-        if t0 == t1:
-            return SegmentHit("point", (p0,))
-        return SegmentHit("segment", (p0, p1))
-    t = va / (va - vb)
-    hit = a + (b - a) * t
-    if contains(poly, hit):
-        return SegmentHit("point", (hit,))
-    return SegmentHit("empty", ())
-
-
 def _ceildiv(p: int, q: int) -> int:
     return -((-p) // q)
 
@@ -635,28 +608,10 @@ def integer_points(poly: Polyhedron) -> Iterator[tuple[int, int, int]]:
     facets = poly.int_facets
     for x in range(x0, x1 + 1):
         for y in range(y0, y1 + 1):
-            zlo, zhi = None, None
-            feasible = True
-            for ax, ay, az, c in facets:
-                rem = c - ax * x - ay * y
-                if az == 0:
-                    if rem > 0:
-                        feasible = False
-                        break
-                elif az > 0:
-                    b = _ceildiv(rem, az)
-                    if zlo is None or b > zlo:
-                        zlo = b
-                else:
-                    b = rem // az
-                    if zhi is None or b < zhi:
-                        zhi = b
-            if not feasible:
-                continue
-            if zlo is None or zhi is None:
-                raise AssumptionViolated("unbounded z-column in a polytope")
-            for z in range(zlo, zhi + 1):
-                yield (x, y, z)
+            col = _column_interval(facets, x, y)
+            if col is not None:
+                for z in range(col[0], col[1] + 1):
+                    yield (x, y, z)
 
 
 def integer_point_count(poly: Polyhedron) -> int:
@@ -810,7 +765,7 @@ def _polygon_integer_points(
     verts2d: list[tuple[Fraction, Fraction]]
 ) -> list[tuple[int, int]]:
     """Integer pairs in the convex hull of rational points in the plane,
-    column by column."""
+    column by column.  The points must not be collinear."""
     scale = 1
     for u, v in verts2d:
         scale = lcm(scale, lcm(u.denominator, v.denominator))
@@ -818,14 +773,7 @@ def _polygon_integer_points(
         (int(u * scale), int(v * scale), i)
         for i, (u, v) in enumerate(verts2d)
     ]
-    ring = [verts2d[i] for i in _hull2d_strict(flat)]
-    if len(ring) == 1:
-        u, v = ring[0]
-        if u.denominator == 1 and v.denominator == 1:
-            return [(int(u), int(v))]
-        return []
-    if len(ring) == 2:
-        return _segment2d_integer_points(*ring)
+    ring = [verts2d[p[2]] for p in _hull2d(flat)]
     out = []
     us = [u for u, _ in ring]
     for u in range(_frac_ceil(min(us)), _frac_floor(max(us)) + 1):
@@ -841,24 +789,6 @@ def _polygon_integer_points(
         for v in range(_frac_ceil(min(vs)), _frac_floor(max(vs)) + 1):
             out.append((u, v))
     return out
-
-
-def _segment2d_integer_points(
-    a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]
-) -> list[tuple[int, int]]:
-    du, dv = b[0] - a[0], b[1] - a[1]
-    if abs(du) >= abs(dv):
-        w0, w1, wa, dw = a[0], b[0], a[0], du
-    else:
-        w0, w1, wa, dw = a[1], b[1], a[1], dv
-    w0, w1 = min(w0, w1), max(w0, w1)
-    out = []
-    for w in range(_frac_ceil(w0), _frac_floor(w1) + 1):
-        t = (w - wa) / dw
-        u, v = a[0] + du * t, a[1] + dv * t
-        if u.denominator == 1 and v.denominator == 1:
-            out.append((int(u), int(v)))
-    return sorted(set(out))
 
 
 def minkowski_difference_contains_origin(a, b) -> bool:
@@ -919,41 +849,16 @@ def _degenerate_hull_contains_origin(points: list[Point3]) -> bool:
         lo = min(Fraction(0), *(d.dot(span[0]) / span[0].dot(span[0]) for d in dirs))
         hi = max(Fraction(0), *(d.dot(span[0]) / span[0].dot(span[0]) for d in dirs))
         return lo <= t <= hi
-    # planar cloud: drop to 2D and run an exact point-in-convex-polygon test
+    # planar cloud: drop to 2D and run an exact point-in-convex-polygon
+    # test; the projection is one-to-one on the plane, so the ring keeps
+    # at least three corners
     n = span[0].cross(span[1])
     if base.dot(n) != 0:
         return False
     axis = max(range(3), key=lambda i: abs(n.as_tuple()[i]))
     keep = [(axis + 1) % 3, (axis + 2) % 3]
-    flat = sorted({(p.as_tuple()[keep[0]], p.as_tuple()[keep[1]]) for p in pts})
-
-    def cross2(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list = []
-    for p in flat:
-        while len(lower) >= 2 and cross2(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(flat):
-        while len(upper) >= 2 and cross2(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    ring = lower[:-1] + upper[:-1]
-    if len(ring) == 1:
-        return ring[0] == (0, 0)
-    if len(ring) == 2:
-        a, b = ring
-        o = (Fraction(0), Fraction(0))
-        if cross2(a, b, o) != 0:
-            return False
-        inside = min(a[0], b[0]) <= 0 <= max(a[0], b[0]) and min(
-            a[1], b[1]
-        ) <= 0 <= max(a[1], b[1])
-        return inside
-    o = (Fraction(0), Fraction(0))
-    for a, b in zip(ring, ring[1:] + ring[:1]):
-        if cross2(a, b, o) < 0:
-            return False
-    return True
+    ring = _hull2d((p.as_tuple()[keep[0]], p.as_tuple()[keep[1]]) for p in pts)
+    o = (0, 0)
+    return all(
+        _cross2(a, b, o) >= 0 for a, b in zip(ring, ring[1:] + ring[:1])
+    )

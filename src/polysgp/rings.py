@@ -45,6 +45,7 @@ from .errors import (
 from .geometry import ORIGIN, Point3, integer_points_in_hull
 from .semigroup import (
     SemigroupHandle,
+    _as_intvec,
     apery_intersection,
     closure,
     closure_member_int,
@@ -317,13 +318,6 @@ def _pair_apery_row(
             continue
         row.append(p)
     return tuple(row)
-
-
-def _as_intvec(p) -> IntVec:
-    if hasattr(p, "int_tuple"):
-        return p.int_tuple()
-    x, y, z = p
-    return (int(x), int(y), int(z))
 
 
 def _add(a: IntVec, b: IntVec) -> IntVec:

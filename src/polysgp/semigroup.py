@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import ceil, lcm
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -31,6 +31,8 @@ from .geometry import (
     Point3,
     Polyhedron,
     RayHit,
+    _hull2d,
+    _primitive_direction,
     contains,
     convex_hull,
     dilate,
@@ -54,20 +56,12 @@ def _as_intvec(p) -> IntVec:
     return t  # type: ignore[return-value]
 
 
-def _primitive_direction(v: Point3) -> IntVec:
-    mult = v.denominator_lcm()
-    ix, iy, iz = int(v.x * mult), int(v.y * mult), int(v.z * mult)
-    g = gcd(gcd(abs(ix), abs(iy)), abs(iz))
-    return (ix // g, iy // g, iz // g)
-
-
 @dataclass(frozen=True)
 class GeneratorSet:
     """Minimal generating set of the semigroup (or a partial one when the
     search hit its layer budget before certifying)."""
 
     generators: tuple[Point3, ...]
-    layer_index: tuple[int, ...]
     certified: bool
     layers_scanned: int
 
@@ -143,20 +137,13 @@ class SemigroupHandle:
             )
         return self._span_hull
 
-    def ray_chord_periods(self) -> list[int]:
-        """For each ray whose chord is a single point P, the least h with
-        h*P integral; segment-chord rays contribute nothing."""
-        out = []
-        for hit in self.ray_data:
-            if hit.kind == "point":
-                out.append(hit.lo.denominator)
-        return out
-
     def period(self) -> int:
         """lcm of the point-chord denominators (1 when every chord is a
-        segment); the vertical period of the far gap structure."""
-        ps = self.ray_chord_periods()
-        return lcm(*ps) if ps else 1
+        segment); the vertical period of the far gap structure.  A point
+        chord P contributes the least h with h*P integral."""
+        return lcm(
+            *(hit.lo.denominator for hit in self.ray_data if hit.kind == "point")
+        )
 
 
 def dilation_interval(
@@ -260,7 +247,7 @@ def build(vertices: Sequence) -> SemigroupHandle:
         (int(cx * mult), int(cy * mult), i)
         for i, (cx, cy) in enumerate(cross)
     ]
-    ring = _hull2d_ccw(flat)
+    ring = [p[2] for p in _hull2d(flat)]
     if len(ring) < 3:
         raise DegenerateInput("vertex directions span fewer than 3 rays")
     start = min(range(len(ring)), key=lambda i: keys[ring[i]])
@@ -279,29 +266,6 @@ def build(vertices: Sequence) -> SemigroupHandle:
             _smallest_ray_point(handle, i) for i in range(len(rays))
         )
     return handle
-
-
-def _hull2d_ccw(points: list[tuple[int, int, int]]) -> list[int]:
-    """Strict convex hull of (u, w, id) triples, returning ids of the
-    corners counterclockwise."""
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        return [p[2] for p in pts]
-
-    def cr(o, a, b) -> int:
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and cr(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cr(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return [p[2] for p in lower[:-1] + upper[:-1]]
 
 
 def _smallest_ray_point(h: SemigroupHandle, i: int) -> Point3:
@@ -323,15 +287,6 @@ def _smallest_ray_point(h: SemigroupHandle, i: int) -> Point3:
             return Point3.of(*p)
         m += 1
     raise AssumptionViolated("no semigroup point found on an extremal ray")
-
-
-def ray_generator(h: SemigroupHandle, i: int) -> Point3:
-    """Smallest (in ray parameter) semigroup element on ray i."""
-    if not h.simplicial:
-        raise NotSimplicial("ray generators are kept for three-ray cones")
-    if not 0 <= i < len(h.rays):
-        raise BadParameter("ray index %d out of range" % i)
-    return h.ray_generators[i]
 
 
 def member(h: SemigroupHandle, p) -> tuple[bool, Optional[int]]:
@@ -401,7 +356,6 @@ def minimal_generators(
     period = h.period()
     pending: dict[int, list[tuple[IntVec, int]]] = {}
     gens: list[IntVec] = []
-    gen_layers: list[int] = []
     gen_layer_max = 0
     scanned = 0
     finalized_below = 0  # all semigroup points with sum < this are judged
@@ -412,7 +366,6 @@ def minimal_generators(
             for p, layer in sorted(pending.pop(s)):
                 if not _reducible(h, p, gens):
                     gens.append(p)
-                    gen_layers.append(layer)
                     if layer > gen_layer_max:
                         gen_layer_max = layer
 
@@ -433,10 +386,8 @@ def minimal_generators(
     if not certified:
         finalize(10 ** 18)
 
-    order = sorted(range(len(gens)), key=lambda i: gens[i])
     return GeneratorSet(
-        generators=tuple(Point3.of(*gens[i]) for i in order),
-        layer_index=tuple(gen_layers[i] for i in order),
+        generators=tuple(Point3.of(*p) for p in sorted(gens)),
         certified=certified,
         layers_scanned=scanned,
     )
@@ -636,17 +587,8 @@ def _closure_generators(
         if not reducible:
             accepted.append(p)
 
-    order = sorted(range(len(accepted)), key=lambda i: accepted[i])
-    layers = []
-    for i in order:
-        iv = dilation_interval(h, accepted[i])
-        if iv is not None and iv[1] is not None and iv[0] <= iv[1]:
-            layers.append(iv[0])
-        else:
-            layers.append(0)  # an added point, outside every dilation
     return GeneratorSet(
-        generators=tuple(Point3.of(*accepted[i]) for i in order),
-        layer_index=tuple(layers),
+        generators=tuple(Point3.of(*p) for p in sorted(accepted)),
         certified=msg.certified,
         layers_scanned=msg.layers_scanned,
     )

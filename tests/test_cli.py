@@ -129,7 +129,7 @@ def test_missing_file_exits_one(tmp_path, capsys):
 
 
 def test_bad_parameters_exit_one(s3_file, capsys):
-    assert main(["msg", "--threads", "0", s3_file]) == 1
+    assert main(["msg", "--budget-layers", "0", s3_file]) == 1
     assert main(["family", "--k", "1"]) == 1
     assert main(["gaps", "--extra-periods", "-1", s3_file]) == 1
     assert main(["msg", "--no-such-flag", s3_file]) == 1

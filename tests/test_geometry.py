@@ -199,6 +199,58 @@ def test_minkowski_difference_origin():
     )
 
 
+# Flat clouds: subtracting the single point O leaves the cloud itself,
+# so each answer is whether O lies in the cloud's (point, segment or
+# polygon) hull.  Expected values are read off by hand.
+FLAT_CLOUDS = [
+    ([(0, 0, 0)], True),
+    ([(1, 2, 3)], False),
+    # segments: O interior, O an end, O beyond an end, O off the line
+    ([(-1, -1, -2), (1, 1, 2)], True),
+    ([(-1, 0, 0), (1, 0, 0), (3, 0, 0)], True),
+    ([(0, 0, 0), (2, 1, 1)], True),
+    ([(1, 1, 1), (2, 2, 2)], False),
+    ([(1, 0, 0), (0, 1, 0)], False),
+    ([(1, -1, 0), (1, 1, 0)], False),
+    # polygons in z = 0: O interior, on an edge, a vertex, outside
+    ([(-1, -1, 0), (2, -1, 0), (-1, 2, 0)], True),
+    ([(-1, 0, 0), (1, 0, 0), (0, 1, 0)], True),
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0)], True),
+    ([(1, 1, 0), (2, 1, 0), (1, 2, 0)], False),
+    ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], False),
+    # a square with an extra point on its bottom edge
+    ([(-1, -1, 0), (0, -1, 0), (1, -1, 0), (1, 1, 0), (-1, 1, 0)], True),
+    # parallel to z = 0 but one unit above it
+    ([(1, 0, 1), (0, 1, 1), (-1, -1, 1)], False),
+    # the plane x + y + z = 0: O is the centroid, then just outside
+    ([(1, -1, 0), (0, 1, -1), (-1, 0, 1)], True),
+    ([(2, -1, -1), (1, 0, -1), (F(3, 2), -1, F(-1, 2))], False),
+    # tilted with rational corners, O on the edge (-1/2,1/2,0)-(1/2,-1/2,0)
+    ([(F(-1, 2), F(1, 2), 0), (F(1, 2), F(-1, 2), 0), (1, 1, 1)], True),
+]
+
+
+@pytest.mark.parametrize("cloud, expected", FLAT_CLOUDS)
+def test_minkowski_difference_flat_clouds(cloud, expected):
+    pts = [Point3.of(*p) for p in cloud]
+    with pytest.raises(DegenerateInput):
+        convex_hull(pts)
+    assert minkowski_difference_contains_origin(pts, [ORIGIN]) is expected
+
+
+def test_minkowski_difference_of_flat_bodies():
+    # two segments in z = 0: crossing, meeting at an end, apart
+    def seg(p, q):
+        return [Point3.of(*p), Point3.of(*q)]
+
+    a = seg((0, 0, 0), (2, 0, 0))
+    assert minkowski_difference_contains_origin(a, seg((1, -1, 0), (1, 1, 0)))
+    assert minkowski_difference_contains_origin(a, seg((2, 0, 0), (3, 1, 0)))
+    assert not minkowski_difference_contains_origin(
+        a, seg((3, -1, 0), (3, 1, 0))
+    )
+
+
 coordinate = st.integers(min_value=0, max_value=6)
 cloud = st.lists(
     st.tuples(coordinate, coordinate, coordinate),

@@ -5,7 +5,9 @@ behaviour against published data, against its own definitions at two
 window sizes, and against the main algorithms over full boxes.
 """
 
+import ast
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -117,3 +119,23 @@ def test_oracle_matches_main_membership(s3, we):
         present = oracle.scan_semigroup(h, box)
         for p in product(range(13), repeat=3):
             assert (p in present) == member_int(h, p)[0]
+
+
+def test_oracle_imports_only_errors_from_the_package():
+    # The oracle must not share code with what it checks: from polysgp
+    # it may import the exception types and nothing else.
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                base = "polysgp" + ("." + base if base else "")
+            if base == "polysgp":
+                modules.update(base + "." + a.name for a in node.names)
+            else:
+                modules.add(base)
+    ours = {m for m in modules if m.split(".")[0] == "polysgp"}
+    assert ours == {"polysgp.errors"}

@@ -3,6 +3,8 @@ replay, the translate-count query, and the parametric family."""
 
 from __future__ import annotations
 
+from fractions import Fraction as F
+
 import pytest
 
 from polysgp import build, oracle
@@ -186,6 +188,14 @@ def test_condition3_counts(nn, s5):
     r = check_condition3(s5, (5, 5, 5))
     assert r.count >= 2
     assert r.indices[:2] == (0, 1)
+
+
+def test_condition3_rejects_non_integer_points(nn):
+    # the coordinates must not be truncated to (1, 1, 1), a valid gap
+    with pytest.raises(BadParameter):
+        check_condition3(nn, (F(3, 2), 1, 1))
+    with pytest.raises(BadParameter):
+        check_condition3(nn, (1.9, 1, 1))
 
 
 def test_condition3_rejects_non_gaps(s3):
