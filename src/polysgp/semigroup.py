@@ -58,8 +58,9 @@ def _as_intvec(p) -> IntVec:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Minimal generating set of the semigroup (or a partial one when the
-    search hit its layer budget before certifying)."""
+    """Minimal generating set of the semigroup when `certified`;
+    otherwise the layer budget ran out first and the set is partial.
+    `layers_scanned` counts the dilation shells the Apery scan read."""
 
     generators: tuple[Point3, ...]
     certified: bool
@@ -97,8 +98,6 @@ class SemigroupHandle:
         "_far",
         "_flat",
         "_span_hull",
-        "_sum_min",
-        "_sum_max",
     )
 
     def __init__(self, body, rays, simplicial, ray_data, ray_generators):
@@ -123,9 +122,6 @@ class SemigroupHandle:
         self._far = tuple(far)
         self._flat = tuple(flat)
         self._span_hull: Optional[Polyhedron] = None
-        sums = [v.x + v.y + v.z for v in body.vertices]
-        self._sum_min: Fraction = min(sums)
-        self._sum_max: Fraction = max(sums)
 
     @property
     def span_hull(self) -> Polyhedron:
@@ -198,17 +194,19 @@ def in_cone_int(h: SemigroupHandle, p: IntVec) -> bool:
     for ax, ay, az in h._flat:
         if ax * x + ay * y + az * z < 0:
             return False
-    real_lo = Fraction(0)
+    # real dilation bounds as numerator/denominator pairs with positive
+    # denominators: lo = max(0, v/c over far facets), hi = min over near
+    lo_n, lo_d = 0, 1
     for ax, ay, az, c in h._far:
-        v = Fraction(ax * x + ay * y + az * z, c)
-        if v > real_lo:
-            real_lo = v
-    real_hi: Optional[Fraction] = None
+        v = -(ax * x + ay * y + az * z)
+        if v * lo_d > lo_n * -c:
+            lo_n, lo_d = v, -c
+    hi_n, hi_d = None, 1
     for ax, ay, az, c in h._near:
-        v = Fraction(ax * x + ay * y + az * z, c)
-        if real_hi is None or v < real_hi:
-            real_hi = v
-    return real_hi is not None and real_lo <= real_hi and real_hi > 0
+        v = ax * x + ay * y + az * z
+        if hi_n is None or v * hi_d < hi_n * c:
+            hi_n, hi_d = v, c
+    return hi_n > 0 and lo_n * hi_d <= hi_n * lo_d
 
 
 def build(vertices: Sequence) -> SemigroupHandle:
@@ -338,68 +336,32 @@ def _sum3(p: IntVec) -> int:
 def minimal_generators(
     h: SemigroupHandle, budget_layers: int = 400
 ) -> GeneratorSet:
-    """Unique minimal generating set, by a graded sieve over dilation
-    shells.
+    """Unique minimal generating set: the ray generators E together with
+    the irreducible nonzero elements of the Apery set Ap(S, E).
 
-    Points are collected shell by shell and judged in order of
-    coordinate sum (any decomposition uses parts of strictly smaller
-    sum, so every candidate is judged after all generators that could
-    reduce it).  Scanning stops once the decided shells extend a full
-    far-structure period past both the last generator and the level
-    where consecutive dilations begin to overlap, with the following
-    period checked to decompose entirely; hitting the budget first
-    yields the partial set flagged uncertified.
+    Every minimal generator outside E lies in Ap(S, E), and both parts
+    of a decomposition of an Apery element are Apery elements, so the
+    elements are judged in order of coordinate sum against the ones
+    kept before them.  Cones with more than three rays take the least
+    semigroup point on every ray as E.  `certified` means the Apery
+    scan stopped by its own rule (see `_apery_scan`) before the budget;
+    otherwise the result is E with the elements found so far that no
+    earlier one reduces, a partial set.
     """
-    from .decomposition import overlap_level
-
-    kappa = overlap_level(h)
-    period = h.period()
-    pending: dict[int, list[tuple[IntVec, int]]] = {}
+    rays = h.ray_generators or [
+        _smallest_ray_point(h, i) for i in range(len(h.rays))
+    ]
+    ray_gens = [g.int_tuple() for g in rays]
+    found, complete, scanned = _apery_scan(h, ray_gens, budget_layers)
     gens: list[IntVec] = []
-    gen_layer_max = 0
-    scanned = 0
-    finalized_below = 0  # all semigroup points with sum < this are judged
-
-    def finalize(limit: int) -> None:
-        nonlocal gen_layer_max
-        for s in sorted(k for k in pending if k < limit):
-            for p, layer in sorted(pending.pop(s)):
-                if not _reducible(h, p, gens):
-                    gens.append(p)
-                    if layer > gen_layer_max:
-                        gen_layer_max = layer
-
-    certified = False
-    while scanned < budget_layers:
-        scanned += 1
-        for _s, p, ok in semigroup_shells(h, scanned, scanned):
-            if ok:
-                pending.setdefault(_sum3(p), []).append((p, scanned))
-        # later layers only contribute points of sum >= (scanned+1)*min,
-        # so every smaller sum is now fully collected and can be judged
-        finalized_below = ceil((scanned + 1) * h._sum_min)
-        finalize(finalized_below)
-        decided_layers = _last_decided_layer(h, finalized_below)
-        if decided_layers >= max(gen_layer_max, kappa) + 2 * period + 1:
-            certified = True
-            break
-    if not certified:
-        finalize(10 ** 18)
-
+    for p in sorted(found, key=lambda p: (_sum3(p), p)):
+        if not _reducible(h, p, gens):
+            gens.append(p)
     return GeneratorSet(
-        generators=tuple(Point3.of(*p) for p in sorted(gens)),
-        certified=certified,
+        generators=tuple(Point3.of(*p) for p in sorted(ray_gens + gens)),
+        certified=complete,
         layers_scanned=scanned,
     )
-
-
-def _last_decided_layer(h: SemigroupHandle, sum_limit: int) -> int:
-    """Largest dilation layer all of whose points have sum < sum_limit."""
-    # points of layer j have coordinate sum at most j * max vertex sum
-    j = max(0, int(Fraction(sum_limit) / h._sum_max) - 2)
-    while (j + 1) * h._sum_max < sum_limit:
-        j += 1
-    return j
 
 
 def _reducible(h: SemigroupHandle, p: IntVec, gens: list[IntVec]) -> bool:
@@ -427,43 +389,54 @@ def apery_intersection(
     no new basis element beyond the structural bound; exhausting the
     budget first returns the partial basis flagged incomplete.
     """
-    from .decomposition import overlap_level
-
     if not h.simplicial:
         raise NotSimplicial("Apery intersection needs a three-ray cone")
-    kappa = overlap_level(h)
-    period = h.period()
-    gens = [g.int_tuple() for g in h.ray_generators]
-    margins = []
-    for g in gens:
-        iv = dilation_interval(h, g)
-        lo, hi = iv
-        margins.append(max(1, (hi - lo) + 1) if hi is not None else 1)
-    base = kappa + period + max(margins)
-
-    found: list[IntVec] = [(0, 0, 0)]
-    last_hit = 0
-    scanned = 0
-    complete = False
-    while scanned < budget_layers:
-        scanned += 1
-        for _s, p, ok in semigroup_shells(h, scanned, scanned):
-            if not ok:
-                continue
-            if _is_apery(h, p, gens):
-                found.append(p)
-                last_hit = scanned
-        if scanned >= base and scanned >= last_hit + period:
-            complete = True
-            break
-
-    elements = tuple(Point3.of(*p) for p in sorted(set(found)))
-    maximal = _maximal_under_order(h, [e.int_tuple() for e in elements])
+    found, complete, _ = _apery_scan(
+        h, [g.int_tuple() for g in h.ray_generators], budget_layers
+    )
+    elements = sorted([(0, 0, 0)] + found)
+    maximal = _maximal_under_order(h, elements)
     return AperyBasis(
-        elements=elements,
+        elements=tuple(Point3.of(*p) for p in elements),
         maximal_elements=tuple(Point3.of(*p) for p in maximal),
         complete=complete,
     )
+
+
+def _apery_scan(
+    h: SemigroupHandle, gens: list[IntVec], budget_layers: int
+) -> tuple[list[IntVec], bool, int]:
+    """Nonzero semigroup points p with p - g outside the semigroup for
+    every g in `gens`, scanned shell by shell.
+
+    Stops once the scan is past kappa + period + the widest dilation
+    window of a generator and a full period has passed with no new
+    element.  Returns the elements in scan order, whether the scan
+    stopped that way (rather than at the budget), and the number of
+    layers scanned.
+    """
+    from .decomposition import overlap_level
+
+    kappa = overlap_level(h)
+    period = h.period()
+    margins = []
+    for g in gens:
+        lo, hi = dilation_interval(h, g)
+        margins.append(max(1, (hi - lo) + 1) if hi is not None else 1)
+    base = kappa + period + max(margins)
+
+    found: list[IntVec] = []
+    last_hit = 0
+    scanned = 0
+    while scanned < budget_layers:
+        scanned += 1
+        for _s, p, ok in semigroup_shells(h, scanned, scanned):
+            if ok and _is_apery(h, p, gens):
+                found.append(p)
+                last_hit = scanned
+        if scanned >= base and scanned >= last_hit + period:
+            return found, True, scanned
+    return found, False, scanned
 
 
 def _is_apery(h: SemigroupHandle, p: IntVec, gens: list[IntVec]) -> bool:

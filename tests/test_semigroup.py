@@ -6,9 +6,10 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import instancegen
 from polysgp import build, oracle
 from polysgp.errors import (
     BadParameter,
@@ -16,6 +17,7 @@ from polysgp.errors import (
     NotSimplicial,
     OriginInside,
     OutsideCone,
+    PolysgpError,
 )
 from polysgp.semigroup import (
     apery_intersection,
@@ -107,10 +109,79 @@ def test_minimal_generators_block_each_other(s3):
             assert not (member_int(s3, a)[0] and member_int(s3, b)[0])
 
 
-def test_budget_exhaustion_flags_partial(s3):
-    gens = minimal_generators(s3, budget_layers=2)
-    assert not gens.certified
-    assert set(gens.int_tuples()) <= S3_GENERATORS
+def test_budget_exhaustion_flags_partial(s3, nn, we, gorenstein_no):
+    # every budget short of the certifying scan gives an uncertified
+    # subset of the full set, after exactly that many layers
+    for h in (s3, nn, we, gorenstein_no):
+        full = minimal_generators(h)
+        assert full.certified
+        for budget in range(1, full.layers_scanned):
+            gens = minimal_generators(h, budget_layers=budget)
+            assert not gens.certified
+            assert gens.layers_scanned == budget
+            assert set(gens.int_tuples()) <= set(full.int_tuples())
+
+
+def test_minimal_generators_non_simplicial(pyramid):
+    gens = minimal_generators(pyramid)
+    assert gens.certified
+    expected = {(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)}
+    assert set(gens.int_tuples()) == expected
+    assert expected == oracle.naive_msg(pyramid, oracle.default_box(pyramid))
+
+
+# Layer budget beyond which a drawn body is skipped as too costly.
+_DRAWN_BUDGET = 14
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=25, deadline=None)
+def test_generators_and_apery_match_oracle_on_drawn_bodies(seed):
+    verts = instancegen.poly_vertices(seed)
+    try:
+        h = build(verts)
+        assume(h.simplicial)
+        gens = minimal_generators(h, budget_layers=_DRAWN_BUDGET)
+        ap = apery_intersection(h, budget_layers=_DRAWN_BUDGET)
+    except PolysgpError:
+        assume(False)
+    assume(gens.certified and ap.complete)
+    msg = set(gens.int_tuples())
+    elems = {p.int_tuple() for p in ap.elements}
+    twice_body = 2 * (int(max(max(v) for v in verts)) + 1)
+    reach = max(max(max(p) for p in msg | elems), twice_body)
+    box = oracle.box_for(verts, reach)
+    assert msg == oracle.naive_msg(verts, box)
+    assert elems == oracle.naive_apery(verts, box)
+
+
+def _in_cone_reference(h, p):
+    """Cone test over Fractions: each facet a.x >= c of the body bounds
+    the real dilations t with p in t*B (c < 0 from below, c > 0 from
+    above); p is in the cone when those bounds leave room above 0."""
+    if min(p) < 0:
+        return False
+    if p == (0, 0, 0):
+        return True
+    lo, hi = F(0), None
+    for ax, ay, az, c in h.body.int_facets:
+        v = ax * p[0] + ay * p[1] + az * p[2]
+        if c == 0:
+            if v < 0:
+                return False
+        elif c < 0:
+            lo = max(lo, F(v, c))
+        else:
+            hi = F(v, c) if hi is None else min(hi, F(v, c))
+    return hi is not None and hi > 0 and lo <= hi
+
+
+def test_in_cone_int_matches_fraction_reference(
+    s3, s5, nn, we, gorenstein_no, pyramid
+):
+    for h in (s3, s5, nn, we, gorenstein_no, pyramid):
+        for p in product(range(13), repeat=3):
+            assert in_cone_int(h, p) == _in_cone_reference(h, p), p
 
 
 def test_semigroup_shells_agree_with_membership(s3):
