@@ -40,7 +40,6 @@ from typing import Optional, Sequence
 
 from . import oracle
 from .decomposition import (
-    classify,
     gap_points,
     gap_region,
     ray_chord_class,
@@ -371,8 +370,8 @@ def _cmd_gaps(args) -> int:
 
 def _cmd_decompose(args) -> int:
     h = _load_handle(args.input)
-    cls = classify(h)
-    region = gap_region(h, cls)
+    cls = h.classification
+    region = gap_region(h)
 
     verts = h.body.vertices
     names = (
@@ -387,7 +386,7 @@ def _cmd_decompose(args) -> int:
         entry = {
             "index": i,
             "direction": r.int_tuple(),
-            "chord": ray_chord_class(h, cls, i),
+            "chord": ray_chord_class(h, i),
             "period": ray_period(h, i),
         }
         if h.simplicial:
@@ -496,6 +495,20 @@ def _cmd_family(args) -> int:
     return 0
 
 
+def _diff_report(name: str, main: set, naive: set, unit: str) -> bool:
+    """Print one oracle-check line (and up to ten differing points);
+    True when the two sets differ."""
+    diff = main ^ naive
+    if not diff:
+        print("%s: ok, %d %s" % (name, len(main), unit))
+        return False
+    print("%s: MISMATCH at %d points" % (name, len(diff)))
+    for p in sorted(diff)[:10]:
+        side = "main only" if p in main else "oracle only"
+        print("  %s (%s)" % (_pstr(p), side))
+    return True
+
+
 def _cmd_oracle_check(args) -> int:
     h = _load_handle(args.input)
     if args.box is not None:
@@ -512,44 +525,24 @@ def _cmd_oracle_check(args) -> int:
 
     grid = list(product(range(box.max_coord + 1), repeat=3))
     main_members = {p for p in grid if member_int(h, p)[0]}
-    oracle_members = oracle.scan_semigroup(h, box)
-    diff = main_members ^ oracle_members
-    if diff:
-        failures += 1
-        print("membership: MISMATCH at %d points" % len(diff))
-        for p in sorted(diff)[:10]:
-            side = "main only" if p in main_members else "oracle only"
-            print("  %s (%s)" % (_pstr(p), side))
-    else:
-        print("membership: ok, %d member points" % len(main_members))
+    failures += _diff_report(
+        "membership", main_members, oracle.scan_semigroup(h, box),
+        "member points",
+    )
 
     main_gaps = {
         p for p in grid if p not in main_members and in_cone_int(h, p)
     }
-    oracle_gaps = oracle.scan_gaps(h, box)
-    diff = main_gaps ^ oracle_gaps
-    if diff:
-        failures += 1
-        print("gaps: MISMATCH at %d points" % len(diff))
-        for p in sorted(diff)[:10]:
-            side = "main only" if p in main_gaps else "oracle only"
-            print("  %s (%s)" % (_pstr(p), side))
-    else:
-        print("gaps: ok, %d gap points" % len(main_gaps))
+    failures += _diff_report(
+        "gaps", main_gaps, oracle.scan_gaps(h, box), "gap points"
+    )
 
     gens = minimal_generators(h, budget_layers=args.budget_layers)
     if gens.certified:
         inside = {g for g in gens.int_tuples() if max(g) <= box.max_coord}
-        naive = oracle.naive_msg(h, box)
-        diff = inside ^ naive
-        if diff:
-            failures += 1
-            print("generators: MISMATCH at %d points" % len(diff))
-            for p in sorted(diff)[:10]:
-                side = "main only" if p in inside else "oracle only"
-                print("  %s (%s)" % (_pstr(p), side))
-        else:
-            print("generators: ok, %d generators" % len(inside))
+        failures += _diff_report(
+            "generators", inside, oracle.naive_msg(h, box), "generators"
+        )
     else:
         print("generators: skipped (layer budget hit before certification)")
 
@@ -566,16 +559,9 @@ def _cmd_oracle_check(args) -> int:
         ap = apery_intersection(h, budget_layers=args.budget_layers)
         elems = {p.int_tuple() for p in ap.elements}
         if ap.complete and all(max(t) <= box.max_coord for t in elems):
-            naive_ap = oracle.naive_apery(h, box)
-            diff = elems ^ naive_ap
-            if diff:
-                failures += 1
-                print("apery: MISMATCH at %d points" % len(diff))
-                for p in sorted(diff)[:10]:
-                    side = "main only" if p in elems else "oracle only"
-                    print("  %s (%s)" % (_pstr(p), side))
-            else:
-                print("apery: ok, %d elements" % len(elems))
+            failures += _diff_report(
+                "apery", elems, oracle.naive_apery(h, box), "elements"
+            )
         else:
             print("apery: skipped (incomplete or outside the box)")
     else:
@@ -619,8 +605,7 @@ def _cmd_export(args) -> int:
 
     if args.kind == "slabs":
         _check_format(args.format, ("structured", "mesh"))
-        cls = classify(h)
-        ss = slabs(h, cls, k)
+        ss = slabs(h, k)
         if args.format == "structured":
             record = {
                 "command": "export",

@@ -32,6 +32,7 @@ from .geometry import (
     _primitive_direction,
     _sign,
     clip_segment_facets,
+    cone_supporting_facets,
     contains,
     convex_hull,
     dilate,
@@ -130,13 +131,13 @@ class GapRegion:
     hull_part: Polyhedron
     corner_templates: tuple[CornerSlab, ...]
     bridge_templates: tuple[BridgeSlab, ...]
-    period_vectors: dict[int, Point3]
     periods: dict[int, int]
 
 
 def classify(h) -> VertexClassification:
     """Classify every vertex by its position on the chord its ray cuts
-    out of the body."""
+    out of the body.  Computes from scratch; `h.classification` keeps
+    the result."""
     ray_dirs = {r.int_tuple() for r in h.rays}
     point_e, entry_e, exit_e, entry_i, exit_i = [], [], [], [], []
     for vi, v in enumerate(h.body.vertices):
@@ -223,16 +224,15 @@ def _interior_window(body: Polyhedron, q: Point3) -> tuple[Fraction, Fraction]:
     return (mlo, mhi)
 
 
-def overlap_level(h, cls: Optional[VertexClassification] = None) -> int:
+def overlap_level(h) -> int:
     """Least level from which each dilation reaches far enough into the
     next (and previous) one for the slab description of the gaps to
-    hold; 0 when every vertex is its own chord."""
-    if cls is None:
-        cls = classify(h)
+    hold; 0 when every vertex is its own chord.  Computed anew on every
+    call from the handle's classification; `h.overlap` keeps the
+    result."""
+    cls = h.classification
     best = 0
-    exempt = tuple(
-        i for i, f in enumerate(h.body.facets) if f.offset == 0
-    )
+    exempt = cone_supporting_facets(h.body)
     for vi in list(cls.entry_extremal) + list(cls.entry_inner):
         q = h.body.vertices[vi]
         mlo, mhi = _interior_window(h.body, q)
@@ -279,27 +279,27 @@ def _check_interior(h, q: Point3, outer: int, inner: int, exempt) -> None:
         )
 
 
-def ray_point(h, cls: VertexClassification, i: int) -> Point3:
+def ray_point(h, i: int) -> Point3:
     """The structural point of ray i: the chord itself for a point
     chord, otherwise the near end of the segment chord."""
     hit = h.ray_data[i]
     return h.rays[i] * hit.lo
 
 
-def ray_chord_class(h, cls: VertexClassification, i: int) -> str:
+def ray_chord_class(h, i: int) -> str:
     """'point' when ray i meets the body in one point, 'entry_vertex'
     when the near chord end is a vertex, else 'entry_hidden'."""
     hit = h.ray_data[i]
     if hit.kind == "point":
         return "point"
-    if _ray_vertex_index(h, cls, i) is not None:
+    if _ray_vertex_index(h, i) is not None:
         return "entry_vertex"
     return "entry_hidden"
 
 
-def _ray_vertex_index(h, cls: VertexClassification, i: int) -> Optional[int]:
+def _ray_vertex_index(h, i: int) -> Optional[int]:
     """Vertex index of the near chord end of ray i, if it is a vertex."""
-    p = ray_point(h, cls, i)
+    p = ray_point(h, i)
     for vi, v in enumerate(h.body.vertices):
         if v == p:
             return vi
@@ -316,15 +316,15 @@ def ray_period(h, i: int) -> int:
 
 
 def _corner_fan_points(
-    h, cls: VertexClassification, i: int, k: int
+    h, i: int, k: int
 ) -> list[tuple[Point3, tuple[int, ...]]]:
     """Unordered crossing points generating the fan of the corner slab,
     each with the indices of the facets it lands on (facet order matches
     the undilated body)."""
-    vi = _ray_vertex_index(h, cls, i)
+    vi = _ray_vertex_index(h, i)
     p = h.body.vertices[vi]
-    entries = cls.entry_classes()
-    exits = cls.exit_classes()
+    entries = h.classification.entry_classes()
+    exits = h.classification.exit_classes()
     lower = dilate(h.body, k)
     upper = dilate(h.body, k + 1)
     pts: list[tuple[Point3, tuple[int, ...]]] = []
@@ -365,15 +365,15 @@ def _transverse(x: Point3, d: Point3) -> Point3:
 
 
 def _ordered_fan(
-    h, cls: VertexClassification, i: int, k: int
+    h, i: int, k: int
 ) -> tuple[tuple[Point3, Point3], list[Point3]]:
     """Apex pair and fan points of corner slab (i, k), the fan swept in
     cyclic order so its last point faces the cyclically next ray.  Fan
     points seen under the same angle are kept, ordered near to far."""
-    vi = _ray_vertex_index(h, cls, i)
+    vi = _ray_vertex_index(h, i)
     p = h.body.vertices[vi]
     apexes = (p * k, p * (k + 1))
-    raw = _corner_fan_points(h, cls, i, k)
+    raw = _corner_fan_points(h, i, k)
     if not raw:
         return apexes, []
     t = len(h.rays)
@@ -418,14 +418,12 @@ def _ordered_fan(
     return apexes, [raw[j][0] for j in order]
 
 
-def _corner_slab(h, cls: VertexClassification, i: int, k: int) -> CornerSlab:
-    apexes, fan = _ordered_fan(h, cls, i, k)
+def _corner_slab(h, i: int, k: int) -> CornerSlab:
+    apexes, fan = _ordered_fan(h, i, k)
     return CornerSlab(ray=i, level=k, apex_pair=apexes, fan=tuple(fan))
 
 
-def _bridge_slab(
-    h, cls: VertexClassification, i: int, k: int
-) -> BridgeSlab:
+def _bridge_slab(h, i: int, k: int) -> BridgeSlab:
     """Bridge between the corner slabs of ray i and the next ray: one
     triangle cut from each fan, joined by an edge parallel to the chord
     between the two corner points.  The triangle corners are the facing
@@ -434,13 +432,13 @@ def _bridge_slab(
     parallel pair of fan points takes over."""
     t = len(h.rays)
     j = (i + 1) % t
-    a_apex, a_fan = _ordered_fan(h, cls, i, k)
-    b_apex, b_fan = _ordered_fan(h, cls, j, k)
+    a_apex, a_fan = _ordered_fan(h, i, k)
+    b_apex, b_fan = _ordered_fan(h, j, k)
     if not a_fan or not b_fan:
         raise UnsupportedCase(
             "bridge between rays %d and %d lacks fan points" % (i, j)
         )
-    chord = ray_point(h, cls, j) - ray_point(h, cls, i)
+    chord = ray_point(h, j) - ray_point(h, i)
 
     def parallel(qa: Point3, qb: Point3) -> bool:
         return (qb - qa).cross(chord).is_zero()
@@ -471,15 +469,17 @@ def _bridge_slab(
     )
 
 
-def slabs(h, cls: VertexClassification, k: int) -> SlabSet:
+def slabs(h, k: int) -> SlabSet:
     """All corner and bridge slabs at level k (only the nonempty kinds:
     corner slabs exist on point-chord rays, bridges between consecutive
     point-chord rays)."""
     if k < 1:
         raise BadParameter("slabs start at level 1")
+    # a body the classification rejects has no slabs, point chords or not
+    h.classification
     t = len(h.rays)
     for i in range(t):
-        if ray_chord_class(h, cls, i) == "entry_hidden":
+        if ray_chord_class(h, i) == "entry_hidden":
             raise UnsupportedCase(
                 "ray %d has a segment chord whose near end is not a "
                 "vertex" % i
@@ -487,23 +487,23 @@ def slabs(h, cls: VertexClassification, k: int) -> SlabSet:
     point_rays = [
         i for i in range(t) if h.ray_data[i].kind == "point"
     ]
-    corner = tuple(_corner_slab(h, cls, i, k) for i in point_rays)
+    corner = tuple(_corner_slab(h, i, k) for i in point_rays)
     bridges = []
     point_set = set(point_rays)
     for i in point_rays:
         j = (i + 1) % t
         if j in point_set:
-            bridges.append(_bridge_slab(h, cls, i, k))
+            bridges.append(_bridge_slab(h, i, k))
     return SlabSet(corner=corner, bridge=tuple(bridges))
 
 
-def corner_slab(h, cls: VertexClassification, i: int, k: int) -> CornerSlab:
+def corner_slab(h, i: int, k: int) -> CornerSlab:
     """The corner slab of one point-chord ray at one level."""
     if k < 1:
         raise BadParameter("slabs start at level 1")
     if h.ray_data[i].kind != "point":
         raise BadParameter("ray %d has a segment chord, no corner slab" % i)
-    return _corner_slab(h, cls, i, k)
+    return _corner_slab(h, i, k)
 
 
 def slab_integer_points(slab) -> set[IntVec]:
@@ -512,9 +512,7 @@ def slab_integer_points(slab) -> set[IntVec]:
 
 
 def separation_level(
-    h,
-    cls: Optional[VertexClassification] = None,
-    generators: Optional[Sequence[Point3]] = None,
+    h, generators: Optional[Sequence[Point3]] = None
 ) -> int:
     """Least level past which no corner-slab point, translated by the
     generator of another ray, can land in that ray's corner slab or in
@@ -525,15 +523,14 @@ def separation_level(
     `generators` overrides the translation vectors (one per ray, in ray
     order); by default the ray generators of the semigroup are used.
     """
-    if cls is None:
-        cls = classify(h)
+    cls = h.classification
     if not h.simplicial:
         raise NotSimplicial("separation level needs a three-ray cone")
     point_rays = [i for i in range(3) if h.ray_data[i].kind == "point"]
     if len(point_rays) == 2:
         other = next(i for i in range(3) if i not in point_rays)
-        if ray_chord_class(h, cls, other) != "entry_vertex" or (
-            _ray_vertex_index(h, cls, other) not in cls.entry_extremal
+        if ray_chord_class(h, other) != "entry_vertex" or (
+            _ray_vertex_index(h, other) not in cls.entry_extremal
         ):
             raise UnsupportedCase(
                 "segment-chord ray %d does not start at an extremal vertex"
@@ -544,7 +541,7 @@ def separation_level(
             "separation level needs at least two point-chord rays"
         )
 
-    base = max(1, overlap_level(h, cls))
+    base = max(1, h.overlap)
     gens = tuple(generators) if generators is not None else h.ray_generators
     if len(gens) != 3:
         raise BadParameter("one translation generator per ray is required")
@@ -554,10 +551,10 @@ def separation_level(
         key = (kind, i, k)
         if key not in cache:
             if kind == "c":
-                cache[key] = _corner_slab(h, cls, i, k).vertex_list()
+                cache[key] = _corner_slab(h, i, k).vertex_list()
             else:
                 try:
-                    cache[key] = _bridge_slab(h, cls, i, k).vertex_list()
+                    cache[key] = _bridge_slab(h, i, k).vertex_list()
                 except UnsupportedCase:
                     cache[key] = None
         return cache[key]
@@ -574,7 +571,7 @@ def separation_level(
         ]
         if both_point:
             targets.append(("b", bridge_ray))
-        step_i = h.rays[i] * h.ray_data[i].lo
+        step_i = ray_point(h, i)
         for j in others:
             g = gens[j]
             for kind, tj in targets:
@@ -618,13 +615,9 @@ def _worst_collision(
     level), and the all-ones functional growing on both (so for a fixed
     source the target eventually sails past it)."""
     if kind == "c":
-        t_dirs = [h.rays[tj] * h.ray_data[tj].lo]
+        t_dirs = [ray_point(h, tj)]
     else:
-        jn = (tj + 1) % 3
-        t_dirs = [
-            h.rays[tj] * h.ray_data[tj].lo,
-            h.rays[jn] * h.ray_data[jn].lo,
-        ]
+        t_dirs = [ray_point(h, tj), ray_point(h, (tj + 1) % 3)]
     t_base = slab_verts(kind, tj, base)
     if t_base is None:
         return base - 1
@@ -660,17 +653,13 @@ def _worst_collision(
     return worst
 
 
-def gap_region(
-    h, cls: Optional[VertexClassification] = None
-) -> GapRegion:
+def gap_region(h) -> GapRegion:
     """Assemble the finite description of the whole gap set."""
-    if cls is None:
-        cls = classify(h)
-    kappa = overlap_level(h, cls)
+    kappa = h.overlap
     sep: Optional[int] = None
     reason: Optional[str] = None
     try:
-        sep = separation_level(h, cls)
+        sep = separation_level(h)
     except UnsupportedCase as exc:
         reason = str(exc)
     base = max(1, sep if sep is not None else kappa)
@@ -678,14 +667,11 @@ def gap_region(
     t = len(h.rays)
     hull_part = convex_hull(
         [ORIGIN]
-        + [ray_point(h, cls, i) * base for i in range(t)]
-        + [ray_point(h, cls, i) * (base + 1) for i in range(t)]
+        + [ray_point(h, i) * base for i in range(t)]
+        + [ray_point(h, i) * (base + 1) for i in range(t)]
     )
-    slab_set = slabs(h, cls, base)
+    slab_set = slabs(h, base)
     periods = {s.ray: ray_period(h, s.ray) for s in slab_set.corner}
-    period_vectors = {
-        i: h.rays[i] * (h.ray_data[i].lo * periods[i]) for i in periods
-    }
     return GapRegion(
         overlap=kappa,
         separation=sep,
@@ -694,7 +680,6 @@ def gap_region(
         hull_part=hull_part,
         corner_templates=slab_set.corner,
         bridge_templates=slab_set.bridge,
-        period_vectors=period_vectors,
         periods=periods,
     )
 

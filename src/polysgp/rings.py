@@ -25,10 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .decomposition import (
-    VertexClassification,
-    classify,
     corner_slab,
-    overlap_level,
     ray_chord_class,
     ray_period,
     ray_point,
@@ -107,11 +104,9 @@ def is_cohen_macaulay(h: SemigroupHandle) -> PropertyVerdict:
     """Decide Cohen-Macaulayness of the semigroup ring."""
     if not h.simplicial:
         raise NotSimplicial("the decision procedures need a three-ray cone")
-    cls = classify(h)
     member: MemberFn = lambda p: member_int(h, p)[0]
     return _decide(
         h,
-        cls,
         member,
         h.ray_generators,
         prop="Cohen-Macaulay",
@@ -126,7 +121,9 @@ def is_buchsbaum(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdic
     all recomputed relative to the closure."""
     if not h.simplicial:
         raise NotSimplicial("the decision procedures need a three-ray cone")
-    cls = classify(h)
+    # read before the try: a classification failure is an error, not an
+    # "unsupported" verdict about the closure
+    h.classification
     try:
         cl = closure(h, budget_layers=budget_layers)
     except UnsupportedCase as exc:
@@ -154,7 +151,6 @@ def is_buchsbaum(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdic
     diag["generators_recomputed"] = tuple(gens) != tuple(h.ray_generators)
     return _decide(
         h,
-        cls,
         member,
         gens,
         prop="Buchsbaum",
@@ -239,25 +235,31 @@ class AperyTable:
 
 def apery_table(k: int) -> AperyTable:
     """Exact per-row table of Ap(g1) n Ap(g2) n {z=0} for the family
-    member with parameter k.
+    member with parameter k, read off the Apery set of all three ray
+    generators.
 
-    Elements with positive third coordinate never matter here: for this
-    family any member with z > 0 stays a member after subtracting the
-    z-carrying generator, an optimization valid for the family only.
+    For this family any member with z > 0 stays a member after
+    subtracting the z-carrying generator, so the whole Apery set lies
+    in the plane z = 0, where that generator cannot be subtracted; an
+    element off the plane or at y >= k refutes the table.
     """
-    h = build_family(k)
-    g1, g2 = _family_plane_generators(h)
-    rows = []
-    for j in range(k + 2):
-        rows.append(_pair_apery_row(h, g1, g2, j, k))
-    for j in (k, k + 1):
-        if rows[j]:
+    ap = apery_intersection(build_family(k))
+    if not ap.complete:
+        raise AssumptionViolated(
+            "family Apery set for k=%d is incomplete" % k
+        )
+    rows: list[list[IntVec]] = [[] for _ in range(k)]
+    for e in ap.elements:
+        x, y, z = e.int_tuple()
+        if z != 0 or y >= k:
             raise AssumptionViolated(
-                "family row y=%d unexpectedly nonempty: %s" % (j, rows[j])
+                "family Apery element %s outside the rows y < %d of z=0"
+                % (e, k)
             )
+        rows[y].append((x, y, z))
     return AperyTable(
         k=k,
-        rows=tuple(rows[:k]),
+        rows=tuple(tuple(row) for row in rows),
         empty_rows_checked=(k, k + 1),
     )
 
@@ -268,64 +270,8 @@ def build_family(k: int) -> SemigroupHandle:
     return build(gorenstein_family(k))
 
 
-def _family_plane_generators(h: SemigroupHandle) -> tuple[IntVec, IntVec]:
-    """The x-axis generator and the in-plane oblique generator."""
-    g1 = g2 = None
-    for g in h.ray_generators:
-        t = g.int_tuple()
-        if t[2] != 0:
-            continue
-        if t[1] == 0:
-            g1 = t
-        else:
-            g2 = t
-    if g1 is None or g2 is None:
-        raise AssumptionViolated("family generators not where expected")
-    return g1, g2
-
-
-def _pair_apery_row(
-    h: SemigroupHandle, g1: IntVec, g2: IntVec, j: int, k: int
-) -> tuple[IntVec, ...]:
-    """Row y=j of Ap(g1) n Ap(g2) n {z=0}.
-
-    Membership along the row is monotone under adding g1, so once every
-    residue class modulo g1's length has seen a member, everything one
-    step further is a member with a member below it and the row is
-    finished.
-    """
-    step = g1[0]
-    first: dict[int, int] = {}
-    cap = 24 + 8 * k
-    x = 0
-    while len(first) < step and x <= cap:
-        if member_int(h, (x, j, 0))[0]:
-            first.setdefault(x % step, x)
-        x += 1
-    if len(first) < step:
-        raise AssumptionViolated(
-            "row y=%d never covers all residues modulo %d" % (j, step)
-        )
-    stop = max(first.values()) + step
-    row = []
-    for x in range(stop + 1):
-        p = (x, j, 0)
-        if not member_int(h, p)[0]:
-            continue
-        if member_int(h, _sub(p, g1))[0]:
-            continue
-        if member_int(h, _sub(p, g2))[0]:
-            continue
-        row.append(p)
-    return tuple(row)
-
-
 def _add(a: IntVec, b: IntVec) -> IntVec:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def _sub(a: IntVec, b: IntVec) -> IntVec:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
 def _closure_ray_generators(
@@ -356,7 +302,6 @@ def _closure_ray_generators(
 
 def _decide(
     h: SemigroupHandle,
-    cls: VertexClassification,
     member: MemberFn,
     gens: tuple[Point3, ...],
     prop: str,
@@ -365,8 +310,8 @@ def _decide(
 ) -> PropertyVerdict:
     """Shared dispatcher: the Cohen-Macaulay criterion evaluated
     against an arbitrary membership function (plain or closure)."""
-    classes = [ray_chord_class(h, cls, i) for i in range(3)]
-    kappa = overlap_level(h, cls)
+    classes = [ray_chord_class(h, i) for i in range(3)]
+    kappa = h.overlap
     diag = dict(diag)
     diag["overlap_level"] = kappa
     diag["chord_classes"] = tuple(classes)
@@ -396,7 +341,7 @@ def _decide(
         )
 
     try:
-        sep = separation_level(h, cls, generators=gens)
+        sep = separation_level(h, generators=gens)
     except (UnsupportedCase, NotSimplicial) as exc:
         return PropertyVerdict(
             property=prop,
@@ -406,7 +351,7 @@ def _decide(
             diagnostics=diag,
         )
     diag["separation_level"] = sep
-    region = _corner_window(h, cls, sep, point_rays)
+    region = _corner_window(h, sep, point_rays)
     diag["region_points"] = len(region)
     gens_int = [g.int_tuple() for g in gens]
     refuters = []
@@ -513,10 +458,7 @@ def _scale(g: IntVec, m: int) -> IntVec:
 
 
 def _corner_window(
-    h: SemigroupHandle,
-    cls: VertexClassification,
-    sep: int,
-    point_rays: list[int],
+    h: SemigroupHandle, sep: int, point_rays: list[int]
 ) -> set[IntVec]:
     """Integer points of one full period of corner slabs from the
     separation level, plus the hull joining the origin to the
@@ -524,9 +466,7 @@ def _corner_window(
     pts: set[IntVec] = set()
     for i in point_rays:
         for k in range(sep, sep + ray_period(h, i)):
-            pts |= slab_integer_points(corner_slab(h, cls, i, k))
-    hull_corners = [ORIGIN] + [
-        ray_point(h, cls, i) * sep for i in range(3)
-    ]
+            pts |= slab_integer_points(corner_slab(h, i, k))
+    hull_corners = [ORIGIN] + [ray_point(h, i) * sep for i in range(3)]
     pts.update(integer_points_in_hull(hull_corners))
     return pts

@@ -15,7 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, lcm
-from typing import Iterator, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+)
 
 from .errors import (
     AssumptionViolated,
@@ -39,6 +46,9 @@ from .geometry import (
     ray_intersect,
     shell_integer_points,
 )
+
+if TYPE_CHECKING:
+    from .decomposition import VertexClassification
 
 IntVec = tuple[int, int, int]
 
@@ -85,7 +95,9 @@ class SemigroupHandle:
 
     Holds the body, its extremal rays in fan (cyclic) order, the per-ray
     chords, and, for three-ray cones, the smallest semigroup element on
-    each ray.  Pure queries (`member`) are thread-safe.
+    each ray.  The span hull, the vertex classification and the overlap
+    level are computed on first use and kept for the handle's lifetime.
+    Pure queries (`member`) are thread-safe.
     """
 
     __slots__ = (
@@ -98,6 +110,8 @@ class SemigroupHandle:
         "_far",
         "_flat",
         "_span_hull",
+        "_classification",
+        "_overlap",
     )
 
     def __init__(self, body, rays, simplicial, ray_data, ray_generators):
@@ -122,6 +136,8 @@ class SemigroupHandle:
         self._far = tuple(far)
         self._flat = tuple(flat)
         self._span_hull: Optional[Polyhedron] = None
+        self._classification: Optional[VertexClassification] = None
+        self._overlap: Optional[int] = None
 
     @property
     def span_hull(self) -> Polyhedron:
@@ -132,6 +148,25 @@ class SemigroupHandle:
                 [ORIGIN] + list(self.body.vertices)
             )
         return self._span_hull
+
+    @property
+    def classification(self) -> VertexClassification:
+        """How each body vertex sits on its ray chord
+        (`decomposition.classify`)."""
+        if self._classification is None:
+            from .decomposition import classify
+
+            self._classification = classify(self)
+        return self._classification
+
+    @property
+    def overlap(self) -> int:
+        """The overlap level (`decomposition.overlap_level`)."""
+        if self._overlap is None:
+            from .decomposition import overlap_level
+
+            self._overlap = overlap_level(self)
+        return self._overlap
 
     def period(self) -> int:
         """lcm of the point-chord denominators (1 when every chord is a
@@ -353,10 +388,7 @@ def minimal_generators(
     ]
     ray_gens = [g.int_tuple() for g in rays]
     found, complete, scanned = _apery_scan(h, ray_gens, budget_layers)
-    gens: list[IntVec] = []
-    for p in sorted(found, key=lambda p: (_sum3(p), p)):
-        if not _reducible(h, p, gens):
-            gens.append(p)
+    gens = _graded_sieve(found, lambda p: member_int(h, p)[0])
     return GeneratorSet(
         generators=tuple(Point3.of(*p) for p in sorted(ray_gens + gens)),
         certified=complete,
@@ -364,18 +396,21 @@ def minimal_generators(
     )
 
 
-def _reducible(h: SemigroupHandle, p: IntVec, gens: list[IntVec]) -> bool:
-    px, py, pz = p
-    for gx, gy, gz in gens:
-        dx, dy, dz = px - gx, py - gy, pz - gz
-        if dx < 0 or dy < 0 or dz < 0:
-            continue
-        if dx == 0 and dy == 0 and dz == 0:
-            continue
-        ok, _ = member_int(h, (dx, dy, dz))
-        if ok:
-            return True
-    return False
+def _graded_sieve(
+    points: Iterable[IntVec], member: Callable[[IntVec], bool]
+) -> list[IntVec]:
+    """The distinct `points` that are not another of them plus a member,
+    judged in order of coordinate sum against the ones kept before."""
+    kept: list[IntVec] = []
+    for p in sorted(points, key=lambda p: (_sum3(p), p)):
+        px, py, pz = p
+        for gx, gy, gz in kept:
+            dx, dy, dz = px - gx, py - gy, pz - gz
+            if dx >= 0 and dy >= 0 and dz >= 0 and member((dx, dy, dz)):
+                break
+        else:
+            kept.append(p)
+    return kept
 
 
 def apery_intersection(
@@ -415,9 +450,7 @@ def _apery_scan(
     stopped that way (rather than at the budget), and the number of
     layers scanned.
     """
-    from .decomposition import overlap_level
-
-    kappa = overlap_level(h)
+    kappa = h.overlap
     period = h.period()
     margins = []
     for g in gens:
@@ -499,11 +532,9 @@ def closure(h: SemigroupHandle, budget_layers: int = 400) -> ClosureResult:
     must produce nothing new, otherwise the configuration is outside
     the supported families and is reported as such.
     """
-    from .decomposition import overlap_level
-
     if not h.simplicial:
         raise NotSimplicial("closure is computed for three-ray cones")
-    kappa = max(1, overlap_level(h))
+    kappa = max(1, h.overlap)
     period = h.period()
     msg = minimal_generators(h, budget_layers=budget_layers)
     gens = [g.int_tuple() for g in msg.generators]
@@ -537,29 +568,10 @@ def _closure_generators(
 ) -> GeneratorSet:
     """Graded sieve over the only possible closure generators: original
     minimal generators and the added points."""
-
-    def cmember(p: IntVec) -> bool:
-        if p[0] < 0 or p[1] < 0 or p[2] < 0:
-            return False
-        ok, _ = member_int(h, p)
-        return ok or p in added
-
-    candidates = sorted(
-        set(msg.int_tuples()) | added, key=lambda p: (_sum3(p), p)
+    accepted = _graded_sieve(
+        set(msg.int_tuples()) | added,
+        lambda p: member_int(h, p)[0] or p in added,
     )
-    accepted: list[IntVec] = []
-    for p in candidates:
-        reducible = False
-        for g in accepted:
-            d = (p[0] - g[0], p[1] - g[1], p[2] - g[2])
-            if d == (0, 0, 0):
-                continue
-            if cmember(d):
-                reducible = True
-                break
-        if not reducible:
-            accepted.append(p)
-
     return GeneratorSet(
         generators=tuple(Point3.of(*p) for p in sorted(accepted)),
         certified=msg.certified,

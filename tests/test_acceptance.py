@@ -16,7 +16,6 @@ from polysgp import (
     apery_table,
     build,
     build_family,
-    classify,
     closure,
     closure_member_int,
     corner_slab,
@@ -276,12 +275,11 @@ def test_acceptance_7_slab_oracle_equivalence():
         checks = 0
         for seed in POLY_SEEDS:
             h = build(instancegen.poly_vertices(seed))
-            cls = classify(h)
-            kappa = overlap_level(h, cls)
+            kappa = overlap_level(h)
             top = max(max(v.as_tuple()) for v in h.body.vertices)
             box = oracle.Box(int((kappa + 5) * top) + 1, 10 * (kappa + 6))
             for k in range(kappa, kappa + 4):
-                ss = slabs(h, cls, k)
+                ss = slabs(h, k)
                 pts = set()
                 for s in list(ss.corner) + list(ss.bridge):
                     pts |= slab_integer_points(s)
@@ -307,20 +305,19 @@ def test_acceptance_8_translation_identities():
             NON_NORMAL_VERTICES,
         ):
             h = build(verts)
-            cls = classify(h)
-            kappa = overlap_level(h, cls)
+            kappa = overlap_level(h)
             for i in range(len(h.rays)):
-                if ray_chord_class(h, cls, i) != "point":
+                if ray_chord_class(h, i) != "point":
                     continue
-                p = ray_point(h, cls, i)
+                p = ray_point(h, i)
                 hp = ray_period(h, i)
-                base = corner_slab(h, cls, i, kappa)
+                base = corner_slab(h, i, kappa)
                 base_pts = slab_integer_points(base)
                 for j in range(1, 6):
                     # vertex lists translate by the chord point per level
                     shifted = [v + p * j for v in base.vertex_list()]
                     assert shifted == list(
-                        corner_slab(h, cls, i, kappa + j).vertex_list()
+                        corner_slab(h, i, kappa + j).vertex_list()
                     )
                     # integer points translate by whole-period steps
                     vec = p * (hp * j)
@@ -333,7 +330,7 @@ def test_acceptance_8_translation_identities():
                         for q in base_pts
                     }
                     assert moved == slab_integer_points(
-                        corner_slab(h, cls, i, kappa + hp * j)
+                        corner_slab(h, i, kappa + hp * j)
                     )
                 rays_checked += 1
         assert rays_checked >= 8

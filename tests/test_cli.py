@@ -202,3 +202,30 @@ def test_oracle_check_passes_on_small_box(s3_file, capsys):
     out = capsys.readouterr().out
     assert "membership: ok" in out
     assert "generators: ok" in out
+
+
+def test_family_table_output(capsys):
+    assert main(["family", "--k", "3", "--table"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "# Gorenstein family member, k = 3",
+        "vertices",
+        "  4 0 0",
+        "  10 0 0",
+        "  7 3 0",
+        "  7 0 1",
+        "# apery row y=0: 0 0 0; 5 0 0; 6 0 0; 7 0 0",
+        "# apery row y=1: 5 1 0; 6 1 0; 7 1 0; 8 1 0",
+        "# apery row y=2: 6 2 0; 7 2 0; 8 2 0; 13 2 0",
+    ]
+    assert main(["family", "--k", "3", "--table", "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "apery_rows": [
+            [[0, 0, 0], [5, 0, 0], [6, 0, 0], [7, 0, 0]],
+            [[5, 1, 0], [6, 1, 0], [7, 1, 0], [8, 1, 0]],
+            [[6, 2, 0], [7, 2, 0], [8, 2, 0], [13, 2, 0]],
+        ],
+        "command": "family",
+        "empty_rows_checked": [3, 4],
+        "k": 3,
+        "vertices": [[4, 0, 0], [10, 0, 0], [7, 3, 0], [7, 0, 1]],
+    }

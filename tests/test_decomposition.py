@@ -7,7 +7,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from polysgp import build, oracle
+from conftest import S3_VERTICES
+from polysgp import (
+    build,
+    closure,
+    decomposition,
+    is_buchsbaum,
+    is_gorenstein,
+    oracle,
+)
 from polysgp.decomposition import (
     classify,
     corner_slab,
@@ -79,8 +87,7 @@ def test_classify_covers_all_vertices(s3, s5, nn, we):
 
 def test_chord_classes(s3, s5, nn, we):
     def kinds(h):
-        cls = classify(h)
-        return tuple(ray_chord_class(h, cls, i) for i in range(len(h.rays)))
+        return tuple(ray_chord_class(h, i) for i in range(len(h.rays)))
 
     assert sorted(kinds(s3)) == ["entry_vertex", "point", "point"]
     assert kinds(s5) == ("point", "point", "point")
@@ -89,15 +96,33 @@ def test_chord_classes(s3, s5, nn, we):
 
 
 def test_ray_point_and_period(s3):
-    cls = classify(s3)
     for i in range(3):
-        if ray_chord_class(s3, cls, i) == "point":
-            p = ray_point(s3, cls, i)
+        if ray_chord_class(s3, i) == "point":
+            p = ray_point(s3, i)
             hit = s3.ray_data[i]
             assert p == s3.rays[i] * hit.lo
             assert ray_period(s3, i) == hit.lo.denominator
         else:
             assert ray_period(s3, i) == 1
+
+
+def test_handle_classifies_and_levels_once(monkeypatch):
+    # the handle keeps its classification and overlap level, so the
+    # deciders, the closure and the gap region share one computation
+    calls = {"classify": 0, "overlap_level": 0}
+    for name in calls:
+
+        def counted(*args, _fn=getattr(decomposition, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(decomposition, name, counted)
+    h = build(S3_VERTICES)
+    is_gorenstein(h)
+    is_buchsbaum(h)
+    closure(h)
+    gap_region(h)
+    assert calls == {"classify": 1, "overlap_level": 1}
 
 
 def test_overlap_levels(s3, s5, nn):
@@ -109,7 +134,7 @@ def test_overlap_levels(s3, s5, nn):
 def test_overlap_level_is_minimal(s3, s5, nn, we):
     for h in (s3, s5, nn, we):
         cls = classify(h)
-        kappa = overlap_level(h, cls)
+        kappa = overlap_level(h)
         assert _overlap_predicate(h, cls, kappa)
         assert _overlap_predicate(h, cls, kappa + 1)
         if kappa > 1:
@@ -136,14 +161,13 @@ def test_separation_not_below_overlap(s3, s5, nn):
 def test_decomposition_matches_oracle_layer_gaps(s3):
     # the union of closed slabs at level k carries exactly the integer
     # points of the layer closure that neither adjacent dilation covers
-    cls = classify(s3)
     top = max(c for v in s3.body.vertices for c in v.as_tuple())
     for k in range(3, 6):
         box = oracle.box_for(s3, int((k + 2) * top) + 2)
         covered = oracle.scan_layer(s3, k, box) | oracle.scan_layer(
             s3, k + 1, box
         )
-        ss = slabs(s3, cls, k)
+        ss = slabs(s3, k)
         slab_pts = set()
         for s in ss.corner + ss.bridge:
             slab_pts |= slab_integer_points(s)
@@ -151,9 +175,8 @@ def test_decomposition_matches_oracle_layer_gaps(s3):
 
 
 def test_no_point_rays_means_no_slabs_and_no_high_gaps(we):
-    cls = classify(we)
-    kappa = overlap_level(we, cls)
-    ss = slabs(we, cls, kappa)
+    kappa = overlap_level(we)
+    ss = slabs(we, kappa)
     assert ss.corner == () and ss.bridge == ()
     top = 3
     for k in range(kappa, kappa + 3):
@@ -164,16 +187,15 @@ def test_no_point_rays_means_no_slabs_and_no_high_gaps(we):
 def test_corner_slab_vertexwise_translation(s3):
     # one level up, every corner slab translates by its ray's chord
     # point; periods here are 1 so integer points translate as well
-    cls = classify(s3)
-    base = separation_level(s3, cls)
+    base = separation_level(s3)
     for i in range(3):
-        if ray_chord_class(s3, cls, i) != "point":
+        if ray_chord_class(s3, i) != "point":
             continue
-        p = ray_point(s3, cls, i)
+        p = ray_point(s3, i)
         assert ray_period(s3, i) == 1
         for j in range(1, 6):
-            lo_slab = corner_slab(s3, cls, i, base)
-            hi_slab = corner_slab(s3, cls, i, base + j)
+            lo_slab = corner_slab(s3, i, base)
+            hi_slab = corner_slab(s3, i, base + j)
             shift = p * j
             assert [v + shift for v in lo_slab.vertex_list()] == list(
                 hi_slab.vertex_list()
@@ -191,19 +213,18 @@ def test_corner_slab_fractional_period_translation():
     h = build(
         [(F(3, 2), 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2), (0, 0, 3), (1, 1, 1)]
     )
-    cls = classify(h)
     point_rays = [
-        i for i in range(3) if ray_chord_class(h, cls, i) == "point"
+        i for i in range(3) if ray_chord_class(h, i) == "point"
     ]
     assert point_rays, "construction must yield a point chord"
-    base = gap_region(h, cls).base_level
+    base = gap_region(h).base_level
     for i in point_rays:
-        p = ray_point(h, cls, i)
+        p = ray_point(h, i)
         h_i = ray_period(h, i)
         assert h_i == p.denominator_lcm()
-        lo_slab = corner_slab(h, cls, i, base)
+        lo_slab = corner_slab(h, i, base)
         vec = p * h_i
-        hi_slab = corner_slab(h, cls, i, base + h_i)
+        hi_slab = corner_slab(h, i, base + h_i)
         assert [v + vec for v in lo_slab.vertex_list()] == list(
             hi_slab.vertex_list()
         )
@@ -215,19 +236,18 @@ def test_corner_slab_fractional_period_translation():
 
 
 def test_corner_slab_parameter_validation(s3):
-    cls = classify(s3)
     segment_ray = next(
-        i for i in range(3) if ray_chord_class(s3, cls, i) == "entry_vertex"
+        i for i in range(3) if ray_chord_class(s3, i) == "entry_vertex"
     )
     point_ray = next(
-        i for i in range(3) if ray_chord_class(s3, cls, i) == "point"
+        i for i in range(3) if ray_chord_class(s3, i) == "point"
     )
     with pytest.raises(BadParameter):
-        corner_slab(s3, cls, segment_ray, 3)
+        corner_slab(s3, segment_ray, 3)
     with pytest.raises(BadParameter):
-        corner_slab(s3, cls, point_ray, 0)
+        corner_slab(s3, point_ray, 0)
     with pytest.raises(BadParameter):
-        slabs(s3, cls, 0)
+        slabs(s3, 0)
 
 
 def test_chord_near_ends_are_always_vertices(s3, s5, nn, we):
@@ -243,11 +263,10 @@ def test_chord_near_ends_are_always_vertices(s3, s5, nn, we):
         except Exception:
             continue
     for h in handles:
-        cls = classify(h)
         vset = set(h.body.vertices)
         for i in range(len(h.rays)):
-            assert ray_chord_class(h, cls, i) in ("point", "entry_vertex")
-            assert ray_point(h, cls, i) in vset
+            assert ray_chord_class(h, i) in ("point", "entry_vertex")
+            assert ray_point(h, i) in vset
 
 
 def test_slabs_reject_non_simplicial(pyramid):
@@ -263,8 +282,6 @@ def test_gap_region_shape(s3):
     assert len(region.corner_templates) == 2
     assert len(region.bridge_templates) == 1
     assert set(region.periods.values()) == {1}
-    for i, vec in region.period_vectors.items():
-        assert vec == ray_point(s3, classify(s3), i) * region.periods[i]
 
 
 def test_gap_points_are_exactly_the_low_shell_gaps(s3):
