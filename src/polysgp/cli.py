@@ -35,13 +35,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from typing import Optional, Sequence
 
 from . import oracle
 from .decomposition import (
-    gap_points,
     gap_region,
+    gap_rows,
     ray_chord_class,
     ray_period,
     slab_integer_points,
@@ -57,7 +57,7 @@ from .errors import (
     ParseError,
     PolysgpError,
 )
-from .geometry import Point3, Polyhedron, dilate, hull_union
+from .geometry import Point3, Polyhedron, dilate, hull_union, int_rows
 from .rings import (
     apery_table,
     gorenstein_family,
@@ -69,7 +69,7 @@ from .semigroup import (
     SemigroupHandle,
     build,
     in_cone_int,
-    member_int,
+    member_rows,
     minimal_generators,
     apery_intersection,
 )
@@ -321,8 +321,7 @@ def _cmd_property(args) -> int:
 def _cmd_gaps(args) -> int:
     h = _load_handle(args.input)
     region = gap_region(h)
-    pts = gap_points(h, region, extra_periods=args.extra_periods)
-    tuples = [p.int_tuple() for p in pts]
+    tuples = gap_rows(h, region, extra_periods=args.extra_periods)
     status = 0
 
     oracle_lines: list[str] = []
@@ -524,7 +523,7 @@ def _cmd_oracle_check(args) -> int:
     print("box: coordinates up to %d, layers up to %d" % (box.max_coord, box.max_layer))
 
     grid = list(product(range(box.max_coord + 1), repeat=3))
-    main_members = {p for p in grid if member_int(h, p)[0]}
+    main_members = set(compress(grid, member_rows(h, int_rows(grid)).tolist()))
     failures += _diff_report(
         "membership", main_members, oracle.scan_semigroup(h, box),
         "member points",

@@ -688,16 +688,29 @@ def gap_points(h, region: GapRegion, extra_periods: int = 2) -> list[Point3]:
     """All integer gap points up to the base level plus the requested
     number of slab periods: cone points no dilation of the body reaches.
     Sorted lexicographically."""
-    from .semigroup import semigroup_shells
+    return [Point3.of(*p) for p in gap_rows(h, region, extra_periods)]
+
+
+def gap_rows(
+    h, region: GapRegion, extra_periods: int = 2
+) -> list[tuple[int, int, int]]:
+    """The points of `gap_points` as integer triples: the non-members of
+    every shell up to the bound, sorted once as integer rows."""
+    import numpy as np
+
+    from .semigroup import _shell
 
     if extra_periods < 0:
         raise BadParameter("extra_periods must be nonnegative")
     maxh = max(region.periods.values(), default=1)
     bound = region.base_level + extra_periods * maxh + 1
-    out = [
-        Point3.of(*p)
-        for _s, p, ok in semigroup_shells(h, 1, bound)
-        if not ok
-    ]
-    out.sort(key=lambda p: p.as_tuple())
-    return out
+    gaps = np.concatenate(
+        [
+            pts[~ok]
+            for s in range(1, bound + 1)
+            for pts, ok in _shell(h, s)
+        ]
+        or [np.empty((0, 3), dtype=np.int64)]
+    )
+    order = np.lexsort((gaps[:, 2], gaps[:, 1], gaps[:, 0]))
+    return list(map(tuple, gaps[order].tolist()))

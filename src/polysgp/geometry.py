@@ -13,6 +13,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .errors import AssumptionViolated, BadParameter, DegenerateInput
 
 
@@ -587,10 +589,6 @@ def clip_segment(
     return (t0, t1)
 
 
-def _ceildiv(p: int, q: int) -> int:
-    return -((-p) // q)
-
-
 def _frac_ceil(v: Fraction) -> int:
     return -((-v.numerator) // v.denominator)
 
@@ -599,74 +597,136 @@ def _frac_floor(v: Fraction) -> int:
     return v.numerator // v.denominator
 
 
+# Every value the array kernels form stays below this in absolute value
+# when they compute in int64, so adding or subtracting two of them cannot
+# overflow a signed 64-bit word either.
+_INT64_LIMIT = 2**62
+
+# Rows per array pass, which bounds the kernels' temporaries.
+_BLOCK = 1 << 12
+
+
+def kernel_dtype(facets, coord: int, scale: int = 1):
+    """Array dtype that evaluates the facet system exactly.
+
+    np.int64 when |a.p| + |c| * k < _INT64_LIMIT for every facet (a, c),
+    every point p with coordinates at most `coord` in absolute value and
+    every 0 <= k <= `scale`; floor and ceiling quotients of such values
+    are no larger.  Otherwise object, which computes with Python ints.
+    """
+    top = max(
+        (
+            (abs(ax) + abs(ay) + abs(az)) * coord + abs(c) * scale
+            for ax, ay, az, c in facets
+        ),
+        default=0,
+    )
+    return np.int64 if top < _INT64_LIMIT else object
+
+
+def int_rows(points: Sequence[tuple[int, int, int]]) -> np.ndarray:
+    """The integer triples as an (N, 3) array: int64 when every
+    coordinate is below _INT64_LIMIT in absolute value, so the sum or
+    difference of two rows is exact, and object otherwise."""
+    top = max((abs(c) for p in points for c in p), default=0)
+    dtype = np.int64 if top < _INT64_LIMIT else object
+    return np.array(points, dtype=dtype).reshape(-1, 3)
+
+
+def _z_ranges(a: np.ndarray, xs: np.ndarray, ys: np.ndarray, scales):
+    """For each k in `scales`, the integer z-range (lo, hi) of every
+    column (xs[i], ys[i]) inside {p : a.p >= k * c} for the facet rows
+    (a, c) of `a`; lo > hi marks an empty column."""
+    az = a[:, 2]
+    up, down = az > 0, az < 0
+    vertical = ~(up | down)
+    if not up.any() or not down.any():
+        raise AssumptionViolated("unbounded z-column in a polytope")
+    dot = xs[:, None] * a[:, 0] + ys[:, None] * a[:, 1]
+    out = []
+    for k in scales:
+        rem = k * a[:, 3] - dot
+        lo = (-(-rem[:, up] // az[up])).max(axis=1)
+        hi = (rem[:, down] // az[down]).min(axis=1)
+        if vertical.any():
+            hi = np.where((rem[:, vertical] > 0).any(axis=1), lo - 1, hi)
+        out.append((lo, hi))
+    return out
+
+
+def _expand_columns(xs, ys, lo, hi) -> np.ndarray:
+    """Rows (x, y, z) for lo <= z <= hi in each column, column by column."""
+    n = np.maximum(hi - lo + 1, 0).astype(np.int64)
+    first = np.cumsum(n) - n
+    z = np.repeat(lo, n) + (np.arange(int(n.sum())) - np.repeat(first, n))
+    return np.column_stack((np.repeat(xs, n), np.repeat(ys, n), z))
+
+
+def _column_blocks(poly: Polyhedron, s: int, shell: bool) -> Iterator[np.ndarray]:
+    """Integer points of s*poly, or with `shell` of s*poly minus
+    (s-1)*poly (0*poly being the origin alone), as (N, 3) arrays over
+    consecutive blocks of columns, in lexicographic order.
+
+    The facets of s*poly are a.p >= s*c for the facets (a, c) of poly,
+    so no dilation is built: the z-ranges of a block of (x, y) columns
+    of the bounding box are computed at once and expanded to points.
+    """
+    lo, hi = poly.bounding_box()
+    x0, x1 = _frac_ceil(lo.x * s), _frac_floor(hi.x * s)
+    y0, y1 = _frac_ceil(lo.y * s), _frac_floor(hi.y * s)
+    facets = poly.int_facets
+    dtype = kernel_dtype(facets, max(abs(x0), abs(x1), abs(y0), abs(y1)), s)
+    a = np.array(facets, dtype=dtype)
+    scales = (s, s - 1) if shell and s > 1 else (s,)
+    ny = y1 - y0 + 1
+    step = max(1, _BLOCK // max(ny, 1))
+    for xb in range(x0, x1 + 1, step):
+        nx = min(step, x1 + 1 - xb)
+        xs = np.repeat(np.arange(xb, xb + nx), ny).astype(dtype)
+        ys = np.tile(np.arange(y0, y1 + 1), nx).astype(dtype)
+        ranges = _z_ranges(a, xs, ys, scales)
+        zlo, zhi = ranges[0]
+        if len(ranges) == 1:
+            pts = _expand_columns(xs, ys, zlo, zhi)
+        else:
+            # the dilations nest, so each column loses the one z-range
+            # [ilo, ihi] of the inner dilation: keep what lies below and
+            # above it
+            ilo, ihi = ranges[1]
+            hole = ilo <= ihi
+            below_hi = np.where(hole, np.minimum(zhi, ilo - 1), zhi)
+            above_lo = np.where(hole, np.maximum(zlo, ihi + 1), zhi + 1)
+            pts = _expand_columns(
+                np.repeat(xs, 2),
+                np.repeat(ys, 2),
+                np.column_stack((zlo, above_lo)).ravel(),
+                np.column_stack((below_hi, zhi)).ravel(),
+            )
+        if shell and s == 1:
+            pts = pts[pts.any(axis=1)]
+        yield pts
+
+
 def integer_points(poly: Polyhedron) -> Iterator[tuple[int, int, int]]:
     """All integer points of the polytope, column by column, in
-    lexicographic order.  Pure integer arithmetic throughout."""
-    lo, hi = poly.bounding_box()
-    x0, x1 = _frac_ceil(lo.x), _frac_floor(hi.x)
-    y0, y1 = _frac_ceil(lo.y), _frac_floor(hi.y)
-    facets = poly.int_facets
-    for x in range(x0, x1 + 1):
-        for y in range(y0, y1 + 1):
-            col = _column_interval(facets, x, y)
-            if col is not None:
-                for z in range(col[0], col[1] + 1):
-                    yield (x, y, z)
+    lexicographic order.  Exact integer arithmetic throughout."""
+    for pts in _column_blocks(poly, 1, False):
+        yield from map(tuple, pts.tolist())
 
 
 def integer_point_count(poly: Polyhedron) -> int:
-    return sum(1 for _ in integer_points(poly))
+    return sum(len(pts) for pts in _column_blocks(poly, 1, False))
 
 
-def _column_interval(facets, x: int, y: int) -> Optional[tuple[int, int]]:
-    """Integer z-range of the (x, y) column inside a facet system."""
-    zlo, zhi = None, None
-    for ax, ay, az, c in facets:
-        rem = c - ax * x - ay * y
-        if az == 0:
-            if rem > 0:
-                return None
-        elif az > 0:
-            b = _ceildiv(rem, az)
-            if zlo is None or b > zlo:
-                zlo = b
-        else:
-            b = rem // az
-            if zhi is None or b < zhi:
-                zhi = b
-    if zlo is None or zhi is None:
-        raise AssumptionViolated("unbounded z-column in a polytope")
-    if zlo > zhi:
-        return None
-    return (zlo, zhi)
-
-
-def shell_integer_points(
-    outer: Polyhedron, inner: Optional[Polyhedron]
-) -> Iterator[tuple[int, int, int]]:
-    """Integer points of outer minus those of inner (inner may be None or
-    not nested; subtraction is per point, done column by column)."""
-    lo, hi = outer.bounding_box()
-    x0, x1 = _frac_ceil(lo.x), _frac_floor(hi.x)
-    y0, y1 = _frac_ceil(lo.y), _frac_floor(hi.y)
-    of = outer.int_facets
-    inf = inner.int_facets if inner is not None else None
-    for x in range(x0, x1 + 1):
-        for y in range(y0, y1 + 1):
-            oc = _column_interval(of, x, y)
-            if oc is None:
-                continue
-            zlo, zhi = oc
-            ic = _column_interval(inf, x, y) if inf is not None else None
-            if ic is None:
-                for z in range(zlo, zhi + 1):
-                    yield (x, y, z)
-            else:
-                ilo, ihi = ic
-                for z in range(zlo, min(zhi, ilo - 1) + 1):
-                    yield (x, y, z)
-                for z in range(max(zlo, ihi + 1), zhi + 1):
-                    yield (x, y, z)
+def shell_integer_points(hull: Polyhedron, s: int) -> np.ndarray:
+    """Integer points of s*hull minus (s-1)*hull, where 0*hull is the
+    origin alone, as an (N, 3) array in lexicographic order (int64 when
+    `kernel_dtype` proves it exact, object otherwise)."""
+    if s < 1:
+        raise BadParameter("shell index must be at least 1")
+    return np.concatenate(
+        [np.empty((0, 3), dtype=np.int64), *_column_blocks(hull, s, True)]
+    )
 
 
 def integer_points_in_hull(points: Iterable) -> list[tuple[int, int, int]]:

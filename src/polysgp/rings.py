@@ -43,12 +43,12 @@ from .geometry import ORIGIN, Point3, integer_points_in_hull
 from .semigroup import (
     SemigroupHandle,
     _as_intvec,
+    _shell,
     apery_intersection,
     closure,
     closure_member_int,
     in_cone_int,
     member_int,
-    semigroup_shells,
 )
 
 IntVec = tuple[int, int, int]
@@ -395,8 +395,10 @@ def _first_shell_gap(
     closure's added points not counting as gaps."""
     gaps = [
         p
-        for _s, p, ok in semigroup_shells(h, 1, last)
-        if not ok and p not in added
+        for s in range(1, last + 1)
+        for pts, ok in _shell(h, s)
+        for p in map(tuple, pts[~ok].tolist())
+        if p not in added
     ]
     return min(gaps) if gaps else None
 

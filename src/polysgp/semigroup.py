@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import ceil, lcm
 from typing import (
     TYPE_CHECKING,
@@ -23,6 +24,8 @@ from typing import (
     Optional,
     Sequence,
 )
+
+import numpy as np
 
 from .errors import (
     AssumptionViolated,
@@ -34,6 +37,7 @@ from .errors import (
     UnsupportedCase,
 )
 from .geometry import (
+    _BLOCK,
     ORIGIN,
     Point3,
     Polyhedron,
@@ -42,7 +46,8 @@ from .geometry import (
     _primitive_direction,
     contains,
     convex_hull,
-    dilate,
+    int_rows,
+    kernel_dtype,
     ray_intersect,
     shell_integer_points,
 )
@@ -244,6 +249,49 @@ def in_cone_int(h: SemigroupHandle, p: IntVec) -> bool:
     return hi_n > 0 and lo_n * hi_d <= hi_n * lo_d
 
 
+def member_rows(
+    h: SemigroupHandle, pts: np.ndarray, shell: Optional[int] = None
+) -> np.ndarray:
+    """`member_int` over the rows of an (N, 3) integer array, as a bool
+    array: the same flat, far and near facet bounds as
+    `dilation_interval`.
+
+    With `shell`, a member whose least dilation is not `shell` raises
+    AssumptionViolated.
+    """
+    facets = h.body.int_facets
+    dtype = kernel_dtype(facets, int(abs(pts).max(initial=0)))
+    p = pts.astype(dtype, copy=False)
+    a = np.array(facets, dtype=dtype)
+    c = a[:, 3]
+    far, near = c < 0, c > 0
+    v = p @ a[:, :3].T
+    lo = (-(-v[:, far] // c[far])).max(axis=1, initial=1)
+    hi = (v[:, near] // c[near]).min(axis=1)
+    ok = (p >= 0).all(axis=1) & (v[:, c == 0] >= 0).all(axis=1) & (lo <= hi)
+    if shell is not None:
+        wrong = np.flatnonzero(ok & (lo != shell))
+        if len(wrong):
+            i = wrong[0]
+            raise AssumptionViolated(
+                "shell %d point %s reports dilation %s"
+                % (shell, tuple(pts[i].tolist()), int(lo[i]))
+            )
+    return ok | ~p.any(axis=1)
+
+
+def _shell(
+    h: SemigroupHandle, s: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The integer points of shell s (see `semigroup_shells`) in
+    lexicographic order, as blocks of rows with their membership; the
+    callers' work on a block stays within its size."""
+    pts = shell_integer_points(h.span_hull, s)
+    for i in range(0, len(pts), _BLOCK):
+        block = pts[i : i + _BLOCK]
+        yield block, member_rows(h, block, s)
+
+
 def build(vertices: Sequence) -> SemigroupHandle:
     """Validate the input polytope and compute the semigroup view.
 
@@ -349,19 +397,10 @@ def semigroup_shells(
     rounded up; members of shell s are exactly the semigroup points
     first appearing in the s-fold dilation.
     """
-    inner = dilate(h.span_hull, first - 1) if first > 1 else None
     for s in range(first, last + 1):
-        outer = dilate(h.span_hull, s)
-        for p in shell_integer_points(outer, inner):
-            if p == (0, 0, 0):
-                continue
-            ok, k = member_int(h, p)
-            if ok and k != s:
-                raise AssumptionViolated(
-                    "shell %d point %s reports dilation %s" % (s, p, k)
-                )
-            yield (s, p, ok)
-        inner = outer
+        for pts, ok in _shell(h, s):
+            for p, m in zip(pts.tolist(), ok.tolist()):
+                yield (s, tuple(p), m)
 
 
 def _sum3(p: IntVec) -> int:
@@ -463,45 +502,41 @@ def _apery_scan(
     scanned = 0
     while scanned < budget_layers:
         scanned += 1
-        for _s, p, ok in semigroup_shells(h, scanned, scanned):
-            if ok and _is_apery(h, p, gens):
-                found.append(p)
+        for pts, ok in _shell(h, scanned):
+            rows = pts[ok]
+            for g in gens:
+                d = rows - np.array(g, dtype=rows.dtype)
+                rows = rows[~member_rows(h, d)]
+            if len(rows):
+                found.extend(map(tuple, rows.tolist()))
                 last_hit = scanned
         if scanned >= base and scanned >= last_hit + period:
             return found, True, scanned
     return found, False, scanned
 
 
-def _is_apery(h: SemigroupHandle, p: IntVec, gens: list[IntVec]) -> bool:
-    for gx, gy, gz in gens:
-        d = (p[0] - gx, p[1] - gy, p[2] - gz)
-        if d[0] < 0 or d[1] < 0 or d[2] < 0:
-            continue
-        ok, _ = member_int(h, d)
-        if ok:
-            return False
-    return True
-
-
 def _maximal_under_order(
     h: SemigroupHandle, elems: list[IntVec]
 ) -> list[IntVec]:
-    maximal = []
-    for e in elems:
-        dominated = False
-        for f in elems:
-            if f == e:
-                continue
-            d = (f[0] - e[0], f[1] - e[1], f[2] - e[2])
-            if d[0] < 0 or d[1] < 0 or d[2] < 0:
-                continue
-            ok, _ = member_int(h, d)
-            if ok:
-                dominated = True
-                break
-        if not dominated:
-            maximal.append(e)
-    return sorted(maximal)
+    """The elements e with no other element f for which f - e is a
+    member, judged a block of elements e at a time; only the pairs with
+    f - e >= 0 go to the membership test."""
+    pts = int_rows(elems)
+    x, y, z = pts.T
+    n = len(pts)
+    dominated = np.zeros(n, dtype=bool)
+    step = max(1, _BLOCK // max(n, 1))
+    for i in range(0, n, step):
+        k = min(step, n - i)
+        e = slice(i, i + k)
+        below = (
+            (x[e, None] <= x) & (y[e, None] <= y) & (z[e, None] <= z)
+        )
+        below[np.arange(k), np.arange(i, i + k)] = False
+        ei, fi = np.nonzero(below)
+        hit = member_rows(h, pts[fi] - pts[i + ei])
+        dominated[i + ei[hit]] = True
+    return sorted(compress(elems, (~dominated).tolist()))
 
 
 @dataclass(frozen=True)
@@ -540,19 +575,17 @@ def closure(h: SemigroupHandle, budget_layers: int = 400) -> ClosureResult:
     gens = [g.int_tuple() for g in msg.generators]
 
     added: list[IntVec] = []
-    for s, p, ok in semigroup_shells(h, 1, kappa + period):
-        if ok:
-            continue
-        if all(
-            member_int(h, (p[0] + g[0], p[1] + g[1], p[2] + g[2]))[0]
-            for g in gens
-        ):
-            if s > kappa:
+    for s in range(1, kappa + period + 1):
+        for pts, ok in _shell(h, s):
+            rows = pts[~ok]
+            for g in gens:
+                rows = rows[member_rows(h, rows + np.array(g, dtype=rows.dtype))]
+            if len(rows) and s > kappa:
                 raise UnsupportedCase(
                     "closure point %s beyond the overlap level %d"
-                    % (p, kappa)
+                    % (tuple(rows[0].tolist()), kappa)
                 )
-            added.append(p)
+            added.extend(map(tuple, rows.tolist()))
 
     added_set = frozenset(added)
     closure_gens = _closure_generators(h, msg, added_set)
