@@ -423,18 +423,16 @@ def _corner_slab(h, i: int, k: int) -> CornerSlab:
     return CornerSlab(ray=i, level=k, apex_pair=apexes, fan=tuple(fan))
 
 
-def _bridge_slab(h, i: int, k: int) -> BridgeSlab:
-    """Bridge between the corner slabs of ray i and the next ray: one
-    triangle cut from each fan, joined by an edge parallel to the chord
-    between the two corner points.  The triangle corners are the facing
-    fan ends; when those are not parallel to the chord (the fans were
-    flat, so their ends are ordered by distance, not angle) the unique
-    parallel pair of fan points takes over."""
-    t = len(h.rays)
-    j = (i + 1) % t
-    a_apex, a_fan = _ordered_fan(h, i, k)
-    b_apex, b_fan = _ordered_fan(h, j, k)
-    if not a_fan or not b_fan:
+def _bridge_slab(h, a: CornerSlab, b: CornerSlab) -> BridgeSlab:
+    """Bridge between corner slab a and the corner slab b of the next
+    ray at the same level: one triangle cut from each fan, joined by an
+    edge parallel to the chord between the two corner points.  The
+    triangle corners are the facing fan ends; when those are not
+    parallel to the chord (the fans were flat, so their ends are ordered
+    by distance, not angle) the unique parallel pair of fan points takes
+    over."""
+    i, j = a.ray, b.ray
+    if not a.fan or not b.fan:
         raise UnsupportedCase(
             "bridge between rays %d and %d lacks fan points" % (i, j)
         )
@@ -443,13 +441,13 @@ def _bridge_slab(h, i: int, k: int) -> BridgeSlab:
     def parallel(qa: Point3, qb: Point3) -> bool:
         return (qb - qa).cross(chord).is_zero()
 
-    if parallel(a_fan[-1], b_fan[0]):
-        qa, qb = a_fan[-1], b_fan[0]
+    if parallel(a.fan[-1], b.fan[0]):
+        qa, qb = a.fan[-1], b.fan[0]
     else:
         pairs = {
             (pa, pb)
-            for pa in a_fan
-            for pb in b_fan
+            for pa in a.fan
+            for pb in b.fan
             if parallel(pa, pb)
         }
         if len(pairs) != 1:
@@ -458,14 +456,14 @@ def _bridge_slab(h, i: int, k: int) -> BridgeSlab:
                 "parallel to the corner chord" % (i, j, len(pairs))
             )
         ((qa, qb),) = pairs
-    tri_a = (a_apex[0], a_apex[1], qa)
-    tri_b = (b_apex[0], b_apex[1], qb)
+    tri_a = (*a.apex_pair, qa)
+    tri_b = (*b.apex_pair, qb)
     try:
         body: Optional[Polyhedron] = convex_hull(tri_a + tri_b)
     except DegenerateInput:
         body = None
     return BridgeSlab(
-        ray=i, next_ray=j, level=k, triangles=(tri_a, tri_b), body=body
+        ray=i, next_ray=j, level=a.level, triangles=(tri_a, tri_b), body=body
     )
 
 
@@ -484,23 +482,26 @@ def slabs(h, k: int) -> SlabSet:
                 "ray %d has a segment chord whose near end is not a "
                 "vertex" % i
             )
-    point_rays = [
-        i for i in range(t) if h.ray_data[i].kind == "point"
-    ]
-    corner = tuple(_corner_slab(h, i, k) for i in point_rays)
-    bridges = []
-    point_set = set(point_rays)
-    for i in point_rays:
-        j = (i + 1) % t
-        if j in point_set:
-            bridges.append(_bridge_slab(h, i, k))
-    return SlabSet(corner=corner, bridge=tuple(bridges))
+    corner = tuple(
+        _corner_slab(h, i, k)
+        for i in range(t)
+        if h.ray_data[i].kind == "point"
+    )
+    by_ray = {c.ray: c for c in corner}
+    bridges = tuple(
+        _bridge_slab(h, c, by_ray[(c.ray + 1) % t])
+        for c in corner
+        if (c.ray + 1) % t in by_ray
+    )
+    return SlabSet(corner=corner, bridge=bridges)
 
 
 def corner_slab(h, i: int, k: int) -> CornerSlab:
     """The corner slab of one point-chord ray at one level."""
     if k < 1:
         raise BadParameter("slabs start at level 1")
+    if i not in range(len(h.rays)):
+        raise BadParameter("no ray %r" % (i,))
     if h.ray_data[i].kind != "point":
         raise BadParameter("ray %d has a segment chord, no corner slab" % i)
     return _corner_slab(h, i, k)
@@ -545,41 +546,34 @@ def separation_level(
     gens = tuple(generators) if generators is not None else h.ray_generators
     if len(gens) != 3:
         raise BadParameter("one translation generator per ray is required")
-    cache: dict[tuple[str, int, int], Optional[tuple[Point3, ...]]] = {}
-
-    def slab_verts(kind: str, i: int, k: int) -> Optional[tuple[Point3, ...]]:
-        key = (kind, i, k)
-        if key not in cache:
-            if kind == "c":
-                cache[key] = _corner_slab(h, i, k).vertex_list()
-            else:
-                try:
-                    cache[key] = _bridge_slab(h, i, k).vertex_list()
-                except UnsupportedCase:
-                    cache[key] = None
-        return cache[key]
-
+    # from the base level on, slab (i, base + m) is template i moved by
+    # m times ray point i, and a bridge moves each of its triangles by
+    # its own ray point: a target is a list of (vertices, ray point)
+    corners = {i: _corner_slab(h, i, base) for i in point_rays}
     worst = base - 1
     for i in point_rays:
         others = [j for j in range(3) if j != i]
-        both_point = all(j in point_rays for j in others)
-        bridge_ray = (
-            others[0] if (others[0] + 1) % 3 == others[1] else others[1]
-        )
-        targets: list[tuple[str, int]] = [
-            ("c", j) for j in others if j in point_rays
+        targets = [
+            [(corners[j].vertex_list(), ray_point(h, j))]
+            for j in others
+            if j in corners
         ]
-        if both_point:
-            targets.append(("b", bridge_ray))
-        step_i = ray_point(h, i)
+        if len(point_rays) == 3:
+            r = others[0] if (others[0] + 1) % 3 == others[1] else others[1]
+            nxt = (r + 1) % 3
+            try:
+                bridge = _bridge_slab(h, corners[r], corners[nxt])
+            except UnsupportedCase:
+                pass
+            else:
+                steps = (ray_point(h, r), ray_point(h, nxt))
+                targets.append(list(zip(bridge.triangles, steps)))
+        step = ray_point(h, i)
         for j in others:
-            g = gens[j]
-            for kind, tj in targets:
+            source = [v + gens[j] for v in corners[i].vertex_list()]
+            for target in targets:
                 worst = max(
-                    worst,
-                    _worst_collision(
-                        h, base, step_i, i, g, kind, tj, slab_verts
-                    ),
+                    worst, _worst_collision(base, source, step, target)
                 )
     return max(base, worst + 1)
 
@@ -599,57 +593,51 @@ def _dual_positive(axis: Point3, *kill: Point3) -> Point3:
     return n
 
 
-_SCAN_CAP = 4000
-
-
 def _worst_collision(
-    h, base: int, step_i: Point3, i: int, g: Point3, kind: str, tj: int,
-    slab_verts,
+    base: int,
+    source: list[Point3],
+    step: Point3,
+    target: list[tuple[Sequence[Point3], Point3]],
 ) -> int:
     """Largest min(source level, target level) over colliding pairs of
     (translated source corner slab, target slab), or base-1 if none.
 
-    Both scans terminate through linear gauges: one vanishing on the
-    target's per-level translation directions but growing along the
-    source ray (so the source eventually sails past every target
-    level), and the all-ones functional growing on both (so for a fixed
-    source the target eventually sails past it)."""
-    if kind == "c":
-        t_dirs = [ray_point(h, tj)]
-    else:
-        t_dirs = [ray_point(h, tj), ray_point(h, (tj + 1) % 3)]
-    t_base = slab_verts(kind, tj, base)
-    if t_base is None:
-        return base - 1
-    ones = Point3.of(1, 1, 1)
-    n = _dual_positive(step_i, *t_dirs)
-    t_max = max(n.dot(v) for v in t_base)
+    `source` is S0 + g, the base-level source template moved by the
+    generator g; it rises by `step`, its ray point p_i, per level.  The
+    target template T0 is the union of the vertex groups in `target`,
+    each rising by its own ray point per level (one group for a corner
+    slab, one triangle per ray for a bridge).  Source level base + alpha
+    can meet target level base + beta only within two bounds:
 
+    * alpha <= floor((t_max - min n.(S0 + g)) / n.p_i), where n is
+      _dual_positive(p_i, target steps) and t_max = max n.T0.  n
+      vanishes on the target steps, so every target level tops out at
+      t_max, while the source rises by n.p_i > 0 per level; past the
+      bound the whole source lies above every target level.
+    * for each alpha, beta <= floor((max 1.source - min 1.T0) /
+      min 1.step) over the target steps, 1 being the all-ones vector.
+      The body lies in the nonnegative orthant, so 1.step > 0 for every
+      ray point and each target level sits at least min 1.step above
+      the one before in this gauge; past the bound the whole target
+      lies above the source in the all-ones gauge, so the two cannot
+      meet.
+    """
+    ones = Point3.of(1, 1, 1)
+    steps = [d for _verts, d in target]
+    t_verts = [v for verts, _d in target for v in verts]
+    n = _dual_positive(step, *steps)
+    t_max = max(n.dot(v) for v in t_verts)
+    t_low = min(ones.dot(v) for v in t_verts)
+    rise = min(ones.dot(d) for d in steps)
     worst = base - 1
-    a = base
-    while True:
-        if a > base + _SCAN_CAP:
-            raise AssumptionViolated("separation scan failed to terminate")
-        sp = slab_verts("c", i, a)
-        src = [v + g for v in sp]
-        if min(n.dot(v) for v in src) > t_max:
-            break
-        s_hi = max(ones.dot(v) for v in src)
-        b = base
-        while True:
-            if b > base + _SCAN_CAP:
-                raise AssumptionViolated(
-                    "separation scan failed to terminate"
-                )
-            tgt = slab_verts(kind, tj, b)
-            if tgt is None:
-                break
-            if min(ones.dot(v) for v in tgt) > s_hi:
-                break
+    alphas = _frac_floor((t_max - min(n.dot(v) for v in source)) / n.dot(step))
+    for alpha in range(alphas + 1):
+        src = [v + step * alpha for v in source]
+        betas = _frac_floor((max(ones.dot(v) for v in src) - t_low) / rise)
+        for beta in range(betas + 1):
+            tgt = [v + d * beta for verts, d in target for v in verts]
             if minkowski_difference_contains_origin(tgt, src):
-                worst = max(worst, min(a, b))
-            b += 1
-        a += 1
+                worst = max(worst, base + min(alpha, beta))
     return worst
 
 

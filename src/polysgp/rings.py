@@ -30,7 +30,6 @@ from .decomposition import (
     ray_period,
     ray_point,
     separation_level,
-    slab_integer_points,
 )
 from .errors import (
     AssumptionViolated,
@@ -464,11 +463,14 @@ def _corner_window(
 ) -> set[IntVec]:
     """Integer points of one full period of corner slabs from the
     separation level, plus the hull joining the origin to the
-    separation-level ray points."""
+    separation-level ray points.  Past the base level slab (i, sep + j)
+    is slab (i, sep) moved by j times ray point i."""
     pts: set[IntVec] = set()
     for i in point_rays:
-        for k in range(sep, sep + ray_period(h, i)):
-            pts |= slab_integer_points(corner_slab(h, i, k))
+        verts = corner_slab(h, i, sep).vertex_list()
+        p = ray_point(h, i)
+        for j in range(ray_period(h, i)):
+            pts.update(integer_points_in_hull([v + p * j for v in verts]))
     hull_corners = [ORIGIN] + [ray_point(h, i) * sep for i in range(3)]
     pts.update(integer_points_in_hull(hull_corners))
     return pts

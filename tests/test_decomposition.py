@@ -7,12 +7,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import S3_VERTICES
+from conftest import S3_VERTICES, S5_VERTICES
+from test_acceptance import POLY_SEEDS, TETRA_SEEDS
 from polysgp import (
     build,
     closure,
     decomposition,
     is_buchsbaum,
+    is_cohen_macaulay,
     is_gorenstein,
     oracle,
 )
@@ -29,7 +31,7 @@ from polysgp.decomposition import (
     slab_integer_points,
     slabs,
 )
-from polysgp.errors import BadParameter, NotSimplicial
+from polysgp.errors import BadParameter, NotSimplicial, UnsupportedCase
 from polysgp.geometry import (
     Point3,
     cone_supporting_facets,
@@ -125,6 +127,29 @@ def test_handle_classifies_and_levels_once(monkeypatch):
     assert calls == {"classify": 1, "overlap_level": 1}
 
 
+def test_slab_templates_build_each_fan_once(monkeypatch):
+    # past the base level slabs are translates of one template per
+    # point ray, so each entry point builds one fan per point ray
+    # (the separation level and the decider window one each)
+    calls = []
+    fan = decomposition._ordered_fan
+
+    def counted(h, i, k):
+        calls.append((i, k))
+        return fan(h, i, k)
+
+    monkeypatch.setattr(decomposition, "_ordered_fan", counted)
+    for verts, entry, expected in (
+        (S3_VERTICES, separation_level, 2),
+        (S5_VERTICES, separation_level, 3),
+        (S5_VERTICES, lambda h: slabs(h, 3), 3),
+        (S5_VERTICES, is_cohen_macaulay, 6),
+    ):
+        calls.clear()
+        entry(build(verts))
+        assert len(calls) == expected, (entry, calls)
+
+
 def test_overlap_levels(s3, s5, nn):
     assert overlap_level(s3) == 3
     assert overlap_level(s5) == 3
@@ -151,6 +176,39 @@ def test_separation_level_generator_override(s5):
     assert separation_level(s5, generators=s5.ray_generators) == 3
     with pytest.raises(BadParameter):
         separation_level(s5, generators=s5.ray_generators[:2])
+
+
+TETRA_SEPARATION = {
+    0: 3, 13: 5, 24: 1, 43: 1, 53: 2, 62: 7, 85: 2, 107: 2, 135: 4,
+    142: 3, 143: 1, 152: 4, 155: 1, 183: 4, 196: 3, 201: 3, 274: 5,
+    284: 2, 324: 3, 334: 2,
+}
+POLY_SEPARATION = {
+    3: 1, 27: 2, 34: 2, 48: 2, 61: 1, 68: 1, 93: 2, 96: 4, 111: None,
+    197: 3, 235: None, 278: None, 280: None,
+}
+
+
+@pytest.mark.parametrize(
+    "kind, seed",
+    [("tetra", s) for s in TETRA_SEEDS] + [("poly", s) for s in POLY_SEEDS],
+)
+def test_separation_levels_on_frozen_seeds(kind, seed):
+    # None marks a configuration outside the decided cases; tetra seed
+    # 85 is the one frozen seed whose level lies above its base level
+    import instancegen
+
+    verts = getattr(instancegen, "%s_vertices" % kind)(seed)
+    expected = (TETRA_SEPARATION if kind == "tetra" else POLY_SEPARATION)[
+        seed
+    ]
+    h = build(verts)
+    for gens in (None, h.ray_generators[::-1]):
+        if expected is None:
+            with pytest.raises(UnsupportedCase):
+                separation_level(h, generators=gens)
+        else:
+            assert separation_level(h, generators=gens) == expected
 
 
 def test_separation_not_below_overlap(s3, s5, nn):
@@ -184,9 +242,10 @@ def test_no_point_rays_means_no_slabs_and_no_high_gaps(we):
         assert oracle.scan_layer_gaps(we, k, box) == set()
 
 
-def test_corner_slab_vertexwise_translation(s3):
+def test_corner_slab_vertexwise_translation(s3, s5):
     # one level up, every corner slab translates by its ray's chord
-    # point; periods here are 1 so integer points translate as well
+    # point; periods here are 1 so integer points translate as well.
+    # Each triangle of a bridge moves by its own ray's chord point.
     base = separation_level(s3)
     for i in range(3):
         if ray_chord_class(s3, i) != "point":
@@ -205,6 +264,21 @@ def test_corner_slab_vertexwise_translation(s3):
                 for q in slab_integer_points(lo_slab)
             }
             assert moved == slab_integer_points(hi_slab)
+    for h in (s3, s5):
+        base = separation_level(h)
+        templates = slabs(h, base).bridge
+        assert templates
+        for j in range(1, 6):
+            moved = slabs(h, base + j).bridge
+            assert [(b.ray, b.next_ray) for b in moved] == [
+                (b.ray, b.next_ray) for b in templates
+            ]
+            for lo, hi in zip(templates, moved):
+                steps = (ray_point(h, lo.ray), ray_point(h, lo.next_ray))
+                assert hi.triangles == tuple(
+                    tuple(v + p * j for v in tri)
+                    for tri, p in zip(lo.triangles, steps)
+                )
 
 
 def test_corner_slab_fractional_period_translation():
@@ -246,6 +320,9 @@ def test_corner_slab_parameter_validation(s3):
         corner_slab(s3, segment_ray, 3)
     with pytest.raises(BadParameter):
         corner_slab(s3, point_ray, 0)
+    for ray in (-1, len(s3.rays)):
+        with pytest.raises(BadParameter):
+            corner_slab(s3, ray, 3)
     with pytest.raises(BadParameter):
         slabs(s3, 0)
 
