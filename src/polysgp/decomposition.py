@@ -29,7 +29,10 @@ from .geometry import (
     Point3,
     Polyhedron,
     _frac_floor,
+    _int_hull_contains_origin,
+    _int_scale,
     _primitive_direction,
+    _scaled_ints,
     _sign,
     clip_segment_facets,
     cone_supporting_facets,
@@ -37,7 +40,6 @@ from .geometry import (
     convex_hull,
     dilate,
     integer_points_in_hull,
-    minkowski_difference_contains_origin,
 )
 
 IntVec = tuple[int, int, int]
@@ -423,14 +425,28 @@ def _corner_slab(h, i: int, k: int) -> CornerSlab:
     return CornerSlab(ray=i, level=k, apex_pair=apexes, fan=tuple(fan))
 
 
-def _bridge_slab(h, a: CornerSlab, b: CornerSlab) -> BridgeSlab:
-    """Bridge between corner slab a and the corner slab b of the next
-    ray at the same level: one triangle cut from each fan, joined by an
-    edge parallel to the chord between the two corner points.  The
-    triangle corners are the facing fan ends; when those are not
-    parallel to the chord (the fans were flat, so their ends are ordered
-    by distance, not angle) the unique parallel pair of fan points takes
-    over."""
+def _translated(h, slab: CornerSlab, k: int) -> CornerSlab:
+    """Corner slab (i, k) from slab (i, base) with k >= base >= max(1,
+    overlap level): every vertex moves by (k - base) times ray point i."""
+    d = ray_point(h, slab.ray) * (k - slab.level)
+    return CornerSlab(
+        ray=slab.ray,
+        level=k,
+        apex_pair=(slab.apex_pair[0] + d, slab.apex_pair[1] + d),
+        fan=tuple(v + d for v in slab.fan),
+    )
+
+
+def _bridge_triangles(
+    h, a: CornerSlab, b: CornerSlab
+) -> tuple[tuple[Point3, Point3, Point3], tuple[Point3, Point3, Point3]]:
+    """The two triangles of the bridge between corner slab a and the
+    corner slab b of the next ray at the same level: one cut from each
+    fan, joined by an edge parallel to the chord between the two corner
+    points.  The triangle corners are the facing fan ends; when those
+    are not parallel to the chord (the fans were flat, so their ends are
+    ordered by distance, not angle) the unique parallel pair of fan
+    points takes over."""
     i, j = a.ray, b.ray
     if not a.fan or not b.fan:
         raise UnsupportedCase(
@@ -456,15 +472,34 @@ def _bridge_slab(h, a: CornerSlab, b: CornerSlab) -> BridgeSlab:
                 "parallel to the corner chord" % (i, j, len(pairs))
             )
         ((qa, qb),) = pairs
-    tri_a = (*a.apex_pair, qa)
-    tri_b = (*b.apex_pair, qb)
-    try:
-        body: Optional[Polyhedron] = convex_hull(tri_a + tri_b)
-    except DegenerateInput:
-        body = None
-    return BridgeSlab(
-        ray=i, next_ray=j, level=a.level, triangles=(tri_a, tri_b), body=body
-    )
+    return (*a.apex_pair, qa), (*b.apex_pair, qb)
+
+
+def _slab_set(h, corner: tuple[CornerSlab, ...]) -> SlabSet:
+    """The corner slabs of one level with the bridges between
+    consecutive ones."""
+    t = len(h.rays)
+    by_ray = {c.ray: c for c in corner}
+    bridges = []
+    for c in corner:
+        nxt = by_ray.get((c.ray + 1) % t)
+        if nxt is None:
+            continue
+        tri_a, tri_b = _bridge_triangles(h, c, nxt)
+        try:
+            body: Optional[Polyhedron] = convex_hull(tri_a + tri_b)
+        except DegenerateInput:
+            body = None
+        bridges.append(
+            BridgeSlab(
+                ray=c.ray,
+                next_ray=nxt.ray,
+                level=c.level,
+                triangles=(tri_a, tri_b),
+                body=body,
+            )
+        )
+    return SlabSet(corner=corner, bridge=tuple(bridges))
 
 
 def slabs(h, k: int) -> SlabSet:
@@ -482,18 +517,14 @@ def slabs(h, k: int) -> SlabSet:
                 "ray %d has a segment chord whose near end is not a "
                 "vertex" % i
             )
-    corner = tuple(
-        _corner_slab(h, i, k)
-        for i in range(t)
-        if h.ray_data[i].kind == "point"
+    return _slab_set(
+        h,
+        tuple(
+            _corner_slab(h, i, k)
+            for i in range(t)
+            if h.ray_data[i].kind == "point"
+        ),
     )
-    by_ray = {c.ray: c for c in corner}
-    bridges = tuple(
-        _bridge_slab(h, c, by_ray[(c.ray + 1) % t])
-        for c in corner
-        if (c.ray + 1) % t in by_ray
-    )
-    return SlabSet(corner=corner, bridge=bridges)
 
 
 def corner_slab(h, i: int, k: int) -> CornerSlab:
@@ -524,6 +555,16 @@ def separation_level(
     `generators` overrides the translation vectors (one per ray, in ray
     order); by default the ray generators of the semigroup are used.
     """
+    return _separation(h, generators)[0]
+
+
+def _separation(
+    h, generators: Optional[Sequence[Point3]] = None
+) -> tuple[int, dict[int, CornerSlab]]:
+    """The separation level together with the corner templates it was
+    derived from: one corner slab per point-chord ray at the base level
+    max(1, overlap level), keyed by ray.  `_translated` moves a template
+    to any level from the base on."""
     cls = h.classification
     if not h.simplicial:
         raise NotSimplicial("separation level needs a three-ray cone")
@@ -548,59 +589,89 @@ def separation_level(
         raise BadParameter("one translation generator per ray is required")
     # from the base level on, slab (i, base + m) is template i moved by
     # m times ray point i, and a bridge moves each of its triangles by
-    # its own ray point: a target is a list of (vertices, ray point)
+    # its own ray point: a target is a list of (vertices, ray point).
+    # Every collision test and gauge bound is invariant under one common
+    # positive scale, so all of it runs on integer triples scaled by the
+    # lcm of the denominators involved.
     corners = {i: _corner_slab(h, i, base) for i in point_rays}
+    points = {i: ray_point(h, i) for i in point_rays}
+    scale = _int_scale(
+        [v for c in corners.values() for v in c.vertex_list()]
+        + list(points.values())
+        + list(gens)
+    )
+
+    def ints(vs: Sequence[Point3]) -> list[IntVec]:
+        return [_scaled_ints(v, scale) for v in vs]
+
+    verts = {i: ints(c.vertex_list()) for i, c in corners.items()}
+    steps = {i: _scaled_ints(p, scale) for i, p in points.items()}
+    moves = ints(gens)
     worst = base - 1
     for i in point_rays:
         others = [j for j in range(3) if j != i]
-        targets = [
-            [(corners[j].vertex_list(), ray_point(h, j))]
-            for j in others
-            if j in corners
-        ]
+        targets = [[(verts[j], steps[j])] for j in others if j in corners]
         if len(point_rays) == 3:
             r = others[0] if (others[0] + 1) % 3 == others[1] else others[1]
             nxt = (r + 1) % 3
             try:
-                bridge = _bridge_slab(h, corners[r], corners[nxt])
+                tri_r, tri_nxt = _bridge_triangles(h, corners[r], corners[nxt])
             except UnsupportedCase:
                 pass
             else:
-                steps = (ray_point(h, r), ray_point(h, nxt))
-                targets.append(list(zip(bridge.triangles, steps)))
-        step = ray_point(h, i)
+                targets.append(
+                    [(ints(tri_r), steps[r]), (ints(tri_nxt), steps[nxt])]
+                )
         for j in others:
-            source = [v + gens[j] for v in corners[i].vertex_list()]
+            source = [_add(v, moves[j]) for v in verts[i]]
             for target in targets:
                 worst = max(
-                    worst, _worst_collision(base, source, step, target)
+                    worst, _worst_collision(base, source, steps[i], target)
                 )
-    return max(base, worst + 1)
+    return max(base, worst + 1), corners
 
 
-def _dual_positive(axis: Point3, *kill: Point3) -> Point3:
-    """A vector orthogonal to every kill direction with positive product
-    against axis."""
+def _add(a: IntVec, b: IntVec) -> IntVec:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def _scale(a: IntVec, m: int) -> IntVec:
+    return (m * a[0], m * a[1], m * a[2])
+
+
+def _dot(a: IntVec, b: IntVec) -> int:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _dual_positive(axis: IntVec, *kill: IntVec) -> IntVec:
+    """An integer vector orthogonal to every kill direction with
+    positive product against axis."""
     if len(kill) == 1:
-        k = kill[0]
-        n = axis * k.dot(k) - k * k.dot(axis)
+        (k,) = kill
+        kk, ka = _dot(k, k), _dot(k, axis)
+        n = tuple(a * kk - c * ka for a, c in zip(axis, k))
     else:
-        n = kill[0].cross(kill[1])
-        if n.dot(axis) < 0:
-            n = n * Fraction(-1)
-    if n.dot(axis) <= 0:
+        (ax, ay, az), (bx, by, bz) = kill
+        n = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+        if _dot(n, axis) < 0:
+            n = _scale(n, -1)
+    if _dot(n, axis) <= 0:
         raise AssumptionViolated("rays are not linearly independent")
     return n
 
 
 def _worst_collision(
     base: int,
-    source: list[Point3],
-    step: Point3,
-    target: list[tuple[Sequence[Point3], Point3]],
+    source: list[IntVec],
+    step: IntVec,
+    target: list[tuple[Sequence[IntVec], IntVec]],
 ) -> int:
     """Largest min(source level, target level) over colliding pairs of
     (translated source corner slab, target slab), or base-1 if none.
+
+    All points are integer triples on one common positive scale; the
+    collision test and both bounds below are ratios or sign tests, so
+    they come out the same as on the unscaled points.
 
     `source` is S0 + g, the base-level source template moved by the
     generator g; it rises by `step`, its ray point p_i, per level.  The
@@ -622,32 +693,41 @@ def _worst_collision(
       lies above the source in the all-ones gauge, so the two cannot
       meet.
     """
-    ones = Point3.of(1, 1, 1)
     steps = [d for _verts, d in target]
     t_verts = [v for verts, _d in target for v in verts]
     n = _dual_positive(step, *steps)
-    t_max = max(n.dot(v) for v in t_verts)
-    t_low = min(ones.dot(v) for v in t_verts)
-    rise = min(ones.dot(d) for d in steps)
+    t_max = max(_dot(n, v) for v in t_verts)
+    t_low = min(sum(v) for v in t_verts)
+    rise = min(sum(d) for d in steps)
     worst = base - 1
-    alphas = _frac_floor((t_max - min(n.dot(v) for v in source)) / n.dot(step))
+    alphas = (t_max - min(_dot(n, v) for v in source)) // _dot(n, step)
     for alpha in range(alphas + 1):
-        src = [v + step * alpha for v in source]
-        betas = _frac_floor((max(ones.dot(v) for v in src) - t_low) / rise)
+        src = [_add(v, _scale(step, alpha)) for v in source]
+        betas = (max(sum(v) for v in src) - t_low) // rise
         for beta in range(betas + 1):
-            tgt = [v + d * beta for verts, d in target for v in verts]
-            if minkowski_difference_contains_origin(tgt, src):
+            tgt = [
+                _add(v, _scale(d, beta)) for verts, d in target for v in verts
+            ]
+            diffs = [
+                (t[0] - s[0], t[1] - s[1], t[2] - s[2])
+                for t in tgt
+                for s in src
+            ]
+            if _int_hull_contains_origin(diffs):
                 worst = max(worst, base + min(alpha, beta))
     return worst
 
 
 def gap_region(h) -> GapRegion:
-    """Assemble the finite description of the whole gap set."""
+    """Assemble the finite description of the whole gap set.  When the
+    separation level exists, the slabs at that level are its corner
+    templates translated up, with the bridges cut from them."""
     kappa = h.overlap
     sep: Optional[int] = None
     reason: Optional[str] = None
+    templates: dict[int, CornerSlab] = {}
     try:
-        sep = separation_level(h)
+        sep, templates = _separation(h)
     except UnsupportedCase as exc:
         reason = str(exc)
     base = max(1, sep if sep is not None else kappa)
@@ -658,7 +738,12 @@ def gap_region(h) -> GapRegion:
         + [ray_point(h, i) * base for i in range(t)]
         + [ray_point(h, i) * (base + 1) for i in range(t)]
     )
-    slab_set = slabs(h, base)
+    if sep is None:
+        slab_set = slabs(h, base)
+    else:
+        slab_set = _slab_set(
+            h, tuple(_translated(h, c, base) for c in templates.values())
+        )
     periods = {s.ray: ray_period(h, s.ray) for s in slab_set.corner}
     return GapRegion(
         overlap=kappa,

@@ -223,6 +223,19 @@ def _primitive_direction(v: Point3) -> tuple[int, int, int]:
     return (ix // g, iy // g, iz // g)
 
 
+def _int_scale(points: Iterable[Point3]) -> int:
+    """Least positive integer that makes every point integral."""
+    scale = 1
+    for p in points:
+        scale = lcm(scale, p.denominator_lcm())
+    return scale
+
+
+def _scaled_ints(p: Point3, scale: int) -> tuple[int, int, int]:
+    """p * scale as an integer triple; scale must clear p's denominators."""
+    return (int(p.x * scale), int(p.y * scale), int(p.z * scale))
+
+
 def _orient(a, b, c, d) -> int:
     """Sign of det[b-a; c-a; d-a] for integer triples: positive when d is
     on the counterclockwise-normal side of triangle (a, b, c)."""
@@ -377,12 +390,8 @@ def convex_hull(points: Iterable) -> Polyhedron:
     if len(src) < 4:
         raise DegenerateInput("need at least four distinct points")
 
-    scale = 1
-    for p in src:
-        scale = lcm(scale, p.denominator_lcm())
-    ipts = [
-        (int(p.x * scale), int(p.y * scale), int(p.z * scale)) for p in src
-    ]
+    scale = _int_scale(src)
+    ipts = [_scaled_ints(p, scale) for p in src]
 
     tris = _triangulated_hull(ipts)
     groups: dict[tuple[int, int, int, int], set[int]] = {}
@@ -825,29 +834,33 @@ def _polygon_integer_points(
     verts2d: list[tuple[Fraction, Fraction]]
 ) -> list[tuple[int, int]]:
     """Integer pairs in the convex hull of rational points in the plane,
-    column by column.  The points must not be collinear."""
+    column by column.  The points must not be collinear.
+
+    The ring is scaled to integers by the lcm L of the denominators, so
+    column u is U = u*L and each edge crossing is a ratio of integers
+    whose floor and ceiling come from //.  A vertical edge is skipped:
+    the two edges next to it end at its corners, with no collinear
+    corners in the ring."""
     scale = 1
     for u, v in verts2d:
-        scale = lcm(scale, lcm(u.denominator, v.denominator))
-    flat = [
-        (int(u * scale), int(v * scale), i)
-        for i, (u, v) in enumerate(verts2d)
-    ]
-    ring = [verts2d[p[2]] for p in _hull2d(flat)]
+        scale = lcm(scale, u.denominator, v.denominator)
+    ring = _hull2d(
+        (int(u * scale), int(v * scale)) for u, v in verts2d
+    )
     out = []
-    us = [u for u, _ in ring]
-    for u in range(_frac_ceil(min(us)), _frac_floor(max(us)) + 1):
-        vs: list[Fraction] = []
+    us = [pu for pu, _ in ring]
+    for u in range(-(-min(us) // scale), max(us) // scale + 1):
+        uu = u * scale
+        # crossings v = num / den with den > 0, in unscaled units
+        cuts: list[tuple[int, int]] = []
         for (pu, pv), (qu, qv) in zip(ring, ring[1:] + ring[:1]):
-            if pu == qu:
-                if pu == u:
-                    vs.extend((pv, qv))
-            elif min(pu, qu) <= u <= max(pu, qu):
-                vs.append(pv + (qv - pv) * (u - pu) / (qu - pu))
-        if not vs:
-            continue
-        for v in range(_frac_ceil(min(vs)), _frac_floor(max(vs)) + 1):
-            out.append((u, v))
+            if pu != qu and min(pu, qu) <= uu <= max(pu, qu):
+                num = pv * (qu - pu) + (qv - pv) * (uu - pu)
+                den = (qu - pu) * scale
+                cuts.append((-num, -den) if den < 0 else (num, den))
+        lo = min(-(-num // den) for num, den in cuts)
+        hi = max(num // den for num, den in cuts)
+        out.extend((u, v) for v in range(lo, hi + 1))
     return out
 
 
@@ -861,15 +874,26 @@ def minkowski_difference_contains_origin(a, b) -> bool:
 
 
 def _hull_contains_origin(points: list[Point3]) -> bool:
-    """Membership of the origin in the hull of a point cloud, decided by
-    searching for a separating plane among support planes (small inputs)."""
-    # Any separating certificate is a face of the hull; testing the hull's
-    # facets directly is simplest and exact.
+    """Membership of the origin in the hull of a rational point cloud:
+    the cloud is scaled to integers once, which moves no point across
+    the origin, and handed to _int_hull_contains_origin."""
+    scale = _int_scale(points)
+    return _int_hull_contains_origin([_scaled_ints(p, scale) for p in points])
+
+
+def _int_hull_contains_origin(points: Sequence[tuple[int, int, int]]) -> bool:
+    """Membership of the origin in the hull of integer triples.  A
+    full-dimensional cloud holds it iff the origin lies on the inner
+    side of every outward triangle of its triangulated hull, so no
+    Polyhedron is built; flatter clouds take the exact lower-dimensional
+    test."""
+    pts = list(dict.fromkeys(points))
     try:
-        hull = convex_hull(points)
+        tris = _triangulated_hull(pts)
     except DegenerateInput:
-        return _degenerate_hull_contains_origin(points)
-    return contains(hull, ORIGIN)
+        return _degenerate_hull_contains_origin([Point3.of(*p) for p in pts])
+    o = (0, 0, 0)
+    return all(_orient(pts[a], pts[b], pts[c], o) <= 0 for a, b, c in tris)
 
 
 def _degenerate_hull_contains_origin(points: list[Point3]) -> bool:

@@ -25,11 +25,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .decomposition import (
-    corner_slab,
+    CornerSlab,
+    _add,
+    _scale,
+    _separation,
+    _translated,
     ray_chord_class,
     ray_period,
     ray_point,
-    separation_level,
 )
 from .errors import (
     AssumptionViolated,
@@ -269,10 +272,6 @@ def build_family(k: int) -> SemigroupHandle:
     return build(gorenstein_family(k))
 
 
-def _add(a: IntVec, b: IntVec) -> IntVec:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
 def _closure_ray_generators(
     h: SemigroupHandle, member: MemberFn
 ) -> tuple[Point3, ...]:
@@ -340,7 +339,7 @@ def _decide(
         )
 
     try:
-        sep = separation_level(h, generators=gens)
+        sep, templates = _separation(h, gens)
     except (UnsupportedCase, NotSimplicial) as exc:
         return PropertyVerdict(
             property=prop,
@@ -350,7 +349,7 @@ def _decide(
             diagnostics=diag,
         )
     diag["separation_level"] = sep
-    region = _corner_window(h, sep, point_rays)
+    region = _corner_window(h, sep, templates)
     diag["region_points"] = len(region)
     gens_int = [g.int_tuple() for g in gens]
     refuters = []
@@ -454,23 +453,18 @@ def _climb(member: MemberFn, p: IntVec, g: IntVec, cap: int) -> int:
     )
 
 
-def _scale(g: IntVec, m: int) -> IntVec:
-    return (m * g[0], m * g[1], m * g[2])
-
-
 def _corner_window(
-    h: SemigroupHandle, sep: int, point_rays: list[int]
+    h: SemigroupHandle, sep: int, templates: dict[int, CornerSlab]
 ) -> set[IntVec]:
     """Integer points of one full period of corner slabs from the
     separation level, plus the hull joining the origin to the
-    separation-level ray points.  Past the base level slab (i, sep + j)
-    is slab (i, sep) moved by j times ray point i."""
+    separation-level ray points.  Slab (i, sep + j) is the base-level
+    template of ray i translated up, so no slab is rebuilt."""
     pts: set[IntVec] = set()
-    for i in point_rays:
-        verts = corner_slab(h, i, sep).vertex_list()
-        p = ray_point(h, i)
-        for j in range(ray_period(h, i)):
-            pts.update(integer_points_in_hull([v + p * j for v in verts]))
+    for slab in templates.values():
+        for j in range(ray_period(h, slab.ray)):
+            moved = _translated(h, slab, sep + j)
+            pts.update(integer_points_in_hull(moved.vertex_list()))
     hull_corners = [ORIGIN] + [ray_point(h, i) * sep for i in range(3)]
     pts.update(integer_points_in_hull(hull_corners))
     return pts

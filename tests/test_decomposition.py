@@ -129,8 +129,9 @@ def test_handle_classifies_and_levels_once(monkeypatch):
 
 def test_slab_templates_build_each_fan_once(monkeypatch):
     # past the base level slabs are translates of one template per
-    # point ray, so each entry point builds one fan per point ray
-    # (the separation level and the decider window one each)
+    # point ray, so each entry point builds one fan per point ray: the
+    # decider window and the gap region translate the templates that
+    # the separation level built
     calls = []
     fan = decomposition._ordered_fan
 
@@ -143,7 +144,8 @@ def test_slab_templates_build_each_fan_once(monkeypatch):
         (S3_VERTICES, separation_level, 2),
         (S5_VERTICES, separation_level, 3),
         (S5_VERTICES, lambda h: slabs(h, 3), 3),
-        (S5_VERTICES, is_cohen_macaulay, 6),
+        (S5_VERTICES, is_cohen_macaulay, 3),
+        (S5_VERTICES, gap_region, 3),
     ):
         calls.clear()
         entry(build(verts))

@@ -22,6 +22,8 @@ from polysgp import (
 from polysgp.errors import BadParameter, DegenerateInput
 from polysgp.geometry import (
     OriginPoint,
+    _hull_contains_origin,
+    _polygon_integer_points,
     clip_segment,
     contains,
     cone_supporting_facets,
@@ -285,3 +287,104 @@ def test_integer_enumeration_matches_membership(pts):
         return
     assert sorted(integer_points(poly)) == brute_integer_points(poly)
     assert sorted(integer_points(poly)) == integer_points_in_hull(pts)
+
+
+rational = st.one_of(
+    st.integers(-4, 4).map(F),
+    st.builds(F, st.integers(-12, 12), st.sampled_from([2, 3, 4])),
+)
+rational_cloud = st.lists(
+    st.tuples(rational, rational, rational),
+    min_size=4,
+    max_size=8,
+    unique=True,
+)
+
+
+@given(
+    rational_cloud,
+    st.sampled_from(["vertex", "edge", "facet", "inside", "outside", "any"]),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_origin_test_matches_hull_containment(pts, where, data):
+    # shift the cloud so that the origin lands on a chosen part of its
+    # hull (or just past a facet), then compare the triangulated integer
+    # test with containment in the full Polyhedron
+    try:
+        poly = convex_hull(pts)
+    except DegenerateInput:
+        return
+    verts = poly.vertices
+    pick = lambda seq: seq[data.draw(st.integers(0, len(seq) - 1))]
+    if where == "vertex":
+        c = pick(verts)
+    elif where == "edge":
+        a, b = pick(poly.edges)
+        t = data.draw(st.sampled_from([F(1, 2), F(1, 3), F(3, 4)]))
+        c = verts[a] * (1 - t) + verts[b] * t
+    elif where in ("facet", "outside"):
+        idx = data.draw(st.integers(0, len(poly.facets) - 1))
+        a, b, d = (verts[i] for i in poly.facet_vertices[idx][:3])
+        c = (a + b + d) * F(1, 3)
+        if where == "outside":
+            # the facet normal points inward
+            c = c - poly.facets[idx].normal * F(1, 7)
+    elif where == "inside":
+        c = sum(verts[1:], verts[0]) * F(1, len(verts))
+    else:
+        c = Point3.from_seq(data.draw(st.tuples(rational, rational, rational)))
+    cloud = [Point3.of(*p) - c for p in pts]
+    expected = contains(convex_hull(cloud), ORIGIN)
+    assert _hull_contains_origin(cloud) is expected
+    if where != "any":
+        assert expected is (where != "outside")
+
+
+def _box_scan_polygon(pts):
+    """Reference: every integer pair of the bounding box that lies on the
+    inner side of each line through two points that has all points on
+    one side (exact Fraction half-plane checks)."""
+    import math
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    sides = [
+        (a, b)
+        for a in pts
+        for b in pts
+        if a != b and all(cross(a, b, c) >= 0 for c in pts)
+    ]
+    us = [u for u, _ in pts]
+    vs = [v for _, v in pts]
+    return [
+        (u, v)
+        for u in range(math.floor(min(us)), math.ceil(max(us)) + 1)
+        for v in range(math.floor(min(vs)), math.ceil(max(vs)) + 1)
+        if all(cross(a, b, (u, v)) >= 0 for a, b in sides)
+    ]
+
+
+@given(
+    st.lists(
+        st.tuples(rational, rational), min_size=3, max_size=7, unique=True
+    ),
+    st.one_of(st.none(), st.tuples(rational, rational)),
+)
+@settings(max_examples=200, deadline=None)
+def test_polygon_integer_points_match_box_scan(pts, vertical):
+    # `vertical` adds two points left of the cloud at one abscissa, so
+    # the hull has a vertical edge
+    if vertical is not None:
+        u0 = min(u for u, _ in pts) - 1
+        v0, dv = vertical
+        pts = pts + [(u0, v0), (u0, v0 + abs(dv) + 1)]
+    a = pts[0]
+    if all(
+        (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0])
+        for b in pts
+        for c in pts
+    ):
+        return
+    assert _polygon_integer_points(pts) == _box_scan_polygon(pts)

@@ -7,8 +7,19 @@ from fractions import Fraction as F
 
 import pytest
 
+import instancegen
+from conftest import NN_VERTICES, S3_VERTICES, S5_VERTICES
+from test_decomposition import POLY_SEPARATION, TETRA_SEPARATION
 from polysgp import build, oracle
+from polysgp.decomposition import (
+    _separation,
+    corner_slab,
+    ray_period,
+    ray_point,
+)
+from polysgp.geometry import ORIGIN, integer_points_in_hull
 from polysgp.rings import (
+    _corner_window,
     apery_table,
     build_family,
     check_condition3,
@@ -220,3 +231,54 @@ def test_verdicts_are_deterministic(s5):
     a = is_cohen_macaulay(s5)
     b = is_cohen_macaulay(s5)
     assert a == b
+
+
+def _window_by_dilation(h, sep):
+    """The decider window rebuilt slab by slab at each level: the
+    integer points of corner slab (i, sep + j) over one period of every
+    point-chord ray, plus those of conv(0, sep*p0, sep*p1, sep*p2)."""
+    pts = set()
+    for i in range(3):
+        if h.ray_data[i].kind != "point":
+            continue
+        for j in range(ray_period(h, i)):
+            slab = corner_slab(h, i, sep + j)
+            pts.update(integer_points_in_hull(slab.vertex_list()))
+    hull = [ORIGIN] + [ray_point(h, i) * sep for i in range(3)]
+    pts.update(integer_points_in_hull(hull))
+    return pts
+
+
+def _decided_window_bodies():
+    """The conftest bodies and frozen seeds that have a separation
+    level."""
+    cases = [("s3", S3_VERTICES), ("s5", S5_VERTICES), ("nn", NN_VERTICES)]
+    for kind, table in (
+        ("tetra", TETRA_SEPARATION),
+        ("poly", POLY_SEPARATION),
+    ):
+        make = getattr(instancegen, "%s_vertices" % kind)
+        cases += [
+            ("%s-%d" % (kind, s), make(s))
+            for s, sep in sorted(table.items())
+            if sep is not None
+        ]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "verts", [pytest.param(v, id=n) for n, v in _decided_window_bodies()]
+)
+def test_corner_window_from_templates_matches_dilated_slabs(verts):
+    # tetra-85 is the one frozen seed whose separation level lies above
+    # its base level, so its templates really move
+    h = build(verts)
+    sep, templates = _separation(h)
+    assert all(t.level == max(1, h.overlap) for t in templates.values())
+    assert _corner_window(h, sep, templates) == _window_by_dilation(h, sep)
+
+
+def test_corner_window_bodies_include_a_raised_template():
+    h = build(instancegen.tetra_vertices(85))
+    sep, templates = _separation(h)
+    assert sep > max(t.level for t in templates.values())
