@@ -34,12 +34,13 @@ from .geometry import (
     _primitive_direction,
     _scaled_ints,
     _sign,
-    clip_segment_facets,
+    clip_segment,
     cone_supporting_facets,
     contains,
     convex_hull,
     dilate,
     integer_points_in_hull,
+    ray_intersect,
 )
 
 IntVec = tuple[int, int, int]
@@ -143,7 +144,10 @@ def classify(h) -> VertexClassification:
     ray_dirs = {r.int_tuple() for r in h.rays}
     point_e, entry_e, exit_e, entry_i, exit_i = [], [], [], [], []
     for vi, v in enumerate(h.body.vertices):
-        lo, hi = _vertex_chord(h.body, v)
+        hit = ray_intersect(h.body, v)
+        lo, hi = hit.lo, hit.hi
+        if hit.kind == "empty" or not lo <= 1 <= hi:
+            raise AssumptionViolated("vertex %s escapes its own chord" % (v,))
         extremal = _primitive_direction(v) in ray_dirs
         if lo == hi:
             if not extremal:
@@ -167,32 +171,6 @@ def classify(h) -> VertexClassification:
         tuple(entry_i),
         tuple(exit_i),
     )
-
-
-def _vertex_chord(body: Polyhedron, v: Point3) -> tuple[Fraction, Fraction]:
-    """Chord parameters [lo, hi] of the ray through vertex v, normalized
-    so the vertex sits at 1."""
-    lo = None
-    hi = None
-    for facet in body.facets:
-        nd = facet.normal.dot(v)
-        c = facet.offset
-        if nd == 0:
-            if c > 0:
-                raise AssumptionViolated("vertex ray misses the body")
-            continue
-        bound = c / nd
-        if nd > 0:
-            if lo is None or bound > lo:
-                lo = bound
-        else:
-            if hi is None or bound < hi:
-                hi = bound
-    if lo is None:
-        lo = Fraction(0)
-    if hi is None or not lo <= 1 <= hi:
-        raise AssumptionViolated("vertex %s escapes its own chord" % (v,))
-    return (lo, hi)
 
 
 def _interior_window(body: Polyhedron, q: Point3) -> tuple[Fraction, Fraction]:
@@ -317,19 +295,16 @@ def ray_period(h, i: int) -> int:
     return hit.lo.denominator
 
 
-def _corner_fan_points(
-    h, i: int, k: int
-) -> list[tuple[Point3, tuple[int, ...]]]:
-    """Unordered crossing points generating the fan of the corner slab,
-    each with the indices of the facets it lands on (facet order matches
-    the undilated body)."""
+def _corner_fan_points(h, i: int, k: int) -> list[Point3]:
+    """Crossing points generating the fan of the corner slab, unordered
+    and without repeats, in the order first met."""
     vi = _ray_vertex_index(h, i)
     p = h.body.vertices[vi]
     entries = h.classification.entry_classes()
     exits = h.classification.exit_classes()
     lower = dilate(h.body, k)
     upper = dilate(h.body, k + 1)
-    pts: list[tuple[Point3, tuple[int, ...]]] = []
+    pts: list[Point3] = []
     for wi in h.body.adjacent_vertices(vi):
         q = h.body.vertices[wi]
         if wi in entries:
@@ -340,25 +315,18 @@ def _corner_fan_points(
             target = upper
         else:
             continue
-        clipped = clip_segment_facets(target, a, b)
+        clipped = clip_segment(target, a, b)
         if clipped is None:
             raise AssumptionViolated(
                 "edge toward %s never enters the neighboring dilation"
                 % (q,)
             )
-        t0, fids, _t1, _f1 = clipped
-        hit = a + (b - a) * t0
+        hit = a + (b - a) * clipped[0]
         if not contains(target, hit):
             raise AssumptionViolated("crossing point fell off the dilation")
-        pts.append((hit, fids))
-    merged: dict[Point3, set[int]] = {}
-    order: list[Point3] = []
-    for hit, fids in pts:
-        if hit not in merged:
-            merged[hit] = set()
-            order.append(hit)
-        merged[hit].update(fids)
-    return [(hit, tuple(sorted(merged[hit]))) for hit in order]
+        if hit not in pts:
+            pts.append(hit)
+    return pts
 
 
 def _transverse(x: Point3, d: Point3) -> Point3:
@@ -386,7 +354,7 @@ def _ordered_fan(
     if orient == 0:
         raise AssumptionViolated("neighbor rays collapse around ray %d" % i)
     ws = []
-    for e, _fids in raw:
+    for e in raw:
         w = _transverse(e, d)
         if w.is_zero():
             raise AssumptionViolated("fan point sits on its own axis")
@@ -405,7 +373,7 @@ def _ordered_fan(
         m = _sign(ws[a].dot(ws[a]) - ws[b].dot(ws[b]))
         if m:
             return m
-        return _sign(d.dot(raw[a][0] - raw[b][0]))
+        return _sign(d.dot(raw[a] - raw[b]))
 
     order = sorted(range(len(raw)), key=functools.cmp_to_key(cmp))
     first_w = ws[order[0]]
@@ -417,7 +385,7 @@ def _ordered_fan(
         raise AssumptionViolated(
             "fan of ray %d leaves the wedge of its neighbor rays" % i
         )
-    return apexes, [raw[j][0] for j in order]
+    return apexes, [raw[j] for j in order]
 
 
 def _corner_slab(h, i: int, k: int) -> CornerSlab:
@@ -771,18 +739,14 @@ def gap_rows(
     every shell up to the bound, sorted once as integer rows."""
     import numpy as np
 
-    from .semigroup import _shell
+    from .semigroup import _shell_gaps
 
     if extra_periods < 0:
         raise BadParameter("extra_periods must be nonnegative")
     maxh = max(region.periods.values(), default=1)
     bound = region.base_level + extra_periods * maxh + 1
     gaps = np.concatenate(
-        [
-            pts[~ok]
-            for s in range(1, bound + 1)
-            for pts, ok in _shell(h, s)
-        ]
+        [rows for _s, rows in _shell_gaps(h, bound)]
         or [np.empty((0, 3), dtype=np.int64)]
     )
     order = np.lexsort((gaps[:, 2], gaps[:, 1], gaps[:, 0]))

@@ -552,19 +552,15 @@ def hull_union(a: Polyhedron, b: Polyhedron) -> Polyhedron:
     return convex_hull(list(a.vertices) + list(b.vertices))
 
 
-def clip_segment_facets(
+def clip_segment(
     poly: Polyhedron, a: Point3, b: Point3
-) -> Optional[tuple[Fraction, tuple[int, ...], Fraction, tuple[int, ...]]]:
+) -> Optional[tuple[Fraction, Fraction]]:
     """Parameter interval [t0, t1] of {a + t(b-a) : 0 <= t <= 1} inside
-    the polytope together with the facet indices pinning each end (empty
-    when the end is the segment's own endpoint), or None on a miss."""
+    the polytope, or None when they miss each other."""
     t0, t1 = Fraction(0), Fraction(1)
-    f0: list[int] = []
-    f1: list[int] = []
-    for idx, facet in enumerate(poly.facets):
+    for facet in poly.facets:
         va = facet.value(a)
-        vb = facet.value(b)
-        dv = vb - va
+        dv = facet.value(b) - va
         if dv == 0:
             if va < 0:
                 return None
@@ -572,29 +568,11 @@ def clip_segment_facets(
         bound = -va / dv
         if dv > 0:
             # feasible for t >= -va/dv
-            if bound > t0:
-                t0, f0 = bound, [idx]
-            elif bound == t0:
-                f0.append(idx)
+            t0 = max(t0, bound)
         else:
-            if bound < t1:
-                t1, f1 = bound, [idx]
-            elif bound == t1:
-                f1.append(idx)
+            t1 = min(t1, bound)
         if t0 > t1:
             return None
-    return (t0, tuple(f0), t1, tuple(f1))
-
-
-def clip_segment(
-    poly: Polyhedron, a: Point3, b: Point3
-) -> Optional[tuple[Fraction, Fraction]]:
-    """Parameter interval [t0, t1] of {a + t(b-a) : 0 <= t <= 1} inside
-    the polytope, or None when they miss each other."""
-    hit = clip_segment_facets(poly, a, b)
-    if hit is None:
-        return None
-    t0, _, t1, _ = hit
     return (t0, t1)
 
 

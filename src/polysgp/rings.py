@@ -16,13 +16,18 @@ infinite) gap set must actually be inspected:
 
 Gorenstein adds the unique-maximal-element test on the intersection of
 the ray-generator Apery sets, and Buchsbaum is the Cohen-Macaulay
-question asked of the closure semigroup instead.
+question asked of the closure semigroup instead.  The deciders ask
+every membership question, in the semigroup or in its closure, of an
+integer array at once: the sorted window, a gap's generator
+translates, the steps of a staircase climb.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
+
+import numpy as np
 
 from .decomposition import (
     CornerSlab,
@@ -41,20 +46,19 @@ from .errors import (
     NotSimplicial,
     UnsupportedCase,
 )
-from .geometry import ORIGIN, Point3, integer_points_in_hull
+from .geometry import ORIGIN, Point3, int_rows, integer_points_in_hull
 from .semigroup import (
     SemigroupHandle,
     _as_intvec,
-    _shell,
+    _closure_rows,
+    _shell_gaps,
     apery_intersection,
     closure,
-    closure_member_int,
     in_cone_int,
     member_int,
 )
 
 IntVec = tuple[int, int, int]
-MemberFn = Callable[[IntVec], bool]
 
 
 @dataclass(frozen=True)
@@ -106,10 +110,8 @@ def is_cohen_macaulay(h: SemigroupHandle) -> PropertyVerdict:
     """Decide Cohen-Macaulayness of the semigroup ring."""
     if not h.simplicial:
         raise NotSimplicial("the decision procedures need a three-ray cone")
-    member: MemberFn = lambda p: member_int(h, p)[0]
     return _decide(
         h,
-        member,
         h.ray_generators,
         prop="Cohen-Macaulay",
         diag={},
@@ -148,12 +150,10 @@ def is_buchsbaum(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdic
             case_used="closure generator enumeration hit its layer budget",
             diagnostics=diag,
         )
-    member: MemberFn = lambda p: closure_member_int(h, cl, p)
-    gens = _closure_ray_generators(h, member)
+    gens = _closure_ray_generators(h, cl.added_set)
     diag["generators_recomputed"] = tuple(gens) != tuple(h.ray_generators)
     return _decide(
         h,
-        member,
         gens,
         prop="Buchsbaum",
         diag=diag,
@@ -273,41 +273,36 @@ def build_family(k: int) -> SemigroupHandle:
 
 
 def _closure_ray_generators(
-    h: SemigroupHandle, member: MemberFn
+    h: SemigroupHandle, added: frozenset
 ) -> tuple[Point3, ...]:
     """Least multiple of each primitive ray direction inside the
     closure; point-chord rays keep their generator, segment rays may
-    shrink when the closure fills their first gaps."""
+    shrink when the closure fills their first gaps.  The generator is
+    itself a multiple, so one always qualifies."""
     out = []
     for i, g in enumerate(h.ray_generators):
         if h.ray_data[i].kind == "point":
             out.append(g)
             continue
         d = h.rays[i].int_tuple()
-        full = g.int_tuple()
-        mult = full[0] // d[0] if d[0] else (
-            full[1] // d[1] if d[1] else full[2] // d[2]
-        )
-        pick = g
-        for m in range(1, mult + 1):
-            q = (m * d[0], m * d[1], m * d[2])
-            if member(q):
-                pick = Point3.of(*q)
-                break
-        out.append(pick)
+        mult = sum(g.int_tuple()) // sum(d)
+        multiples = int_rows([_scale(d, m) for m in range(1, mult + 1)])
+        first = np.flatnonzero(_closure_rows(h, multiples, added))[0]
+        out.append(Point3.of(*multiples[first].tolist()))
     return tuple(out)
 
 
 def _decide(
     h: SemigroupHandle,
-    member: MemberFn,
     gens: tuple[Point3, ...],
     prop: str,
     diag: dict,
     added: frozenset,
 ) -> PropertyVerdict:
-    """Shared dispatcher: the Cohen-Macaulay criterion evaluated
-    against an arbitrary membership function (plain or closure)."""
+    """Shared dispatcher: the Cohen-Macaulay criterion for the
+    semigroup, or for its closure when `added` holds the closure's
+    added points.  Every membership question is an array for
+    `semigroup._closure_rows`."""
     classes = [ray_chord_class(h, i) for i in range(3)]
     kappa = h.overlap
     diag = dict(diag)
@@ -315,27 +310,48 @@ def _decide(
     diag["chord_classes"] = tuple(classes)
     point_rays = [i for i in range(3) if classes[i] == "point"]
 
-    if len(point_rays) == 0:
-        last = kappa + 2
-        gap = _first_shell_gap(h, last, added)
+    if len(point_rays) <= 1:
+        # the emptiness test of the module docstring: no gap in the
+        # first shells (one translation period more with a point chord)
+        # means yes; otherwise a staircase from the lexicographically
+        # smallest gap ends at a refuting one
+        if point_rays:
+            i0 = point_rays[0]
+            last = kappa + ray_period(h, i0) + 1
+            i, j = (k for k in range(3) if k != i0)
+            case = (
+                "one point chord on ray %d: gap set emptiness over one "
+                "translation period" % i0
+            )
+        else:
+            last = kappa + 2
+            i, j = 0, 1
+            case = "all chords are segments: finite gap set emptiness"
         diag["scan_shells"] = last
-        case = "all chords are segments: finite gap set emptiness"
-        return _emptiness_verdict(
-            h, member, gens, prop, diag, case, gap, (0, 1), kappa
+        gaps = [
+            p
+            for _s, rows in _shell_gaps(h, last)
+            for p in map(tuple, rows.tolist())
+            if p not in added
+        ]
+        if not gaps:
+            return PropertyVerdict(
+                property=prop,
+                verdict="yes",
+                witness=None,
+                case_used=case,
+                diagnostics=diag,
+            )
+        cap = 16 * (kappa + h.period() + 4)
+        p = _staircase(
+            h, added, min(gaps), gens[i].int_tuple(), gens[j].int_tuple(), cap
         )
-
-    if len(point_rays) == 1:
-        i0 = point_rays[0]
-        last = kappa + ray_period(h, i0) + 1
-        gap = _first_shell_gap(h, last, added)
-        diag["scan_shells"] = last
-        others = tuple(sorted(j for j in range(3) if j != i0))
-        case = (
-            "one point chord on ray %d: gap set emptiness over one "
-            "translation period" % i0
-        )
-        return _emptiness_verdict(
-            h, member, gens, prop, diag, case, gap, others, kappa
+        return PropertyVerdict(
+            property=prop,
+            verdict="no",
+            witness=Witness(point=Point3.of(*p), indices=(i, j)),
+            case_used=case,
+            diagnostics=diag,
         )
 
     try:
@@ -349,31 +365,26 @@ def _decide(
             diagnostics=diag,
         )
     diag["separation_level"] = sep
-    region = _corner_window(h, sep, templates)
+    region = int_rows(sorted(_corner_window(h, sep, templates)))
     diag["region_points"] = len(region)
-    gens_int = [g.int_tuple() for g in gens]
-    refuters = []
-    gap_count = 0
-    for p in sorted(region):
-        if member(p):
-            continue
-        gap_count += 1
-        idx = tuple(
-            i for i, g in enumerate(gens_int) if member(_add(p, g))
-        )
-        if len(idx) >= 2:
-            refuters.append((p, idx))
-    diag["region_gaps"] = gap_count
+    gaps = region[~_closure_rows(h, region, added)]
+    diag["region_gaps"] = len(gaps)
+    # hits[i, r]: gap r translated by generator i is a member
+    moves = int_rows([g.int_tuple() for g in gens])
+    hits = np.array([_closure_rows(h, gaps + g, added) for g in moves])
+    refuters = np.flatnonzero(hits.sum(axis=0) >= 2)
     case = (
         "corner-slab window at separation level %d over %d point "
         "chords" % (sep, len(point_rays))
     )
-    if refuters:
-        p, idx = refuters[0]
+    if len(refuters):
+        r = refuters[0]
+        p = Point3.of(*gaps[r].tolist())
+        idx = tuple(np.flatnonzero(hits[:, r]).tolist())
         return PropertyVerdict(
             property=prop,
             verdict="no",
-            witness=Witness(point=Point3.of(*p), indices=idx[:2]),
+            witness=Witness(point=p, indices=idx[:2]),
             case_used=case,
             diagnostics=diag,
         )
@@ -386,71 +397,35 @@ def _decide(
     )
 
 
-def _first_shell_gap(
-    h: SemigroupHandle, last: int, added: frozenset
-) -> Optional[IntVec]:
-    """Lexicographically smallest gap within the shell window, with the
-    closure's added points not counting as gaps."""
-    gaps = [
-        p
-        for s in range(1, last + 1)
-        for pts, ok in _shell(h, s)
-        for p in map(tuple, pts[~ok].tolist())
-        if p not in added
-    ]
-    return min(gaps) if gaps else None
-
-
-def _emptiness_verdict(
-    h: SemigroupHandle,
-    member: MemberFn,
-    gens: tuple[Point3, ...],
-    prop: str,
-    diag: dict,
-    case: str,
-    gap: Optional[IntVec],
-    climb: tuple[int, int],
-    kappa: int,
-) -> PropertyVerdict:
-    if gap is None:
-        return PropertyVerdict(
-            property=prop,
-            verdict="yes",
-            witness=None,
-            case_used=case,
-            diagnostics=diag,
-        )
-    i, j = climb
-    cap = 16 * (kappa + h.period() + 4)
-    p = _staircase(member, gap, gens[i].int_tuple(), gens[j].int_tuple(), cap)
-    return PropertyVerdict(
-        property=prop,
-        verdict="no",
-        witness=Witness(point=Point3.of(*p), indices=(i, j)),
-        case_used=case,
-        diagnostics=diag,
-    )
-
-
 def _staircase(
-    member: MemberFn, start: IntVec, gi: IntVec, gj: IntVec, cap: int
+    h: SemigroupHandle,
+    added: frozenset,
+    start: IntVec,
+    gi: IntVec,
+    gj: IntVec,
+    cap: int,
 ) -> IntVec:
     """From any gap, climb by one generator to the last non-member,
     then by the other: the end point is a gap both of whose climbs'
     next steps are members."""
-    li = _climb(member, start, gi, cap)
+    li = _climb(h, added, start, gi, cap)
     q = _add(start, _scale(gi, li - 1))
-    lj = _climb(member, q, gj, cap)
+    lj = _climb(h, added, q, gj, cap)
     return _add(q, _scale(gj, lj - 1))
 
 
-def _climb(member: MemberFn, p: IntVec, g: IntVec, cap: int) -> int:
-    for l in range(1, cap + 1):
-        if member(_add(p, _scale(g, l))):
-            return l
-    raise AssumptionViolated(
-        "no member found along %s from %s within %d steps" % (g, p, cap)
-    )
+def _climb(
+    h: SemigroupHandle, added: frozenset, p: IntVec, g: IntVec, cap: int
+) -> int:
+    """Least l in 1..cap with p + l*g a member, the cap steps tested as
+    one array."""
+    steps = int_rows([_add(p, _scale(g, l)) for l in range(1, cap + 1)])
+    hits = np.flatnonzero(_closure_rows(h, steps, added))
+    if not len(hits):
+        raise AssumptionViolated(
+            "no member found along %s from %s within %d steps" % (g, p, cap)
+        )
+    return int(hits[0]) + 1
 
 
 def _corner_window(

@@ -8,17 +8,21 @@ with the origin outside, the semigroup studied here is
 together with its spanned cone, extremal rays, minimal generating set,
 Apery sets of the ray generators, and the closure semigroup (elements of
 the cone whose translates by every minimal generator land in S).
+
+Every membership question asked inside the package goes to
+`member_rows` as an integer array; `member_int` answers one point and
+is the reference the array kernel is tested against.  One order sieve,
+`_order_sieve`, picks the minimal generators, the closure's generators
+and the maximal Apery elements out of a finite set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
-from math import ceil, lcm
+from math import ceil, isqrt, lcm
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Iterable,
     Iterator,
     Optional,
@@ -292,6 +296,33 @@ def _shell(
         yield block, member_rows(h, block, s)
 
 
+def _shell_gaps(
+    h: SemigroupHandle, last: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The gaps of shells 1..last: the non-members of each block of
+    `_shell`, as (shell, rows) in lexicographic order within a shell."""
+    for s in range(1, last + 1):
+        for pts, ok in _shell(h, s):
+            yield s, pts[~ok]
+
+
+def _closure_rows(
+    h: SemigroupHandle, pts: np.ndarray, added: frozenset[IntVec]
+) -> np.ndarray:
+    """`member_rows` over blocks of `_BLOCK` rows, with the rows it
+    rejects looked up in `added`: the closure's membership when `added`
+    is its `added_set`, and plain membership when `added` is empty."""
+    blocks = range(0, len(pts), _BLOCK)
+    ok = np.concatenate(
+        [member_rows(h, pts[i : i + _BLOCK]) for i in blocks]
+        or [np.zeros(0, dtype=bool)]
+    )
+    if added:
+        out = np.flatnonzero(~ok)
+        ok[out] = [tuple(p) in added for p in pts[out].tolist()]
+    return ok
+
+
 def build(vertices: Sequence) -> SemigroupHandle:
     """Validate the input polytope and compute the semigroup view.
 
@@ -360,14 +391,13 @@ def _smallest_ray_point(h: SemigroupHandle, i: int) -> Point3:
     else:
         # beyond lo*hi/(hi-lo) every multiple admits an integer dilation
         cap = ceil(lo * hi / (hi - lo))
-    m = 1
-    while m <= cap + 1:
-        p = (m * d[0], m * d[1], m * d[2])
-        ok, _ = member_int(h, p)
-        if ok:
-            return Point3.of(*p)
-        m += 1
-    raise AssumptionViolated("no semigroup point found on an extremal ray")
+    multiples = int_rows(
+        [(m * d[0], m * d[1], m * d[2]) for m in range(1, cap + 2)]
+    )
+    hits = np.flatnonzero(member_rows(h, multiples))
+    if not len(hits):
+        raise AssumptionViolated("no semigroup point found on an extremal ray")
+    return Point3.of(*multiples[hits[0]].tolist())
 
 
 def member(h: SemigroupHandle, p) -> tuple[bool, Optional[int]]:
@@ -403,10 +433,6 @@ def semigroup_shells(
                 yield (s, tuple(p), m)
 
 
-def _sum3(p: IntVec) -> int:
-    return p[0] + p[1] + p[2]
-
-
 def minimal_generators(
     h: SemigroupHandle, budget_layers: int = 400
 ) -> GeneratorSet:
@@ -415,19 +441,19 @@ def minimal_generators(
 
     Every minimal generator outside E lies in Ap(S, E), and both parts
     of a decomposition of an Apery element are Apery elements, so the
-    elements are judged in order of coordinate sum against the ones
-    kept before them.  Cones with more than three rays take the least
-    semigroup point on every ray as E.  `certified` means the Apery
-    scan stopped by its own rule (see `_apery_scan`) before the budget;
-    otherwise the result is E with the elements found so far that no
-    earlier one reduces, a partial set.
+    irreducible elements are the minimal ones of `_order_sieve`.  Cones
+    with more than three rays take the least semigroup point on every
+    ray as E.  `certified` means the Apery scan stopped by its own rule
+    (see `_apery_scan`) before the budget; otherwise the result is E
+    with the elements found so far that no other one reduces, a partial
+    set.
     """
     rays = h.ray_generators or [
         _smallest_ray_point(h, i) for i in range(len(h.rays))
     ]
     ray_gens = [g.int_tuple() for g in rays]
     found, complete, scanned = _apery_scan(h, ray_gens, budget_layers)
-    gens = _graded_sieve(found, lambda p: member_int(h, p)[0])
+    gens = _order_sieve(h, found)
     return GeneratorSet(
         generators=tuple(Point3.of(*p) for p in sorted(ray_gens + gens)),
         certified=complete,
@@ -435,29 +461,12 @@ def minimal_generators(
     )
 
 
-def _graded_sieve(
-    points: Iterable[IntVec], member: Callable[[IntVec], bool]
-) -> list[IntVec]:
-    """The distinct `points` that are not another of them plus a member,
-    judged in order of coordinate sum against the ones kept before."""
-    kept: list[IntVec] = []
-    for p in sorted(points, key=lambda p: (_sum3(p), p)):
-        px, py, pz = p
-        for gx, gy, gz in kept:
-            dx, dy, dz = px - gx, py - gy, pz - gz
-            if dx >= 0 and dy >= 0 and dz >= 0 and member((dx, dy, dz)):
-                break
-        else:
-            kept.append(p)
-    return kept
-
-
 def apery_intersection(
     h: SemigroupHandle, budget_layers: int = 400
 ) -> AperyBasis:
     """Semigroup points that leave the semigroup when any ray generator
     is subtracted, with their maximal elements under the divisibility
-    order x <= y iff y - x is again a member.
+    order x <= y iff y - x is again a member (`_order_sieve`).
 
     The scan runs over dilation shells until a full period passes with
     no new basis element beyond the structural bound; exhausting the
@@ -469,7 +478,7 @@ def apery_intersection(
         h, [g.int_tuple() for g in h.ray_generators], budget_layers
     )
     elements = sorted([(0, 0, 0)] + found)
-    maximal = _maximal_under_order(h, elements)
+    maximal = sorted(_order_sieve(h, elements, descending=True))
     return AperyBasis(
         elements=tuple(Point3.of(*p) for p in elements),
         maximal_elements=tuple(Point3.of(*p) for p in maximal),
@@ -515,28 +524,44 @@ def _apery_scan(
     return found, False, scanned
 
 
-def _maximal_under_order(
-    h: SemigroupHandle, elems: list[IntVec]
+def _order_sieve(
+    h: SemigroupHandle,
+    points: Iterable[IntVec],
+    added: frozenset[IntVec] = frozenset(),
+    descending: bool = False,
 ) -> list[IntVec]:
-    """The elements e with no other element f for which f - e is a
-    member, judged a block of elements e at a time; only the pairs with
-    f - e >= 0 go to the membership test."""
-    pts = int_rows(elems)
-    x, y, z = pts.T
-    n = len(pts)
-    dominated = np.zeros(n, dtype=bool)
-    step = max(1, _BLOCK // max(n, 1))
-    for i in range(0, n, step):
-        k = min(step, n - i)
-        e = slice(i, i + k)
-        below = (
-            (x[e, None] <= x) & (y[e, None] <= y) & (z[e, None] <= z)
-        )
-        below[np.arange(k), np.arange(i, i + k)] = False
-        ei, fi = np.nonzero(below)
-        hit = member_rows(h, pts[fi] - pts[i + ei])
-        dominated[i + ei[hit]] = True
-    return sorted(compress(elems, (~dominated).tolist()))
+    """The distinct `points` that are not another of them plus a nonzero
+    member (of the closure, when `added` holds its added points); with
+    `descending`, the ones that are not another of them minus one.
+
+    A nonzero member has a positive coordinate sum, so the points are
+    judged in order of coordinate sum, ascending or descending, a batch
+    at a time against the ones kept before the batch and the others in
+    it.  Since the order is transitive, a point that an earlier,
+    discarded point reaches is reached by a kept one too, so the result
+    is the pairwise one on any finite set, a partial Apery set
+    included.  A batch of m points with k kept forms m * (k + m) pairs,
+    at most `_BLOCK` when k allows.
+    """
+    graded = int_rows(
+        sorted(set(points), key=lambda p: (sum(p), p), reverse=descending)
+    )
+    sign = -1 if descending else 1
+    kept = graded[:0]
+    i = 0
+    while i < len(graded):
+        k = len(kept)
+        m = max(1, (isqrt(k * k + 4 * _BLOCK) - k) // 2)
+        batch = graded[i : i + m]
+        d = sign * (batch[:, None] - np.concatenate([kept, batch]))
+        x, y, z = d.transpose(2, 0, 1)
+        below = (x >= 0) & (y >= 0) & (z >= 0) & ((x | y | z) != 0)
+        bi, ri = np.nonzero(below)
+        reached = np.zeros(len(batch), dtype=bool)
+        reached[bi[_closure_rows(h, d[bi, ri], added)]] = True
+        kept = np.concatenate([kept, batch[~reached]])
+        i += m
+    return list(map(tuple, kept.tolist()))
 
 
 @dataclass(frozen=True)
@@ -575,38 +600,26 @@ def closure(h: SemigroupHandle, budget_layers: int = 400) -> ClosureResult:
     gens = [g.int_tuple() for g in msg.generators]
 
     added: list[IntVec] = []
-    for s in range(1, kappa + period + 1):
-        for pts, ok in _shell(h, s):
-            rows = pts[~ok]
-            for g in gens:
-                rows = rows[member_rows(h, rows + np.array(g, dtype=rows.dtype))]
-            if len(rows) and s > kappa:
-                raise UnsupportedCase(
-                    "closure point %s beyond the overlap level %d"
-                    % (tuple(rows[0].tolist()), kappa)
-                )
-            added.extend(map(tuple, rows.tolist()))
+    for s, rows in _shell_gaps(h, kappa + period):
+        for g in gens:
+            rows = rows[member_rows(h, rows + np.array(g, dtype=rows.dtype))]
+        if len(rows) and s > kappa:
+            raise UnsupportedCase(
+                "closure point %s beyond the overlap level %d"
+                % (tuple(rows[0].tolist()), kappa)
+            )
+        added.extend(map(tuple, rows.tolist()))
 
+    # the only possible closure generators are the original minimal
+    # generators and the added points
     added_set = frozenset(added)
-    closure_gens = _closure_generators(h, msg, added_set)
+    accepted = _order_sieve(h, set(gens) | added_set, added_set)
     return ClosureResult(
         added_points=tuple(Point3.of(*p) for p in sorted(added)),
-        gens_of_closure=closure_gens,
+        gens_of_closure=GeneratorSet(
+            generators=tuple(Point3.of(*p) for p in sorted(accepted)),
+            certified=msg.certified,
+            layers_scanned=msg.layers_scanned,
+        ),
         added_set=added_set,
-    )
-
-
-def _closure_generators(
-    h: SemigroupHandle, msg: GeneratorSet, added: frozenset[IntVec]
-) -> GeneratorSet:
-    """Graded sieve over the only possible closure generators: original
-    minimal generators and the added points."""
-    accepted = _graded_sieve(
-        set(msg.int_tuples()) | added,
-        lambda p: member_int(h, p)[0] or p in added,
-    )
-    return GeneratorSet(
-        generators=tuple(Point3.of(*p) for p in sorted(accepted)),
-        certified=msg.certified,
-        layers_scanned=msg.layers_scanned,
     )

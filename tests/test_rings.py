@@ -126,6 +126,45 @@ def test_buchsbaum_no_with_closure_relative_witness():
         assert closure_member_int(h, cl, t)
 
 
+@pytest.mark.parametrize(
+    "seed, added, witness, closure_gens",
+    [
+        (75, 29, (1, 0, 0), [(4, 0, 0), (8, 12, 4), (2, 2, 2)]),
+        (102, 15, (1, 2, 1), [(2, 4, 2), (3, 6, 9), (3, 1, 2)]),
+    ],
+)
+def test_buchsbaum_no_with_recomputed_generators(
+    seed, added, witness, closure_gens
+):
+    # the closure fills the first gaps of a segment ray, so its least
+    # point there is a new generator, and the witness is replayed
+    # against the closure with those generators
+    h = build(instancegen.poly_vertices(seed))
+    cl = closure(h)
+    v = is_buchsbaum(h)
+    assert v.verdict == "no"
+    assert v.diagnostics["closure_added_points"] == added == len(cl.added_set)
+    assert v.diagnostics["generators_recomputed"]
+    assert v.witness.point.int_tuple() == witness
+    assert v.witness.indices == (0, 1)
+    gens = []
+    for r in h.rays:
+        d = r.int_tuple()
+        m = next(
+            m
+            for m in range(1, 100)
+            if closure_member_int(h, cl, (m * d[0], m * d[1], m * d[2]))
+        )
+        gens.append((m * d[0], m * d[1], m * d[2]))
+    assert gens == closure_gens
+    assert gens != [g.int_tuple() for g in h.ray_generators]
+    assert not closure_member_int(h, cl, witness)
+    for i in v.witness.indices:
+        g = gens[i]
+        t = (witness[0] + g[0], witness[1] + g[1], witness[2] + g[2])
+        assert closure_member_int(h, cl, t)
+
+
 def test_gorenstein_family_members():
     for k in (2, 3, 4):
         v = is_gorenstein(build_family(k))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -20,6 +21,7 @@ from polysgp.errors import (
     PolysgpError,
 )
 from polysgp.semigroup import (
+    _order_sieve,
     apery_intersection,
     closure,
     closure_member_int,
@@ -29,7 +31,14 @@ from polysgp.semigroup import (
     minimal_generators,
     semigroup_shells,
 )
-from conftest import NN_VERTICES, S3_GENERATORS, WE_VERTICES
+from conftest import (
+    GORENSTEIN_NO_VERTICES,
+    NN_VERTICES,
+    S3_GENERATORS,
+    S3_VERTICES,
+    S5_VERTICES,
+    WE_VERTICES,
+)
 
 
 def test_build_validation():
@@ -237,6 +246,115 @@ def test_closure_membership_wrapper(we):
     assert closure_member_int(we, cl, (0, 0, 1))
     assert closure_member_int(we, cl, (2, 0, 0))
     assert closure_member_int(we, cl, (0, 0, 0))
+
+
+def _pairwise_extremal(points, member, descending=False):
+    """The points that no other one reaches by adding a nonzero member
+    (with `descending`, that reach no other one that way), each pair
+    tested on its own."""
+
+    def reaches(a, b):
+        return a != b and member(tuple(y - x for x, y in zip(a, b)))
+
+    if descending:
+        return sorted(a for a in points if not any(reaches(a, b) for b in points))
+    return sorted(b for b in points if not any(reaches(a, b) for a in points))
+
+
+_SIEVE_BODIES = {
+    "s3": S3_VERTICES,
+    "s5": S5_VERTICES,
+    "nn": NN_VERTICES,
+    "we": WE_VERTICES,
+    "gorenstein_no": GORENSTEIN_NO_VERTICES,
+}
+
+
+@lru_cache(maxsize=None)
+def _closure_of(name):
+    h = build(_SIEVE_BODIES[name])
+    return h, closure(h)
+
+
+# Largest set the pairwise reference is run on: it tests every pair,
+# so larger sets take seconds each.
+_PAIRWISE_MAX = 300
+
+
+def _box_points(top):
+    return st.lists(
+        st.tuples(*[st.integers(min_value=0, max_value=top)] * 3),
+        unique=True,
+        max_size=30,
+    )
+
+
+@given(
+    st.sampled_from(sorted(_SIEVE_BODIES))
+    | st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=6),
+    _box_points(14),
+)
+@settings(max_examples=40, deadline=None)
+def test_order_sieve_matches_pairwise_definitions(body, budget, points):
+    # maximal Apery elements and minimal generators of a budget-cut
+    # (incomplete) scan, and arbitrary point sets, sieved both ways
+    try:
+        h = build(
+            _SIEVE_BODIES[body]
+            if isinstance(body, str)
+            else instancegen.poly_vertices(body)
+        )
+        assume(h.simplicial)
+        ap = apery_intersection(h, budget_layers=budget)
+        gens = minimal_generators(h, budget_layers=budget)
+    except PolysgpError:
+        assume(False)
+    assume(len(ap.elements) <= _PAIRWISE_MAX)
+
+    def member(p):
+        return member_int(h, p)[0]
+
+    elems = [p.int_tuple() for p in ap.elements]
+    assert [p.int_tuple() for p in ap.maximal_elements] == _pairwise_extremal(
+        elems, member, descending=True
+    )
+    nonzero = [p for p in elems if p != (0, 0, 0)]
+    rays = [g.int_tuple() for g in h.ray_generators]
+    assert gens.int_tuples() == sorted(rays + _pairwise_extremal(nonzero, member))
+    for descending in (False, True):
+        assert sorted(
+            _order_sieve(h, points, descending=descending)
+        ) == _pairwise_extremal(points, member, descending)
+
+
+@pytest.mark.parametrize("body", ["we", "s5"])
+def test_closure_generators_match_pairwise_definition(body):
+    h, cl = _closure_of(body)
+    assert cl.added_set
+
+    def member(p):
+        return closure_member_int(h, cl, p)
+
+    candidates = set(minimal_generators(h).int_tuples()) | cl.added_set
+    assert cl.gens_of_closure.int_tuples() == _pairwise_extremal(
+        candidates, member
+    )
+
+
+# a small box, so that many pairs differ by an added point
+@given(st.sampled_from(["we", "s5"]), _box_points(6))
+@settings(max_examples=30, deadline=None)
+def test_order_sieve_in_the_closure_matches_pairwise(body, points):
+    h, cl = _closure_of(body)
+
+    def member(p):
+        return closure_member_int(h, cl, p)
+
+    for descending in (False, True):
+        assert sorted(
+            _order_sieve(h, points, cl.added_set, descending)
+        ) == _pairwise_extremal(points, member, descending)
 
 
 def test_closure_trivial_for_tetrahedron():
