@@ -67,9 +67,9 @@ from .rings import (
 )
 from .semigroup import (
     SemigroupHandle,
+    _closure_rows,
     build,
     in_cone_int,
-    member_rows,
     minimal_generators,
     apery_intersection,
 )
@@ -523,7 +523,7 @@ def _cmd_oracle_check(args) -> int:
     print("box: coordinates up to %d, layers up to %d" % (box.max_coord, box.max_layer))
 
     grid = list(product(range(box.max_coord + 1), repeat=3))
-    main_members = set(compress(grid, member_rows(h, int_rows(grid)).tolist()))
+    main_members = set(compress(grid, _closure_rows(h, int_rows(grid)).tolist()))
     failures += _diff_report(
         "membership", main_members, oracle.scan_semigroup(h, box),
         "member points",

@@ -18,8 +18,9 @@ Gorenstein adds the unique-maximal-element test on the intersection of
 the ray-generator Apery sets, and Buchsbaum is the Cohen-Macaulay
 question asked of the closure semigroup instead.  The deciders ask
 every membership question, in the semigroup or in its closure, of an
-integer array at once: the sorted window, a gap's generator
-translates, the steps of a staircase climb.
+integer array at once: the sorted window and a gap's generator
+translates; the steps of a staircase climb go in growing blocks that
+stop at the first member.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .semigroup import (
     SemigroupHandle,
     _as_intvec,
     _closure_rows,
+    _first_member,
     _shell_gaps,
     apery_intersection,
     closure,
@@ -286,9 +288,8 @@ def _closure_ray_generators(
             continue
         d = h.rays[i].int_tuple()
         mult = sum(g.int_tuple()) // sum(d)
-        multiples = int_rows([_scale(d, m) for m in range(1, mult + 1)])
-        first = np.flatnonzero(_closure_rows(h, multiples, added))[0]
-        out.append(Point3.of(*multiples[first].tolist()))
+        m = _first_member(h, (0, 0, 0), d, mult, added)
+        out.append(Point3.of(*_scale(d, m)))
     return tuple(out)
 
 
@@ -417,15 +418,13 @@ def _staircase(
 def _climb(
     h: SemigroupHandle, added: frozenset, p: IntVec, g: IntVec, cap: int
 ) -> int:
-    """Least l in 1..cap with p + l*g a member, the cap steps tested as
-    one array."""
-    steps = int_rows([_add(p, _scale(g, l)) for l in range(1, cap + 1)])
-    hits = np.flatnonzero(_closure_rows(h, steps, added))
-    if not len(hits):
+    """Least l in 1..cap with p + l*g a member (`_first_member`)."""
+    l = _first_member(h, p, g, cap, added)
+    if l is None:
         raise AssumptionViolated(
             "no member found along %s from %s within %d steps" % (g, p, cap)
         )
-    return int(hits[0]) + 1
+    return l
 
 
 def _corner_window(

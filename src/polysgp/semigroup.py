@@ -10,8 +10,9 @@ Apery sets of the ray generators, and the closure semigroup (elements of
 the cone whose translates by every minimal generator land in S).
 
 Every membership question asked inside the package goes to
-`member_rows` as an integer array; `member_int` answers one point and
-is the reference the array kernel is tested against.  One order sieve,
+`member_rows` as an integer array of at most `_BLOCK` rows, through
+`_shell` or `_closure_rows`; `member_int` answers one point and is the
+reference the array kernel is tested against.  One order sieve,
 `_order_sieve`, picks the minimal generators, the closure's generators
 and the maximal Apery elements out of a finite set.
 """
@@ -307,11 +308,14 @@ def _shell_gaps(
 
 
 def _closure_rows(
-    h: SemigroupHandle, pts: np.ndarray, added: frozenset[IntVec]
+    h: SemigroupHandle,
+    pts: np.ndarray,
+    added: frozenset[IntVec] = frozenset(),
 ) -> np.ndarray:
     """`member_rows` over blocks of `_BLOCK` rows, with the rows it
     rejects looked up in `added`: the closure's membership when `added`
-    is its `added_set`, and plain membership when `added` is empty."""
+    is its `added_set`, and plain membership when `added` is empty.
+    Every membership question outside `_shell` comes here."""
     blocks = range(0, len(pts), _BLOCK)
     ok = np.concatenate(
         [member_rows(h, pts[i : i + _BLOCK]) for i in blocks]
@@ -321,6 +325,30 @@ def _closure_rows(
         out = np.flatnonzero(~ok)
         ok[out] = [tuple(p) in added for p in pts[out].tolist()]
     return ok
+
+
+def _first_member(
+    h: SemigroupHandle,
+    p: IntVec,
+    g: IntVec,
+    cap: int,
+    added: frozenset[IntVec] = frozenset(),
+) -> Optional[int]:
+    """Least l in 1..cap with p + l*g in `_closure_rows`, or None.  The
+    steps go in blocks that double from 8 rows up to `_BLOCK` and stop
+    at the first block with a member, so a short climb asks about a few
+    points and a long cap holds one block at a time."""
+    l, size = 1, 8
+    while l <= cap:
+        top = min(cap, l + size - 1)
+        steps = int_rows(
+            [tuple(a + m * b for a, b in zip(p, g)) for m in range(l, top + 1)]
+        )
+        hits = np.flatnonzero(_closure_rows(h, steps, added))
+        if len(hits):
+            return l + int(hits[0])
+        l, size = top + 1, min(2 * size, _BLOCK)
+    return None
 
 
 def build(vertices: Sequence) -> SemigroupHandle:
@@ -391,13 +419,10 @@ def _smallest_ray_point(h: SemigroupHandle, i: int) -> Point3:
     else:
         # beyond lo*hi/(hi-lo) every multiple admits an integer dilation
         cap = ceil(lo * hi / (hi - lo))
-    multiples = int_rows(
-        [(m * d[0], m * d[1], m * d[2]) for m in range(1, cap + 2)]
-    )
-    hits = np.flatnonzero(member_rows(h, multiples))
-    if not len(hits):
+    m = _first_member(h, (0, 0, 0), d, cap + 1)
+    if m is None:
         raise AssumptionViolated("no semigroup point found on an extremal ray")
-    return Point3.of(*multiples[hits[0]].tolist())
+    return Point3.of(m * d[0], m * d[1], m * d[2])
 
 
 def member(h: SemigroupHandle, p) -> tuple[bool, Optional[int]]:
@@ -515,7 +540,7 @@ def _apery_scan(
             rows = pts[ok]
             for g in gens:
                 d = rows - np.array(g, dtype=rows.dtype)
-                rows = rows[~member_rows(h, d)]
+                rows = rows[~_closure_rows(h, d)]
             if len(rows):
                 found.extend(map(tuple, rows.tolist()))
                 last_hit = scanned
@@ -602,7 +627,7 @@ def closure(h: SemigroupHandle, budget_layers: int = 400) -> ClosureResult:
     added: list[IntVec] = []
     for s, rows in _shell_gaps(h, kappa + period):
         for g in gens:
-            rows = rows[member_rows(h, rows + np.array(g, dtype=rows.dtype))]
+            rows = rows[_closure_rows(h, rows + np.array(g, dtype=rows.dtype))]
         if len(rows) and s > kappa:
             raise UnsupportedCase(
                 "closure point %s beyond the overlap level %d"

@@ -20,7 +20,9 @@ from polysgp.errors import (
     OutsideCone,
     PolysgpError,
 )
+from polysgp import semigroup
 from polysgp.semigroup import (
+    _first_member,
     _order_sieve,
     apery_intersection,
     closure,
@@ -355,6 +357,61 @@ def test_order_sieve_in_the_closure_matches_pairwise(body, points):
         assert sorted(
             _order_sieve(h, points, cl.added_set, descending)
         ) == _pairwise_extremal(points, member, descending)
+
+
+@given(
+    st.sampled_from(["we", "s5"]),
+    st.booleans(),
+    st.tuples(*[st.integers(min_value=0, max_value=8)] * 3),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=1, max_value=70),
+)
+@settings(max_examples=60, deadline=None)
+def test_first_member_matches_per_point_scan(body, in_closure, p, gi, cap):
+    # caps up to 70 cross the block edges at 8, 24 and 56 steps
+    h, cl = _closure_of(body)
+    added = cl.added_set if in_closure else frozenset()
+    g = h.ray_generators[gi].int_tuple()
+    steps = (tuple(a + l * b for a, b in zip(p, g)) for l in range(1, cap + 1))
+    expected = next(
+        (
+            l
+            for l, q in enumerate(steps, start=1)
+            if member_int(h, q)[0] or q in added
+        ),
+        None,
+    )
+    assert _first_member(h, p, g, cap, added) == expected
+
+
+THIN_VERTICES = [(100, 0, 0), (F(100001, 1000), 0, 0), (100, 1, 0), (100, 0, 1)]
+
+
+def test_first_member_finds_every_step_across_blocks():
+    # on the x-axis of the thin body the first member is (100, 0, 0),
+    # so from (100 - t, 0, 0) it is t steps away, on each side of every
+    # block edge
+    h = build(THIN_VERTICES)
+    for t in range(1, 101):
+        assert _first_member(h, (100 - t, 0, 0), (1, 0, 0), 150) == t
+    assert _first_member(h, (0, 0, 0), (1, 0, 0), 99) is None
+
+
+def test_thin_body_ray_generator_stops_at_first_member(monkeypatch):
+    # the x-axis chord is [100, 100 + 1/1000], so the search cap is
+    # about 10**7 multiples while the first member is the 100th
+    rows = []
+    kernel = semigroup.member_rows
+
+    def counting(h, pts, shell=None):
+        rows.append(len(pts))
+        return kernel(h, pts, shell)
+
+    monkeypatch.setattr(semigroup, "member_rows", counting)
+    h = build(THIN_VERTICES)
+    gens = dict(zip((r.int_tuple() for r in h.rays), h.ray_generators))
+    assert gens[(1, 0, 0)].int_tuple() == (100, 0, 0)
+    assert sum(rows) < 1000
 
 
 def test_closure_trivial_for_tetrahedron():
