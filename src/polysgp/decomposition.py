@@ -28,17 +28,21 @@ from .geometry import (
     ORIGIN,
     Point3,
     Polyhedron,
+    RayHit,
+    _add,
+    _cross,
+    _dot,
     _frac_floor,
     _int_hull_contains_origin,
     _int_scale,
     _primitive_direction,
+    _scale,
     _scaled_ints,
     _sign,
     clip_segment,
     cone_supporting_facets,
     contains,
     convex_hull,
-    dilate,
     integer_points_in_hull,
     ray_intersect,
 )
@@ -173,49 +177,25 @@ def classify(h) -> VertexClassification:
     )
 
 
-def _interior_window(body: Polyhedron, q: Point3) -> tuple[Fraction, Fraction]:
-    """Open interval of scales mu with mu*q strictly inside every facet
-    whose plane avoids the origin (through-origin facet planes support
-    the whole cone and are exempt)."""
-    mlo: Optional[Fraction] = None
-    mhi: Optional[Fraction] = None
-    for facet in body.facets:
-        c = facet.offset
-        if c == 0:
-            continue
-        nd = facet.normal.dot(q)
-        if nd == 0:
-            if c > 0:
-                raise UnsupportedCase(
-                    "vertex %s can never clear a separating facet" % (q,)
-                )
-            continue
-        bound = c / nd
-        if nd > 0:
-            if mlo is None or bound > mlo:
-                mlo = bound
-        else:
-            if mhi is None or bound < mhi:
-                mhi = bound
-    if mlo is None:
-        mlo = Fraction(0)
-    if mhi is None:
-        raise AssumptionViolated("unbounded interior window")
-    return (mlo, mhi)
-
-
 def overlap_level(h) -> int:
     """Least level from which each dilation reaches far enough into the
     next (and previous) one for the slab description of the gaps to
     hold; 0 when every vertex is its own chord.  Computed anew on every
     call from the handle's classification; `h.overlap` keeps the
-    result."""
+    result.
+
+    Vertex q of level k + 1 lies inside level k iff (k + 1)/k * q lies
+    inside the body, so both bounds come off the chord [lo, hi] of q's
+    ray (`ray_intersect`) and every check asks the body itself.  The
+    facets through the origin, exempt in that check, do not cut the
+    chord: n.q >= 0 on the body."""
     cls = h.classification
     best = 0
     exempt = cone_supporting_facets(h.body)
     for vi in list(cls.entry_extremal) + list(cls.entry_inner):
         q = h.body.vertices[vi]
-        mlo, mhi = _interior_window(h.body, q)
+        hit = ray_intersect(h.body, q)
+        mlo, mhi = hit.lo, hit.hi
         # scales (k+1)/k decrease toward 1, so they enter the window from
         # above; the window must reach above 1 for any k to work
         if mhi <= 1:
@@ -231,7 +211,8 @@ def overlap_level(h) -> int:
         best = max(best, k)
     for vi in list(cls.exit_extremal) + list(cls.exit_inner):
         q = h.body.vertices[vi]
-        mlo, mhi = _interior_window(h.body, q)
+        hit = ray_intersect(h.body, q)
+        mlo, mhi = hit.lo, hit.hi
         # scales k/(k+1) increase toward 1 and enter from below
         if mlo >= 1:
             raise UnsupportedCase(
@@ -248,10 +229,13 @@ def overlap_level(h) -> int:
 
 
 def _check_interior(h, q: Point3, outer: int, inner: int, exempt) -> None:
-    """The scaled vertex inner*q must sit T-interior to outer*body."""
-    target = dilate(h.body, outer)
+    """The scaled vertex inner*q must sit T-interior to outer*body, that
+    is (inner/outer)*q T-interior to the body."""
     if not contains(
-        target, q * inner, mode="relative_interior", exempt_facets=exempt
+        h.body,
+        q * Fraction(inner, outer),
+        mode="relative_interior",
+        exempt_facets=exempt,
     ):
         raise AssumptionViolated(
             "closed-form overlap level fails its interiority check at %s"
@@ -259,18 +243,24 @@ def _check_interior(h, q: Point3, outer: int, inner: int, exempt) -> None:
         )
 
 
+def _ray_hit(h, i: int) -> RayHit:
+    """The chord of ray i, for an index i of an existing ray."""
+    if i not in range(len(h.rays)):
+        raise BadParameter("no ray %r" % (i,))
+    return h.ray_data[i]
+
+
 def ray_point(h, i: int) -> Point3:
     """The structural point of ray i: the chord itself for a point
     chord, otherwise the near end of the segment chord."""
-    hit = h.ray_data[i]
+    hit = _ray_hit(h, i)
     return h.rays[i] * hit.lo
 
 
 def ray_chord_class(h, i: int) -> str:
     """'point' when ray i meets the body in one point, 'entry_vertex'
     when the near chord end is a vertex, else 'entry_hidden'."""
-    hit = h.ray_data[i]
-    if hit.kind == "point":
+    if _ray_hit(h, i).kind == "point":
         return "point"
     if _ray_vertex_index(h, i) is not None:
         return "entry_vertex"
@@ -289,7 +279,7 @@ def _ray_vertex_index(h, i: int) -> Optional[int]:
 def ray_period(h, i: int) -> int:
     """Least step between levels whose slabs at ray i are exact integer
     translates: the denominator of the chord point's scale."""
-    hit = h.ray_data[i]
+    hit = _ray_hit(h, i)
     if hit.kind != "point":
         return 1
     return hit.lo.denominator
@@ -297,33 +287,35 @@ def ray_period(h, i: int) -> int:
 
 def _corner_fan_points(h, i: int, k: int) -> list[Point3]:
     """Crossing points generating the fan of the corner slab, unordered
-    and without repeats, in the order first met."""
+    and without repeats, in the order first met.
+
+    The edge m*p -> m*q of level m crosses level l (one of k, k + 1) at
+    the same parameter as the edge r*p -> r*q crosses the body, where
+    r = m/l, so each crossing is found on the body itself."""
     vi = _ray_vertex_index(h, i)
     p = h.body.vertices[vi]
     entries = h.classification.entry_classes()
     exits = h.classification.exit_classes()
-    lower = dilate(h.body, k)
-    upper = dilate(h.body, k + 1)
     pts: list[Point3] = []
     for wi in h.body.adjacent_vertices(vi):
         q = h.body.vertices[wi]
         if wi in entries:
-            a, b = p * (k + 1), q * (k + 1)
-            target = lower
+            m, l = k + 1, k
         elif wi in exits:
-            a, b = p * k, q * k
-            target = upper
+            m, l = k, k + 1
         else:
             continue
-        clipped = clip_segment(target, a, b)
+        r = Fraction(m, l)
+        clipped = clip_segment(h.body, p * r, q * r)
         if clipped is None:
             raise AssumptionViolated(
                 "edge toward %s never enters the neighboring dilation"
                 % (q,)
             )
-        hit = a + (b - a) * clipped[0]
-        if not contains(target, hit):
+        on_edge = p + (q - p) * clipped[0]
+        if not contains(h.body, on_edge * r):
             raise AssumptionViolated("crossing point fell off the dilation")
+        hit = on_edge * m
         if hit not in pts:
             pts.append(hit)
     return pts
@@ -499,9 +491,7 @@ def corner_slab(h, i: int, k: int) -> CornerSlab:
     """The corner slab of one point-chord ray at one level."""
     if k < 1:
         raise BadParameter("slabs start at level 1")
-    if i not in range(len(h.rays)):
-        raise BadParameter("no ray %r" % (i,))
-    if h.ray_data[i].kind != "point":
+    if _ray_hit(h, i).kind != "point":
         raise BadParameter("ray %d has a segment chord, no corner slab" % i)
     return _corner_slab(h, i, k)
 
@@ -599,18 +589,6 @@ def _separation(
     return max(base, worst + 1), corners
 
 
-def _add(a: IntVec, b: IntVec) -> IntVec:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def _scale(a: IntVec, m: int) -> IntVec:
-    return (m * a[0], m * a[1], m * a[2])
-
-
-def _dot(a: IntVec, b: IntVec) -> int:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def _dual_positive(axis: IntVec, *kill: IntVec) -> IntVec:
     """An integer vector orthogonal to every kill direction with
     positive product against axis."""
@@ -619,8 +597,7 @@ def _dual_positive(axis: IntVec, *kill: IntVec) -> IntVec:
         kk, ka = _dot(k, k), _dot(k, axis)
         n = tuple(a * kk - c * ka for a, c in zip(axis, k))
     else:
-        (ax, ay, az), (bx, by, bz) = kill
-        n = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+        n = _cross(*kill)
         if _dot(n, axis) < 0:
             n = _scale(n, -1)
     if _dot(n, axis) <= 0:

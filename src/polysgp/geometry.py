@@ -236,6 +236,30 @@ def _scaled_ints(p: Point3, scale: int) -> tuple[int, int, int]:
     return (int(p.x * scale), int(p.y * scale), int(p.z * scale))
 
 
+def _add(a, b) -> tuple[int, int, int]:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def _sub(a, b) -> tuple[int, int, int]:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _scale(a, m: int) -> tuple[int, int, int]:
+    return (m * a[0], m * a[1], m * a[2])
+
+
+def _dot(a, b) -> int:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> tuple[int, int, int]:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
 def _orient(a, b, c, d) -> int:
     """Sign of det[b-a; c-a; d-a] for integer triples: positive when d is
     on the counterclockwise-normal side of triangle (a, b, c)."""
@@ -274,17 +298,8 @@ def _initial_simplex(pts) -> Optional[list[int]]:
     if i1 is None:
         return None
     a, b = pts[i0], pts[i1]
-    ab = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-    i2 = None
-    for i in range(n):
-        p = pts[i]
-        ap = (p[0] - a[0], p[1] - a[1], p[2] - a[2])
-        cx = ab[1] * ap[2] - ab[2] * ap[1]
-        cy = ab[2] * ap[0] - ab[0] * ap[2]
-        cz = ab[0] * ap[1] - ab[1] * ap[0]
-        if cx or cy or cz:
-            i2 = i
-            break
+    ab = _sub(b, a)
+    i2 = next((i for i in range(n) if any(_cross(ab, _sub(pts[i], a)))), None)
     if i2 is None:
         return None
     i3 = next(
@@ -338,13 +353,9 @@ def _triangulated_hull(pts) -> list[tuple[int, int, int]]:
 
 def _plane_key(pts, tri) -> tuple[int, int, int, int]:
     """Canonical primitive (normal, offset) of a triangle's outward plane."""
-    a, b, c = pts[tri[0]], pts[tri[1]], pts[tri[2]]
-    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
-    nx = uy * vz - uz * vy
-    ny = uz * vx - ux * vz
-    nz = ux * vy - uy * vx
-    off = nx * a[0] + ny * a[1] + nz * a[2]
+    a = pts[tri[0]]
+    nx, ny, nz = _cross(_sub(pts[tri[1]], a), _sub(pts[tri[2]], a))
+    off = _dot((nx, ny, nz), a)
     g = gcd(gcd(abs(nx), abs(ny)), gcd(abs(nz), abs(off)))
     return (nx // g, ny // g, nz // g, off // g)
 
@@ -863,64 +874,32 @@ def _int_hull_contains_origin(points: Sequence[tuple[int, int, int]]) -> bool:
     """Membership of the origin in the hull of integer triples.  A
     full-dimensional cloud holds it iff the origin lies on the inner
     side of every outward triangle of its triangulated hull, so no
-    Polyhedron is built; flatter clouds take the exact lower-dimensional
-    test."""
+    Polyhedron is built.  A flat cloud holds it iff the origin lies on
+    the cloud's affine span and in the hull of the cloud plus points
+    lifted off that span, since the lifted hull meets the span in the
+    cloud's own hull: p0 + n off a plane with normal n, and p0 + u and
+    p0 + d x u off a line along d, with u = d x e for an axis e."""
     pts = list(dict.fromkeys(points))
+    o = (0, 0, 0)
     try:
         tris = _triangulated_hull(pts)
     except DegenerateInput:
-        return _degenerate_hull_contains_origin([Point3.of(*p) for p in pts])
-    o = (0, 0, 0)
+        if len(pts) < 2:
+            return pts == [o]
+        p0 = pts[0]
+        d = _sub(pts[1], p0)
+        n = next(
+            (c for c in (_cross(d, _sub(p, p0)) for p in pts) if any(c)), None
+        )
+        if n is not None:
+            if _dot(n, p0):
+                return False
+            lift = [_add(p0, n)]
+        else:
+            if any(_cross(d, p0)):
+                return False
+            axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+            u = next(c for c in (_cross(d, e) for e in axes) if any(c))
+            lift = [_add(p0, u), _add(p0, _cross(d, u))]
+        return _int_hull_contains_origin(pts + lift)
     return all(_orient(pts[a], pts[b], pts[c], o) <= 0 for a, b, c in tris)
-
-
-def _degenerate_hull_contains_origin(points: list[Point3]) -> bool:
-    """Origin membership when the cloud spans < 3 dimensions."""
-    pts = sorted(set(points), key=lambda p: p.as_tuple())
-    if not pts:
-        return False
-    base = pts[0]
-    dirs = [p - base for p in pts[1:]]
-    span: list[Point3] = []
-    for d in dirs:
-        if d.is_zero():
-            continue
-        if not span:
-            span.append(d)
-        elif len(span) == 1:
-            if not span[0].cross(d).is_zero():
-                span.append(d)
-    if not span:  # single point
-        return base.is_zero()
-    if len(span) == 1:  # segment: O = base + t*u with t in [0, 1]-range
-        u = span[0]
-        ts = []
-        for comp_b, comp_u in (
-            (base.x, u.x),
-            (base.y, u.y),
-            (base.z, u.z),
-        ):
-            if comp_u == 0:
-                if comp_b != 0:
-                    return False
-            else:
-                ts.append(-comp_b / comp_u)
-        if not ts or any(t != ts[0] for t in ts):
-            return False
-        t = ts[0]
-        lo = min(Fraction(0), *(d.dot(span[0]) / span[0].dot(span[0]) for d in dirs))
-        hi = max(Fraction(0), *(d.dot(span[0]) / span[0].dot(span[0]) for d in dirs))
-        return lo <= t <= hi
-    # planar cloud: drop to 2D and run an exact point-in-convex-polygon
-    # test; the projection is one-to-one on the plane, so the ring keeps
-    # at least three corners
-    n = span[0].cross(span[1])
-    if base.dot(n) != 0:
-        return False
-    axis = max(range(3), key=lambda i: abs(n.as_tuple()[i]))
-    keep = [(axis + 1) % 3, (axis + 2) % 3]
-    ring = _hull2d((p.as_tuple()[keep[0]], p.as_tuple()[keep[1]]) for p in pts)
-    o = (0, 0)
-    return all(
-        _cross2(a, b, o) >= 0 for a, b in zip(ring, ring[1:] + ring[:1])
-    )

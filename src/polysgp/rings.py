@@ -13,6 +13,9 @@ infinite) gap set must actually be inspected:
 * two or three point-chord rays: the gap set is infinite but periodic,
   and one period of corner slabs past the separation level, together
   with the hull below it, carries a refuting gap iff any gap does.
+  That window is one integer array: the hull comes off the column
+  kernel and the slabs are translated templates, so no dilation is
+  built.
 
 Gorenstein adds the unique-maximal-element test on the intersection of
 the ray-generator Apery sets, and Buchsbaum is the Cohen-Macaulay
@@ -32,8 +35,6 @@ import numpy as np
 
 from .decomposition import (
     CornerSlab,
-    _add,
-    _scale,
     _separation,
     _translated,
     ray_chord_class,
@@ -47,7 +48,16 @@ from .errors import (
     NotSimplicial,
     UnsupportedCase,
 )
-from .geometry import ORIGIN, Point3, int_rows, integer_points_in_hull
+from .geometry import (
+    ORIGIN,
+    Point3,
+    _add,
+    _column_blocks,
+    _scale,
+    convex_hull,
+    int_rows,
+    integer_points_in_hull,
+)
 from .semigroup import (
     SemigroupHandle,
     _as_intvec,
@@ -366,7 +376,7 @@ def _decide(
             diagnostics=diag,
         )
     diag["separation_level"] = sep
-    region = int_rows(sorted(_corner_window(h, sep, templates)))
+    region = _corner_window(h, sep, templates)
     diag["region_points"] = len(region)
     gaps = region[~_closure_rows(h, region, added)]
     diag["region_gaps"] = len(gaps)
@@ -429,16 +439,25 @@ def _climb(
 
 def _corner_window(
     h: SemigroupHandle, sep: int, templates: dict[int, CornerSlab]
-) -> set[IntVec]:
+) -> np.ndarray:
     """Integer points of one full period of corner slabs from the
     separation level, plus the hull joining the origin to the
-    separation-level ray points.  Slab (i, sep + j) is the base-level
-    template of ray i translated up, so no slab is rebuilt."""
-    pts: set[IntVec] = set()
-    for slab in templates.values():
-        for j in range(ray_period(h, slab.ray)):
-            moved = _translated(h, slab, sep + j)
-            pts.update(integer_points_in_hull(moved.vertex_list()))
-    hull_corners = [ORIGIN] + [ray_point(h, i) * sep for i in range(3)]
-    pts.update(integer_points_in_hull(hull_corners))
-    return pts
+    separation-level ray points, as distinct rows in lexicographic
+    order.  Slab (i, sep + j) is the base-level template of ray i
+    translated up, so no slab is rebuilt, and the hull is sep times
+    conv(0, p0, p1, p2), read block by block off the column kernel, so
+    no dilation is built either."""
+    moved = [
+        _translated(h, slab, sep + j)
+        for slab in templates.values()
+        for j in range(ray_period(h, slab.ray))
+    ]
+    simplex = convex_hull([ORIGIN] + [ray_point(h, i) for i in range(3)])
+    pts = np.concatenate(
+        [*_column_blocks(simplex, sep, False)]
+        + [int_rows(integer_points_in_hull(m.vertex_list())) for m in moved]
+    )
+    pts = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
+    repeat = np.zeros(len(pts), dtype=bool)
+    repeat[1:] = (pts[1:] == pts[:-1]).all(axis=1)
+    return pts[~repeat]

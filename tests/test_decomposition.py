@@ -3,16 +3,24 @@ decomposition of the layer-closure gap region."""
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import S3_VERTICES, S5_VERTICES
+from conftest import (
+    GORENSTEIN_NO_VERTICES,
+    NN_VERTICES,
+    S3_VERTICES,
+    S5_VERTICES,
+    WE_VERTICES,
+)
 from test_acceptance import POLY_SEEDS, TETRA_SEEDS
 from polysgp import (
     build,
     closure,
     decomposition,
+    geometry,
     is_buchsbaum,
     is_cohen_macaulay,
     is_gorenstein,
@@ -125,6 +133,37 @@ def test_handle_classifies_and_levels_once(monkeypatch):
     closure(h)
     gap_region(h)
     assert calls == {"classify": 1, "overlap_level": 1}
+
+
+def test_levels_slabs_and_deciders_build_no_dilation(monkeypatch):
+    # every "is x in L*B" question is asked of the body as "is x/L in
+    # B", so all of them run with dilate refusing, wherever it was
+    # imported
+    dilate = geometry.dilate
+
+    def refuse(*args):
+        raise AssertionError("dilate called with %r" % (args[1:],))
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polysgp") and (
+            getattr(module, "dilate", None) is dilate
+        ):
+            monkeypatch.setattr(module, "dilate", refuse)
+    for verts in (
+        S3_VERTICES,
+        S5_VERTICES,
+        NN_VERTICES,
+        WE_VERTICES,
+        GORENSTEIN_NO_VERTICES,
+    ):
+        h = build(verts)
+        overlap_level(h)
+        if verts is not WE_VERTICES:
+            separation_level(h)
+        gap_region(h)
+        is_cohen_macaulay(h)
+        is_gorenstein(h)
+        is_buchsbaum(h)
 
 
 def test_slab_templates_build_each_fan_once(monkeypatch):
@@ -325,6 +364,9 @@ def test_corner_slab_parameter_validation(s3):
     for ray in (-1, len(s3.rays)):
         with pytest.raises(BadParameter):
             corner_slab(s3, ray, 3)
+        for query in (ray_point, ray_chord_class, ray_period):
+            with pytest.raises(BadParameter):
+                query(s3, ray)
     with pytest.raises(BadParameter):
         slabs(s3, 0)
 

@@ -23,6 +23,7 @@ from polysgp.errors import BadParameter, DegenerateInput
 from polysgp.geometry import (
     OriginPoint,
     _hull_contains_origin,
+    _int_hull_contains_origin,
     _polygon_integer_points,
     clip_segment,
     contains,
@@ -251,6 +252,27 @@ def test_minkowski_difference_of_flat_bodies():
     assert not minkowski_difference_contains_origin(
         a, seg((3, -1, 0), (3, 1, 0))
     )
+
+
+small = st.integers(-3, 3)
+
+
+@given(
+    st.lists(st.tuples(small, small, small), min_size=1, max_size=2),
+    st.lists(st.tuples(small, small), min_size=1, max_size=6),
+    st.one_of(st.just((0, 0, 0)), st.tuples(small, small, small)),
+)
+@settings(max_examples=300, deadline=None)
+def test_integer_origin_test_on_flat_clouds(dirs, coeffs, shift):
+    # points, segments and polygons: integer combinations of one or two
+    # directions, on a span through the origin or moved by `shift`
+    u, v = dirs[0], dirs[-1]
+    cloud = [
+        tuple(a * ui + b * vi + si for ui, vi, si in zip(u, v, shift))
+        for a, b in coeffs
+    ]
+    expected = (0, 0, 0) in integer_points_in_hull(cloud)
+    assert _int_hull_contains_origin(cloud) is expected
 
 
 coordinate = st.integers(min_value=0, max_value=6)
