@@ -15,6 +15,12 @@ Every membership question asked inside the package goes to
 reference the array kernel is tested against.  One order sieve,
 `_order_sieve`, picks the minimal generators, the closure's generators
 and the maximal Apery elements out of a finite set.
+
+The handle keeps what several entry points read: the Apery scan over
+the ray generators, which `minimal_generators` and
+`apery_intersection` share, and the closure, which `is_buchsbaum`
+reuses; each is computed once per handle and `budget_layers` value and
+never answers a call with another budget.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .errors import (
     OutsideCone,
     UnsupportedCase,
 )
+from . import geometry
 from .geometry import (
     _BLOCK,
     ORIGIN,
@@ -52,7 +59,6 @@ from .geometry import (
     contains,
     convex_hull,
     int_rows,
-    kernel_dtype,
     ray_intersect,
     shell_integer_points,
 )
@@ -101,13 +107,16 @@ class AperyBasis:
 
 
 class SemigroupHandle:
-    """Immutable computed view of one polytope semigroup.
+    """Computed view of one polytope semigroup.
 
     Holds the body, its extremal rays in fan (cyclic) order, the per-ray
-    chords, and, for three-ray cones, the smallest semigroup element on
-    each ray.  The span hull, the vertex classification and the overlap
-    level are computed on first use and kept for the handle's lifetime.
-    Pure queries (`member`) are thread-safe.
+    chords, the body's integer facet matrix, and, for three-ray cones,
+    the smallest semigroup element on each ray.  The span hull, the
+    vertex classification and the overlap level are computed on first
+    use and kept for the handle's lifetime, and so are the Apery scan
+    (`_ray_apery`) and the closure, once per `budget_layers` value.
+    Queries are thread-safe: two threads racing to fill one of these
+    compute the same value and store identical results.
     """
 
     __slots__ = (
@@ -119,9 +128,13 @@ class SemigroupHandle:
         "_near",
         "_far",
         "_flat",
+        "_facets",
+        "_facet_bound",
         "_span_hull",
         "_classification",
         "_overlap",
+        "_apery",
+        "_closure",
     )
 
     def __init__(self, body, rays, simplicial, ray_data, ray_generators):
@@ -145,9 +158,17 @@ class SemigroupHandle:
         self._near = tuple(near)
         self._far = tuple(far)
         self._flat = tuple(flat)
+        # the facet rows (int64 when they fit) and the largest |a|_1 and
+        # |c| over them, from which `member_rows` picks its dtype
+        a = abs(np.array(body.int_facets, dtype=object))
+        self._facet_bound = (a[:, :3].sum(axis=1).max(), a[:, 3].max())
+        fits = sum(self._facet_bound) < geometry._INT64_LIMIT
+        self._facets = np.array(body.int_facets, np.int64 if fits else object)
         self._span_hull: Optional[Polyhedron] = None
         self._classification: Optional[VertexClassification] = None
         self._overlap: Optional[int] = None
+        self._apery: dict[int, tuple] = {}
+        self._closure: dict[int, ClosureResult] = {}
 
     @property
     def span_hull(self) -> Polyhedron:
@@ -264,10 +285,13 @@ def member_rows(
     With `shell`, a member whose least dilation is not `shell` raises
     AssumptionViolated.
     """
-    facets = h.body.int_facets
-    dtype = kernel_dtype(facets, int(abs(pts).max(initial=0)))
+    # at or above `kernel_dtype`'s bound: |a.p| + |c| over every facet
+    # is at most max |a|_1 * max |p_i| + max |c|
+    norm, top_c = h._facet_bound
+    top = norm * max(1, int(abs(pts).max(initial=0))) + top_c
+    dtype = np.int64 if top < geometry._INT64_LIMIT else object
     p = pts.astype(dtype, copy=False)
-    a = np.array(facets, dtype=dtype)
+    a = h._facets.astype(dtype, copy=False)
     c = a[:, 3]
     far, near = c < 0, c > 0
     v = p @ a[:, :3].T
@@ -473,14 +497,10 @@ def minimal_generators(
     with the elements found so far that no other one reduces, a partial
     set.
     """
-    rays = h.ray_generators or [
-        _smallest_ray_point(h, i) for i in range(len(h.rays))
-    ]
-    ray_gens = [g.int_tuple() for g in rays]
-    found, complete, scanned = _apery_scan(h, ray_gens, budget_layers)
+    ray_gens, found, complete, scanned = _ray_apery(h, budget_layers)
     gens = _order_sieve(h, found)
     return GeneratorSet(
-        generators=tuple(Point3.of(*p) for p in sorted(ray_gens + gens)),
+        generators=tuple(Point3.of(*p) for p in sorted([*ray_gens, *gens])),
         certified=complete,
         layers_scanned=scanned,
     )
@@ -499,10 +519,8 @@ def apery_intersection(
     """
     if not h.simplicial:
         raise NotSimplicial("Apery intersection needs a three-ray cone")
-    found, complete, _ = _apery_scan(
-        h, [g.int_tuple() for g in h.ray_generators], budget_layers
-    )
-    elements = sorted([(0, 0, 0)] + found)
+    _, found, complete, _ = _ray_apery(h, budget_layers)
+    elements = sorted([(0, 0, 0), *found])
     maximal = sorted(_order_sieve(h, elements, descending=True))
     return AperyBasis(
         elements=tuple(Point3.of(*p) for p in elements),
@@ -511,9 +529,23 @@ def apery_intersection(
     )
 
 
+def _ray_apery(
+    h: SemigroupHandle, budget_layers: int
+) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], bool, int]:
+    """The ray generators E of `minimal_generators` and `_apery_scan`
+    over them, computed once per handle and budget."""
+    if budget_layers not in h._apery:
+        rays = h.ray_generators or [
+            _smallest_ray_point(h, i) for i in range(len(h.rays))
+        ]
+        gens = tuple(g.int_tuple() for g in rays)
+        h._apery[budget_layers] = (gens, *_apery_scan(h, gens, budget_layers))
+    return h._apery[budget_layers]
+
+
 def _apery_scan(
-    h: SemigroupHandle, gens: list[IntVec], budget_layers: int
-) -> tuple[list[IntVec], bool, int]:
+    h: SemigroupHandle, gens: Sequence[IntVec], budget_layers: int
+) -> tuple[tuple[IntVec, ...], bool, int]:
     """Nonzero semigroup points p with p - g outside the semigroup for
     every g in `gens`, scanned shell by shell.
 
@@ -539,14 +571,16 @@ def _apery_scan(
         for pts, ok in _shell(h, scanned):
             rows = pts[ok]
             for g in gens:
+                if not len(rows):
+                    break
                 d = rows - np.array(g, dtype=rows.dtype)
                 rows = rows[~_closure_rows(h, d)]
             if len(rows):
                 found.extend(map(tuple, rows.tolist()))
                 last_hit = scanned
         if scanned >= base and scanned >= last_hit + period:
-            return found, True, scanned
-    return found, False, scanned
+            return tuple(found), True, scanned
+    return tuple(found), False, scanned
 
 
 def _order_sieve(
@@ -619,6 +653,8 @@ def closure(h: SemigroupHandle, budget_layers: int = 400) -> ClosureResult:
     """
     if not h.simplicial:
         raise NotSimplicial("closure is computed for three-ray cones")
+    if budget_layers in h._closure:
+        return h._closure[budget_layers]
     kappa = max(1, h.overlap)
     period = h.period()
     msg = minimal_generators(h, budget_layers=budget_layers)
@@ -627,6 +663,8 @@ def closure(h: SemigroupHandle, budget_layers: int = 400) -> ClosureResult:
     added: list[IntVec] = []
     for s, rows in _shell_gaps(h, kappa + period):
         for g in gens:
+            if not len(rows):
+                break
             rows = rows[_closure_rows(h, rows + np.array(g, dtype=rows.dtype))]
         if len(rows) and s > kappa:
             raise UnsupportedCase(
@@ -639,7 +677,7 @@ def closure(h: SemigroupHandle, budget_layers: int = 400) -> ClosureResult:
     # generators and the added points
     added_set = frozenset(added)
     accepted = _order_sieve(h, set(gens) | added_set, added_set)
-    return ClosureResult(
+    result = h._closure[budget_layers] = ClosureResult(
         added_points=tuple(Point3.of(*p) for p in sorted(added)),
         gens_of_closure=GeneratorSet(
             generators=tuple(Point3.of(*p) for p in sorted(accepted)),
@@ -648,3 +686,4 @@ def closure(h: SemigroupHandle, budget_layers: int = 400) -> ClosureResult:
         ),
         added_set=added_set,
     )
+    return result

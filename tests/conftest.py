@@ -1,8 +1,10 @@
 """Shared fixtures: the worked examples every module is tested against.
 
-Handles are session-scoped; they are immutable and expensive enough
-(minutes in total) that rebuilding them per test would dominate the
-suite's runtime.
+Handles are session-scoped; they are expensive enough (minutes in
+total) that rebuilding them per test would dominate the suite's
+runtime.  A handle keeps the results it computes (the classification,
+the overlap level, the Apery scan and the closure), so a test that
+counts work, or compares two runs of one computation, builds its own.
 """
 
 from __future__ import annotations

@@ -19,8 +19,10 @@ from polysgp.errors import (
     OriginInside,
     OutsideCone,
     PolysgpError,
+    UnsupportedCase,
 )
 from polysgp import semigroup
+from polysgp.rings import is_buchsbaum
 from polysgp.semigroup import (
     _first_member,
     _order_sieve,
@@ -131,6 +133,84 @@ def test_budget_exhaustion_flags_partial(s3, nn, we, gorenstein_no):
             assert not gens.certified
             assert gens.layers_scanned == budget
             assert set(gens.int_tuples()) <= set(full.int_tuples())
+
+
+def _counting(monkeypatch, *names):
+    """Count the calls of each named `semigroup` function from inside
+    the module."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(*args, _fn=getattr(semigroup, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(semigroup, name, counted)
+    return calls
+
+
+def test_structure_chain_scans_and_closes_once(monkeypatch):
+    # the handle keeps the Apery scan and the closure, so the structure
+    # chain scans the shells for the Apery set once and runs the
+    # closure's candidate loop (its walk over `_shell_gaps`) once
+    calls = _counting(monkeypatch, "_apery_scan", "_shell_gaps")
+    h = build(S5_VERTICES)
+    minimal_generators(h)
+    apery_intersection(h)
+    closure(h)
+    assert is_buchsbaum(h).verdict == "yes"
+    assert calls == {"_apery_scan": 1, "_shell_gaps": 1}
+
+
+def _outcome(fn, h, budget):
+    try:
+        return fn(h, budget_layers=budget)
+    except PolysgpError as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize(
+    "verts", [S3_VERTICES, WE_VERTICES, GORENSTEIN_NO_VERTICES]
+)
+def test_kept_results_match_fresh_handles(verts):
+    # one handle asked at every budget up to the certifying one, upwards
+    # and then downwards, answers as a fresh handle does: a partial scan
+    # under a small budget never answers a larger one
+    top = minimal_generators(build(verts)).layers_scanned
+    fns = (minimal_generators, apery_intersection, closure)
+    fresh = {
+        (fn, b): _outcome(fn, build(verts), b)
+        for fn in fns
+        for b in range(1, top + 1)
+    }
+    assert not fresh[minimal_generators, top - 1].certified
+    shared = build(verts)
+    for b in [*range(1, top + 1), *range(top, 0, -1)]:
+        for fn in fns:
+            assert _outcome(fn, shared, b) == fresh[fn, b], (fn, b)
+
+
+@pytest.mark.parametrize("verts", [S3_VERTICES, S5_VERTICES, WE_VERTICES])
+def test_structure_chain_in_either_order(verts):
+    forward, backward = build(verts), build(verts)
+    fns = (minimal_generators, apery_intersection, closure, is_buchsbaum)
+    ahead = [fn(forward) for fn in fns]
+    behind = [fn(backward) for fn in reversed(fns)]
+    assert ahead == behind[::-1]
+
+
+def test_unsupported_closure_is_not_kept(monkeypatch):
+    # an overlap level set below the true one (3) puts the closure point
+    # (5, 5, 5) past it: each call runs the candidate loop and raises
+    # again, and is_buchsbaum reports the case as unsupported
+    h = build(S5_VERTICES)
+    h._overlap = 0
+    calls = _counting(monkeypatch, "_apery_scan", "_shell_gaps")
+    for _ in range(2):
+        with pytest.raises(UnsupportedCase, match=r"\(5, 5, 5\)"):
+            closure(h)
+    assert is_buchsbaum(h).verdict == "unsupported"
+    assert calls == {"_apery_scan": 1, "_shell_gaps": 3}
 
 
 def test_minimal_generators_non_simplicial(pyramid):
