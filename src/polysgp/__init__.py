@@ -40,10 +40,8 @@ from .geometry import (
     Polyhedron,
     convex_hull,
     dilate,
-    hull_union,
     integer_points,
     integer_points_in_hull,
-    translate,
 )
 from .rings import (
     AperyTable,
@@ -108,7 +106,6 @@ __all__ = [
     "gap_points",
     "gap_region",
     "gorenstein_family",
-    "hull_union",
     "in_cone_int",
     "integer_points",
     "integer_points_in_hull",
@@ -126,7 +123,6 @@ __all__ = [
     "separation_level",
     "slab_integer_points",
     "slabs",
-    "translate",
 ]
 
 __version__ = "0.1.0"

@@ -57,7 +57,7 @@ from .errors import (
     ParseError,
     PolysgpError,
 )
-from .geometry import Point3, Polyhedron, dilate, hull_union, int_rows
+from .geometry import Point3, Polyhedron, convex_hull, dilate, int_rows
 from .rings import (
     apery_table,
     gorenstein_family,
@@ -170,26 +170,21 @@ def _pstr(p) -> str:
     return " ".join(str(c) for c in p)
 
 
-def _jsonable(obj):
-    """Exact JSON image: fractions become strings, points become lists."""
+def _json_default(obj):
+    """Exact JSON image of what json cannot encode: points become lists,
+    integral fractions numbers and the others strings, sets sorted
+    lists, and anything else its str."""
     if isinstance(obj, Point3):
-        return [_jsonable(c) for c in obj.as_tuple()]
+        return list(obj.as_tuple())
     if isinstance(obj, Fraction):
         return obj.numerator if obj.denominator == 1 else _fstr(obj)
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_jsonable(v) for v in items]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
     return str(obj)
 
 
 def _emit_json(record: dict) -> None:
-    print(json.dumps(_jsonable(record), sort_keys=True, indent=2))
+    print(json.dumps(record, default=_json_default, sort_keys=True, indent=2))
 
 
 def _vertex_document(points: Sequence[Point3], comment: str) -> str:
@@ -642,13 +637,15 @@ def _cmd_export(args) -> int:
         for s in ss.bridge:
             base = _mesh_object(
                 out, "bridge_%d_%d_level%d" % (s.ray, s.next_ray, s.level),
-                s.body, s.vertex_list(), base,
+                s.hull(), s.vertex_list(), base,
             )
         print("\n".join(out))
         return 0
 
     if args.kind == "layer":
-        poly = hull_union(_dilate_body(h, k), _dilate_body(h, k + 1))
+        poly = convex_hull(
+            [*_dilate_body(h, k).vertices, *_dilate_body(h, k + 1).vertices]
+        )
         label = "layer closure between levels %d and %d" % (k, k + 1)
         name = "layer_%d" % k
     else:
@@ -725,7 +722,9 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help="decide the %s property" % label)
         with_input(p)
         common(p)
-        p.add_argument("--budget-layers", type=int, default=400)
+        if name != "is-cm":
+            # is_cohen_macaulay takes no layer budget
+            p.add_argument("--budget-layers", type=int, default=400)
 
     p = sub.add_parser("gaps", help="enumerate the gap region")
     with_input(p)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 from typing import Optional, Sequence
 
 from .errors import (
@@ -32,7 +33,6 @@ from .geometry import (
     _add,
     _cross,
     _dot,
-    _frac_floor,
     _int_hull_contains_origin,
     _int_scale,
     _primitive_direction,
@@ -78,8 +78,19 @@ class VertexClassification:
         return frozenset(self.exit_extremal) | frozenset(self.exit_inner)
 
 
+class _Slab:
+    """A slab whose `vertex_list` spans its hull."""
+
+    def hull(self) -> Optional[Polyhedron]:
+        """Full-dimensional hull, or None when the slab is flat."""
+        try:
+            return convex_hull(self.vertex_list())
+        except DegenerateInput:
+            return None
+
+
 @dataclass(frozen=True)
-class CornerSlab:
+class CornerSlab(_Slab):
     """Gap slab at one corner: the region between level k and level k+1
     hanging off a point-chord ray: the hull of the two apexes and a fan
     of crossing points.  The hull can be flat, for instance when the fan
@@ -94,24 +105,16 @@ class CornerSlab:
     def vertex_list(self) -> tuple[Point3, ...]:
         return (*self.apex_pair, *self.fan)
 
-    def hull(self) -> Optional[Polyhedron]:
-        """Full-dimensional hull, or None when the slab is flat."""
-        try:
-            return convex_hull(self.vertex_list())
-        except DegenerateInput:
-            return None
-
 
 @dataclass(frozen=True)
-class BridgeSlab:
+class BridgeSlab(_Slab):
     """Gap slab joining two adjacent corner slabs: the hull of one
-    triangle from each (body is None when that hull is flat)."""
+    triangle from each."""
 
     ray: int
     next_ray: int
     level: int
     triangles: tuple[tuple[Point3, Point3, Point3], ...]
-    body: Optional[Polyhedron]
 
     def vertex_list(self) -> tuple[Point3, ...]:
         return self.triangles[0] + self.triangles[1]
@@ -202,7 +205,7 @@ def overlap_level(h) -> int:
             raise UnsupportedCase(
                 "chord of vertex %s touches the body boundary" % (q,)
             )
-        k = _frac_floor(1 / (mhi - 1)) + 1
+        k = floor(1 / (mhi - 1)) + 1
         if not Fraction(k + 1, k) > mlo:
             raise UnsupportedCase(
                 "interior window of vertex %s excludes all levels" % (q,)
@@ -218,7 +221,7 @@ def overlap_level(h) -> int:
             raise UnsupportedCase(
                 "chord of vertex %s touches the body boundary" % (q,)
             )
-        k = _frac_floor(mlo / (1 - mlo)) + 1
+        k = floor(mlo / (1 - mlo)) + 1
         if not Fraction(k, k + 1) < mhi:
             raise UnsupportedCase(
                 "interior window of vertex %s excludes all levels" % (q,)
@@ -445,18 +448,12 @@ def _slab_set(h, corner: tuple[CornerSlab, ...]) -> SlabSet:
         nxt = by_ray.get((c.ray + 1) % t)
         if nxt is None:
             continue
-        tri_a, tri_b = _bridge_triangles(h, c, nxt)
-        try:
-            body: Optional[Polyhedron] = convex_hull(tri_a + tri_b)
-        except DegenerateInput:
-            body = None
         bridges.append(
             BridgeSlab(
                 ray=c.ray,
                 next_ray=nxt.ray,
                 level=c.level,
-                triangles=(tri_a, tri_b),
-                body=body,
+                triangles=_bridge_triangles(h, c, nxt),
             )
         )
     return SlabSet(corner=corner, bridge=tuple(bridges))

@@ -2,7 +2,9 @@
 
 Everything here is computed over the rationals: points carry Fraction
 coordinates, facet half-spaces are stored with primitive integer normals,
-and every predicate reduces to integer sign tests.  No floating point is
+and every predicate reduces to integer sign tests.  Lattice points of
+hulls run on integer rows: a cloud is put on one integer scale once and
+solved in integers in every affine dimension.  No floating point is
 used anywhere.
 """
 
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -290,31 +292,35 @@ def _orient_ref4(a, b, c, ref4) -> int:
     return _sign(det)
 
 
-def _initial_simplex(pts) -> Optional[list[int]]:
-    """Indices of four affinely independent points, or None."""
-    n = len(pts)
-    i0 = 0
-    i1 = next((i for i in range(n) if pts[i] != pts[i0]), None)
+def _affine_basis(pts) -> list[int]:
+    """Indices of affinely independent integer points, one more than the
+    cloud's affine dimension: the first point, the first one off it, the
+    first one off their line and the first one off their plane, as far
+    as they exist (none for an empty cloud)."""
+    if not pts:
+        return []
+    a = pts[0]
+    i1 = next((i for i, p in enumerate(pts) if p != a), None)
     if i1 is None:
-        return None
-    a, b = pts[i0], pts[i1]
-    ab = _sub(b, a)
-    i2 = next((i for i in range(n) if any(_cross(ab, _sub(pts[i], a)))), None)
-    if i2 is None:
-        return None
-    i3 = next(
-        (i for i in range(n) if _orient(a, b, pts[i2], pts[i]) != 0), None
+        return [0]
+    ab = _sub(pts[i1], a)
+    i2 = next(
+        (i for i, p in enumerate(pts) if any(_cross(ab, _sub(p, a)))), None
     )
-    if i3 is None:
-        return None
-    return [i0, i1, i2, i3]
+    if i2 is None:
+        return [0, i1]
+    i3 = next(
+        (i for i, p in enumerate(pts) if _orient(a, pts[i1], pts[i2], p)),
+        None,
+    )
+    return [0, i1, i2] if i3 is None else [0, i1, i2, i3]
 
 
 def _triangulated_hull(pts) -> list[tuple[int, int, int]]:
     """Outward-oriented triangles covering the hull boundary of integer
     points; coplanar regions come out as multiple triangles."""
-    simplex = _initial_simplex(pts)
-    if simplex is None:
+    simplex = _affine_basis(pts)
+    if len(simplex) < 4:
         raise DegenerateInput("points do not span a three-dimensional body")
     s0, s1, s2, s3 = simplex
     ref4 = tuple(
@@ -544,25 +550,6 @@ def dilate(poly: Polyhedron, k) -> Polyhedron | OriginPoint:
     return Polyhedron(verts, halves, poly.facet_vertices, poly.edges)
 
 
-def translate(poly: Polyhedron, v: Point3) -> Polyhedron:
-    """Translate by a rational vector."""
-    if not isinstance(v, Point3):
-        v = Point3.from_seq(v)
-    verts = [p + v for p in poly.vertices]
-    halves = [
-        _primitive_halfspace(
-            f.normal.as_tuple(), f.offset + f.normal.dot(v)
-        )
-        for f in poly.facets
-    ]
-    return Polyhedron(verts, halves, poly.facet_vertices, poly.edges)
-
-
-def hull_union(a: Polyhedron, b: Polyhedron) -> Polyhedron:
-    """Convex hull of the union of two polytopes."""
-    return convex_hull(list(a.vertices) + list(b.vertices))
-
-
 def clip_segment(
     poly: Polyhedron, a: Point3, b: Point3
 ) -> Optional[tuple[Fraction, Fraction]]:
@@ -585,14 +572,6 @@ def clip_segment(
         if t0 > t1:
             return None
     return (t0, t1)
-
-
-def _frac_ceil(v: Fraction) -> int:
-    return -((-v.numerator) // v.denominator)
-
-
-def _frac_floor(v: Fraction) -> int:
-    return v.numerator // v.denominator
 
 
 # Every value the array kernels form stays below this in absolute value
@@ -670,8 +649,8 @@ def _column_blocks(poly: Polyhedron, s: int, shell: bool) -> Iterator[np.ndarray
     of the bounding box are computed at once and expanded to points.
     """
     lo, hi = poly.bounding_box()
-    x0, x1 = _frac_ceil(lo.x * s), _frac_floor(hi.x * s)
-    y0, y1 = _frac_ceil(lo.y * s), _frac_floor(hi.y * s)
+    x0, x1 = ceil(lo.x * s), floor(hi.x * s)
+    y0, y1 = ceil(lo.y * s), floor(hi.y * s)
     facets = poly.int_facets
     dtype = kernel_dtype(facets, max(abs(x0), abs(x1), abs(y0), abs(y1)), s)
     a = np.array(facets, dtype=dtype)
@@ -729,113 +708,72 @@ def shell_integer_points(hull: Polyhedron, s: int) -> np.ndarray:
 
 def integer_points_in_hull(points: Iterable) -> list[tuple[int, int, int]]:
     """Integer points of the convex hull of a point cloud of any affine
-    dimension, sorted lexicographically.  Full-dimensional clouds defer
-    to integer_points; flat ones are enumerated inside their affine
-    span."""
-    pts: list[Point3] = []
-    seen = set()
-    for p in points:
-        if not isinstance(p, Point3):
-            p = Point3.from_seq(p)
-        if p not in seen:
-            seen.add(p)
-            pts.append(p)
-    if not pts:
-        return []
-    base = pts[0]
-    span: list[Point3] = []
-    for p in pts[1:]:
-        d = p - base
-        if d.is_zero():
-            continue
-        if not span:
-            span.append(d)
-        elif len(span) == 1:
-            if not span[0].cross(d).is_zero():
-                span.append(d)
-        elif span[0].cross(span[1]).dot(d) != 0:
-            span.append(d)
-            break
-    if len(span) == 3:
-        return sorted(integer_points(convex_hull(pts)))
-    if len(span) == 2:
-        return _planar_integer_points(pts, base, span)
-    if len(span) == 1:
-        return _segment_integer_points(pts, base, span[0])
-    return [base.int_tuple()] if base.is_integral() else []
+    dimension, sorted lexicographically: the cloud is put on one integer
+    scale and handed to _lattice_points."""
+    pts = [p if isinstance(p, Point3) else Point3.from_seq(p) for p in points]
+    scale = _int_scale(pts)
+    return _lattice_points([_scaled_ints(p, scale) for p in pts], scale)
 
 
-def _segment_integer_points(
-    pts: list[Point3], base: Point3, u: Point3
-) -> list[tuple[int, int, int]]:
-    """Integer points on the hull of a collinear cloud."""
-    params = [(p - base).dot(u) / u.dot(u) for p in pts]
-    a = base + u * min(params)
-    b = base + u * max(params)
-    d = b - a
-    axis = max(range(3), key=lambda i: abs(d.as_tuple()[i]))
-    da = d.as_tuple()[axis]
-    if da == 0:
-        return [a.int_tuple()] if a.is_integral() else []
-    w0, w1 = sorted((a.as_tuple()[axis], b.as_tuple()[axis]))
+def _lattice_points(rows, scale: int) -> list[tuple[int, int, int]]:
+    """The integer points x with scale*x in the convex hull of the
+    integer triples `rows`, sorted lexicographically.
+
+    A solid cloud goes to integer_points.  A flat one is solved in
+    integers.  On a plane n.X = n.a through the cloud, scale*x needs
+    n.x = n.a/scale: x is read off the integer points of the polygon
+    in the two coordinates left when the one with the largest |n| is
+    dropped.  On a segment [a, b], whose ends are the lexicographic
+    extremes of the cloud, x runs over the longest axis and
+    scale*x = a + t(b - a) must come out integral.  A single point a
+    holds a/scale when scale divides it."""
+    pts = list(dict.fromkeys(rows))
+    basis = _affine_basis(pts)
+    if len(basis) == 4:
+        hull = convex_hull(
+            Point3(*(Fraction(c, scale) for c in p)) for p in pts
+        )
+        return sorted(integer_points(hull))
     out = []
-    for w in range(_frac_ceil(w0), _frac_floor(w1) + 1):
-        p = a + d * ((w - a.as_tuple()[axis]) / da)
-        if p.is_integral():
-            out.append(p.int_tuple())
-    return sorted(set(out))
-
-
-def _planar_integer_points(
-    pts: list[Point3], base: Point3, span: list[Point3]
-) -> list[tuple[int, int, int]]:
-    """Integer points on the hull of a coplanar cloud: solve the plane
-    equation over the projection onto the two free coordinates."""
-    n = span[0].cross(span[1])
-    mult = n.denominator_lcm()
-    nt = [int(c * mult) for c in n.as_tuple()]
-    g = gcd(gcd(abs(nt[0]), abs(nt[1])), abs(nt[2]))
-    nt = [c // g for c in nt]
-    c_off = sum(Fraction(ni) * bi for ni, bi in zip(nt, base.as_tuple()))
-    if c_off.denominator != 1:
-        return []
-    c_off = int(c_off)
-    axis = max(range(3), key=lambda i: abs(nt[i]))
-    keep = [(axis + 1) % 3, (axis + 2) % 3]
-    verts2d = [
-        (p.as_tuple()[keep[0]], p.as_tuple()[keep[1]]) for p in pts
-    ]
-    out = []
-    for u, v in _polygon_integer_points(verts2d):
-        rem = c_off - nt[keep[0]] * u - nt[keep[1]] * v
-        q, r = divmod(rem, nt[axis])
+    if len(basis) == 3:
+        a, b, c = (pts[i] for i in basis)
+        n = _cross(_sub(b, a), _sub(c, a))
+        off, r = divmod(_dot(n, a), scale)
         if r:
-            continue
-        coords = [0, 0, 0]
-        coords[keep[0]] = u
-        coords[keep[1]] = v
-        coords[axis] = q
-        out.append((coords[0], coords[1], coords[2]))
+            return []
+        axis = max(range(3), key=lambda i: abs(n[i]))
+        u, v = (axis + 1) % 3, (axis + 2) % 3
+        ring = [(p[u], p[v]) for p in pts]
+        for pu, pv in _polygon_integer_points(ring, scale):
+            w, r = divmod(off - n[u] * pu - n[v] * pv, n[axis])
+            if not r:
+                x = [0, 0, 0]
+                x[u], x[v], x[axis] = pu, pv, w
+                out.append(tuple(x))
+    elif len(basis) == 2:
+        a, b = min(pts), max(pts)
+        d = _sub(b, a)
+        axis = max(range(3), key=lambda i: abs(d[i]))
+        den = d[axis] * scale
+        lo, hi = sorted((a[axis], b[axis]))
+        for w in range(-(-lo // scale), hi // scale + 1):
+            num = _add(_scale(a, d[axis]), _scale(d, scale * w - a[axis]))
+            if not any(c % den for c in num):
+                out.append((num[0] // den, num[1] // den, num[2] // den))
+    elif basis and not any(c % scale for c in pts[0]):
+        out.append(tuple(c // scale for c in pts[0]))
     return sorted(out)
 
 
-def _polygon_integer_points(
-    verts2d: list[tuple[Fraction, Fraction]]
-) -> list[tuple[int, int]]:
-    """Integer pairs in the convex hull of rational points in the plane,
-    column by column.  The points must not be collinear.
+def _polygon_integer_points(ring, scale: int) -> list[tuple[int, int]]:
+    """Integer pairs p with scale*p in the convex hull of integer pairs
+    in the plane, column by column.  The pairs must not be collinear.
 
-    The ring is scaled to integers by the lcm L of the denominators, so
-    column u is U = u*L and each edge crossing is a ratio of integers
-    whose floor and ceiling come from //.  A vertical edge is skipped:
-    the two edges next to it end at its corners, with no collinear
-    corners in the ring."""
-    scale = 1
-    for u, v in verts2d:
-        scale = lcm(scale, u.denominator, v.denominator)
-    ring = _hull2d(
-        (int(u * scale), int(v * scale)) for u, v in verts2d
-    )
+    Column u is U = u*scale, and each edge crossing is a ratio of
+    integers whose floor and ceiling come from //.  A vertical edge is
+    skipped: the two edges next to it end at its corners, with no
+    collinear corners in the hull."""
+    ring = _hull2d(ring)
     out = []
     us = [pu for pu, _ in ring]
     for u in range(-(-min(us) // scale), max(us) // scale + 1):

@@ -36,7 +36,6 @@ import numpy as np
 from .decomposition import (
     CornerSlab,
     _separation,
-    _translated,
     ray_chord_class,
     ray_period,
     ray_point,
@@ -53,10 +52,12 @@ from .geometry import (
     Point3,
     _add,
     _column_blocks,
+    _int_scale,
+    _lattice_points,
     _scale,
+    _scaled_ints,
     convex_hull,
     int_rows,
-    integer_points_in_hull,
 )
 from .semigroup import (
     SemigroupHandle,
@@ -443,20 +444,25 @@ def _corner_window(
     """Integer points of one full period of corner slabs from the
     separation level, plus the hull joining the origin to the
     separation-level ray points, as distinct rows in lexicographic
-    order.  Slab (i, sep + j) is the base-level template of ray i
-    translated up, so no slab is rebuilt, and the hull is sep times
+    order.  Slab (i, k) is the base-level template of ray i moved by
+    k - base times ray point i, so no slab is rebuilt: each template
+    and its ray point are put on one integer scale once, and the moved
+    rows go straight to `_lattice_points`.  The hull is sep times
     conv(0, p0, p1, p2), read block by block off the column kernel, so
     no dilation is built either."""
-    moved = [
-        _translated(h, slab, sep + j)
-        for slab in templates.values()
-        for j in range(ray_period(h, slab.ray))
-    ]
     simplex = convex_hull([ORIGIN] + [ray_point(h, i) for i in range(3)])
-    pts = np.concatenate(
-        [*_column_blocks(simplex, sep, False)]
-        + [int_rows(integer_points_in_hull(m.vertex_list())) for m in moved]
-    )
+    blocks = [*_column_blocks(simplex, sep, False)]
+    for slab in templates.values():
+        verts, point = slab.vertex_list(), ray_point(h, slab.ray)
+        scale = _int_scale([*verts, point])
+        rows = [_scaled_ints(v, scale) for v in verts]
+        step = _scaled_ints(point, scale)
+        first = sep - slab.level
+        for m in range(first, first + ray_period(h, slab.ray)):
+            move = _scale(step, m)
+            moved = [_add(r, move) for r in rows]
+            blocks.append(int_rows(_lattice_points(moved, scale)))
+    pts = np.concatenate(blocks)
     pts = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
     repeat = np.zeros(len(pts), dtype=bool)
     repeat[1:] = (pts[1:] == pts[:-1]).all(axis=1)

@@ -2,10 +2,13 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import instancegen
 from conftest import (
+    GORENSTEIN_NO_VERTICES,
     NONSIMPLICIAL_VERTICES,
     S3_GENERATORS,
     S3_VERTICES,
@@ -116,6 +119,16 @@ def test_exhausted_budget_exits_two(s3_file, capsys):
     capsys.readouterr()
 
 
+def test_budget_flag_only_where_it_is_read(s3_file, capsys):
+    # is_cohen_macaulay takes no layer budget, so is-cm has no flag
+    assert main(["is-cm", "--budget-layers", "1", s3_file]) == 1
+    assert "--budget-layers" in capsys.readouterr().err
+    for cmd in ("msg", "is-gorenstein", "is-buchsbaum", "oracle-check"):
+        with pytest.raises(SystemExit):
+            main([cmd, "--help"])
+        assert "--budget-layers" in capsys.readouterr().out
+
+
 def test_parse_failure_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("vertices\n1 2 oops\n", encoding="utf-8")
@@ -195,6 +208,49 @@ def test_mesh_export_has_faces(s3_file, capsys):
     assert any(line.startswith("v ") for line in out.splitlines())
     assert any(line.startswith("f ") for line in out.splitlines())
     assert any(line.startswith("# exact") for line in out.splitlines())
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "vertices, argv, golden",
+    [
+        (GORENSTEIN_NO_VERTICES, [], "layer_gorenstein_no.txt"),
+        (
+            GORENSTEIN_NO_VERTICES,
+            ["--format", "structured"],
+            "layer_gorenstein_no.json",
+        ),
+        (
+            GORENSTEIN_NO_VERTICES,
+            ["--format", "mesh", "--level", "2"],
+            "layer2_gorenstein_no.obj",
+        ),
+    ],
+)
+def test_layer_export_matches_golden(tmp_path, capsys, vertices, argv, golden):
+    path = tmp_path / "body.txt"
+    path.write_text(_document(vertices), encoding="utf-8")
+    assert main(["export", "--kind", "layer", *argv, str(path)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text("utf-8")
+
+
+@pytest.mark.parametrize(
+    "vertices, golden",
+    [
+        # flat corner slabs, one flat bridge and two solid ones
+        (instancegen.tetra_vertices(14), "slabs_tetra14.obj"),
+        # solid corner slabs and a solid bridge
+        (instancegen.poly_vertices(3), "slabs_poly3.obj"),
+    ],
+)
+def test_slab_mesh_export_matches_golden(tmp_path, capsys, vertices, golden):
+    path = tmp_path / "body.txt"
+    path.write_text(_document(vertices), encoding="utf-8")
+    argv = ["export", "--kind", "slabs", "--format", "mesh", str(path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text("utf-8")
 
 
 def test_oracle_check_passes_on_small_box(s3_file, capsys):

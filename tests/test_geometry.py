@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
+from math import ceil, floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +15,8 @@ from polysgp import (
     Point3,
     convex_hull,
     dilate,
-    hull_union,
     integer_points,
     integer_points_in_hull,
-    translate,
 )
 from polysgp.errors import BadParameter, DegenerateInput
 from polysgp.geometry import (
@@ -117,7 +116,7 @@ def test_ray_intersect_cube():
         ray_intersect(poly, ORIGIN)
 
 
-def test_dilate_and_translate():
+def test_dilate():
     poly = convex_hull(CUBE)
     double = dilate(poly, 2)
     assert {v.as_tuple() for v in double.vertices} == {
@@ -126,13 +125,6 @@ def test_dilate_and_translate():
     assert isinstance(dilate(poly, 0), OriginPoint)
     with pytest.raises(BadParameter):
         dilate(poly, -1)
-    moved = translate(poly, Point3.of(5, 0, 0))
-    assert contains(moved, Point3.of(6, 1, 1))
-    assert not contains(moved, Point3.of(1, 1, 1))
-    # the facet system moves with the vertices
-    assert sorted(brute_integer_points(moved)) == [
-        (x + 5, y, z) for (x, y, z) in sorted(brute_integer_points(poly))
-    ]
 
 
 def test_dilate_rational_factor_preserves_membership():
@@ -141,14 +133,6 @@ def test_dilate_rational_factor_preserves_membership():
     assert contains(scaled, Point3.of(3, 3, 3))
     assert contains(scaled, Point3.of(F(3, 2), F(3, 2), F(3, 2)))
     assert not contains(scaled, Point3.of(1, 1, 1))
-
-
-def test_hull_union_is_hull_of_vertex_union():
-    a = convex_hull(CUBE)
-    b = convex_hull([(3, 0, 0), (4, 0, 0), (3, 1, 0), (3, 0, 1)])
-    u = hull_union(a, b)
-    for v in list(a.vertices) + list(b.vertices):
-        assert contains(u, v)
 
 
 def test_integer_points_cube():
@@ -388,25 +372,117 @@ def _box_scan_polygon(pts):
     ]
 
 
+scaled = st.integers(-12, 12)
+
+
 @given(
-    st.lists(
-        st.tuples(rational, rational), min_size=3, max_size=7, unique=True
-    ),
-    st.one_of(st.none(), st.tuples(rational, rational)),
+    st.lists(st.tuples(scaled, scaled), min_size=3, max_size=7, unique=True),
+    st.sampled_from([1, 2, 3, 4, 6]),
+    st.one_of(st.none(), st.tuples(scaled, scaled)),
 )
 @settings(max_examples=200, deadline=None)
-def test_polygon_integer_points_match_box_scan(pts, vertical):
-    # `vertical` adds two points left of the cloud at one abscissa, so
-    # the hull has a vertical edge
+def test_polygon_integer_points_match_box_scan(ring, scale, vertical):
+    # the ring holds scale times the polygon's corners; `vertical` adds
+    # two points left of it at one abscissa, so the hull has a vertical
+    # edge
     if vertical is not None:
-        u0 = min(u for u, _ in pts) - 1
+        u0 = min(u for u, _ in ring) - 1
         v0, dv = vertical
-        pts = pts + [(u0, v0), (u0, v0 + abs(dv) + 1)]
-    a = pts[0]
+        ring = ring + [(u0, v0), (u0, v0 + abs(dv) + 1)]
+    a = ring[0]
     if all(
         (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0])
-        for b in pts
-        for c in pts
+        for b in ring
+        for c in ring
     ):
         return
-    assert _polygon_integer_points(pts) == _box_scan_polygon(pts)
+    pts = [(F(u, scale), F(v, scale)) for u, v in ring]
+    assert _polygon_integer_points(ring, scale) == _box_scan_polygon(pts)
+
+
+def _box_scan_hull(cloud):
+    """Reference: the integer points of the bounding box that lie in
+    every slab min m.p <= m.x <= max m.p (p over the cloud) for the
+    normals m of planes through three cloud points, their in-plane edge
+    normals, the cloud's directions, those directions crossed with the
+    axes, and the axes.  These slabs cut out the hull whatever its
+    affine dimension; the cloud is scaled to integers first."""
+
+    def sub(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    def cross(a, b):
+        return (
+            a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0],
+        )
+
+    scale = lcm(*(F(c).denominator for p in cloud for c in p))
+    pts = [tuple(int(c * scale) for c in p) for p in set(cloud)]
+    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    dirs = [sub(b, a) for a, b in combinations(pts, 2)]
+    planes = [cross(sub(b, a), sub(c, a)) for a, b, c in combinations(pts, 3)]
+    normals = {}
+    for m in (
+        planes
+        + [cross(d, e) for d in dirs for e in axes]
+        + axes
+        + dirs
+        + [cross(n, d) for n in planes for d in dirs]
+    ):
+        g = gcd(*m)
+        if g:
+            m = tuple(c // g for c in m)
+            normals.setdefault(max(m, tuple(-c for c in m)), None)
+    slabs = [
+        (m, min(dot(m, p) for p in pts), max(dot(m, p) for p in pts))
+        for m in normals
+    ]
+    box = [range(floor(min(c)), ceil(max(c)) + 1) for c in zip(*cloud)]
+    return [
+        x
+        for x in product(*box)
+        if all(lo <= scale * dot(m, x) <= hi for m, lo, hi in slabs)
+    ]
+
+
+unit = st.one_of(
+    st.integers(-1, 2).map(F), st.sampled_from([F(1, 2), F(-1, 3)])
+)
+weight = st.sampled_from([F(0), F(1), F(2), F(3), F(1, 2), F(3, 2), F(4, 3)])
+
+
+@st.composite
+def flat_clouds(draw):
+    """Clouds of affine dimension at most 0, 1, 2 or 3: a rational base
+    point plus weighted sums of that many rational directions."""
+    dim = draw(st.integers(0, 3))
+    base = draw(st.tuples(rational, rational, rational))
+    dirs = draw(
+        st.lists(st.tuples(unit, unit, unit), min_size=dim, max_size=dim)
+    )
+    weights = draw(
+        st.lists(
+            st.tuples(*[weight] * dim),
+            min_size=dim + 1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    return [
+        tuple(
+            b + sum(w * d[i] for w, d in zip(ws, dirs))
+            for i, b in enumerate(base)
+        )
+        for ws in weights
+    ]
+
+
+@given(flat_clouds())
+@settings(max_examples=300, deadline=None)
+def test_integer_points_in_hull_match_box_scan(cloud):
+    assert integer_points_in_hull(cloud) == _box_scan_hull(cloud)
