@@ -3,7 +3,8 @@
 A bounded full-dimensional polytope B with nonnegative rational vertex
 coordinates and the origin outside spans the semigroup of all integer
 points swept by its dilations, S = union of j*B over j in N intersected
-with N^3.  This package computes, in exact rational arithmetic:
+with N^3.  This package computes, exactly and on integer rows (Fraction
+points stay at its boundary):
 
   * membership, minimal generators, and Apery sets of S (`semigroup`),
   * the finite slab decomposition of the gap set of the spanned cone

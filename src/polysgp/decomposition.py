@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -26,7 +26,6 @@ from .errors import (
     UnsupportedCase,
 )
 from .geometry import (
-    ORIGIN,
     Point3,
     Polyhedron,
     RayHit,
@@ -39,12 +38,9 @@ from .geometry import (
     _scale,
     _scaled_ints,
     _sign,
-    clip_segment,
-    cone_supporting_facets,
-    contains,
+    _sub,
     convex_hull,
     integer_points_in_hull,
-    ray_intersect,
 )
 
 IntVec = tuple[int, int, int]
@@ -126,6 +122,28 @@ class SlabSet:
     bridge: tuple[BridgeSlab, ...]
 
 
+def _point(row: IntVec, den: int) -> Point3:
+    return Point3(*(Fraction(c, den) for c in row))
+
+
+@dataclass(frozen=True)
+class _Template:
+    """Corner slab (ray, level) on integer rows over one denominator:
+    the apex pair, then the fan in sweep order.  The deciders work on
+    templates; `slab` gives the public CornerSlab."""
+
+    ray: int
+    level: int
+    rows: tuple[IntVec, ...]
+    den: int
+
+    def slab(self) -> CornerSlab:
+        pts = tuple(_point(r, self.den) for r in self.rows)
+        return CornerSlab(
+            ray=self.ray, level=self.level, apex_pair=pts[:2], fan=pts[2:]
+        )
+
+
 @dataclass(frozen=True)
 class GapRegion:
     """Everything needed to enumerate and reason about the gap set: the
@@ -146,30 +164,34 @@ class GapRegion:
 
 def classify(h) -> VertexClassification:
     """Classify every vertex by its position on the chord its ray cuts
-    out of the body.  Computes from scratch; `h.classification` keeps
-    the result."""
+    out of the body, read off the handle's integer vertex chords: the
+    chord (lo_num/lo_den, hi_num/hi_den) is in units of the vertex, so
+    the vertex sits at 1.  Computes from scratch; `h.classification`
+    keeps the result."""
     ray_dirs = {r.int_tuple() for r in h.rays}
     point_e, entry_e, exit_e, entry_i, exit_i = [], [], [], [], []
-    for vi, v in enumerate(h.body.vertices):
-        hit = ray_intersect(h.body, v)
-        lo, hi = hit.lo, hit.hi
-        if hit.kind == "empty" or not lo <= 1 <= hi:
-            raise AssumptionViolated("vertex %s escapes its own chord" % (v,))
-        extremal = _primitive_direction(v) in ray_dirs
-        if lo == hi:
+    for vi, (row, chord) in enumerate(zip(h.body.rows, h._chords)):
+        if chord is None or chord[0][0] > chord[0][1] or chord[1][0] < chord[1][1]:
+            raise AssumptionViolated(
+                "vertex %s escapes its own chord" % (h.body.vertices[vi],)
+            )
+        (ln, ld), (hn, hd) = chord
+        extremal = _primitive_direction(row) in ray_dirs
+        if ln * hd == hn * ld:
             if not extremal:
                 raise UnsupportedCase(
                     "vertex %s is an isolated chord on a non-extremal ray"
-                    % (v,)
+                    % (h.body.vertices[vi],)
                 )
             point_e.append(vi)
-        elif lo == 1:
+        elif ln == ld:
             (entry_e if extremal else entry_i).append(vi)
-        elif hi == 1:
+        elif hn == hd:
             (exit_e if extremal else exit_i).append(vi)
         else:
             raise AssumptionViolated(
-                "vertex %s lies strictly inside its chord" % (v,)
+                "vertex %s lies strictly inside its chord"
+                % (h.body.vertices[vi],)
             )
     return VertexClassification(
         tuple(point_e),
@@ -188,62 +210,51 @@ def overlap_level(h) -> int:
     result.
 
     Vertex q of level k + 1 lies inside level k iff (k + 1)/k * q lies
-    inside the body, so both bounds come off the chord [lo, hi] of q's
-    ray (`ray_intersect`) and every check asks the body itself.  The
-    facets through the origin, exempt in that check, do not cut the
-    chord: n.q >= 0 on the body."""
+    inside the body, so both bounds come off the integer chord
+    [lo, hi] of q's ray kept on the handle, compared cross-multiplied,
+    and every check asks the body's facet rows.  The facets through the
+    origin, exempt in that check, do not cut the chord: n.q >= 0 on the
+    body."""
     cls = h.classification
+    entries = cls.entry_extremal + cls.entry_inner
     best = 0
-    exempt = cone_supporting_facets(h.body)
-    for vi in list(cls.entry_extremal) + list(cls.entry_inner):
-        q = h.body.vertices[vi]
-        hit = ray_intersect(h.body, q)
-        mlo, mhi = hit.lo, hit.hi
+    for vi in entries + cls.exit_extremal + cls.exit_inner:
+        (ln, ld), (hn, hd) = h._chords[vi]
+        if vi not in entries:
+            # t -> 1/t maps an exit vertex's chord [lo, 1] to [1, 1/lo]
+            # and its scales k/(k+1) to (k+1)/k
+            (ln, ld), (hn, hd) = (hd, hn), (ld, ln)
         # scales (k+1)/k decrease toward 1, so they enter the window from
         # above; the window must reach above 1 for any k to work
-        if mhi <= 1:
+        if hn <= hd:
             raise UnsupportedCase(
-                "chord of vertex %s touches the body boundary" % (q,)
+                "chord of vertex %s touches the body boundary"
+                % (h.body.vertices[vi],)
             )
-        k = floor(1 / (mhi - 1)) + 1
-        if not Fraction(k + 1, k) > mlo:
+        k = hd // (hn - hd) + 1
+        if not (k + 1) * ld > ln * k:
             raise UnsupportedCase(
-                "interior window of vertex %s excludes all levels" % (q,)
+                "interior window of vertex %s excludes all levels"
+                % (h.body.vertices[vi],)
             )
-        _check_interior(h, q, k, k + 1, exempt)
-        best = max(best, k)
-    for vi in list(cls.exit_extremal) + list(cls.exit_inner):
-        q = h.body.vertices[vi]
-        hit = ray_intersect(h.body, q)
-        mlo, mhi = hit.lo, hit.hi
-        # scales k/(k+1) increase toward 1 and enter from below
-        if mlo >= 1:
-            raise UnsupportedCase(
-                "chord of vertex %s touches the body boundary" % (q,)
-            )
-        k = floor(mlo / (1 - mlo)) + 1
-        if not Fraction(k, k + 1) < mhi:
-            raise UnsupportedCase(
-                "interior window of vertex %s excludes all levels" % (q,)
-            )
-        _check_interior(h, q, k + 1, k, exempt)
+        _check_interior(h, vi, *((k, k + 1) if vi in entries else (k + 1, k)))
         best = max(best, k)
     return best
 
 
-def _check_interior(h, q: Point3, outer: int, inner: int, exempt) -> None:
+def _check_interior(h, vi: int, outer: int, inner: int) -> None:
     """The scaled vertex inner*q must sit T-interior to outer*body, that
-    is (inner/outer)*q T-interior to the body."""
-    if not contains(
-        h.body,
-        q * Fraction(inner, outer),
-        mode="relative_interior",
-        exempt_facets=exempt,
-    ):
-        raise AssumptionViolated(
-            "closed-form overlap level fails its interiority check at %s"
-            % (q,)
-        )
+    is (inner/outer)*q T-interior to the body: strictly inside every
+    facet row (a, c) but those through the origin (c = 0).  On the
+    vertex row Q = s*q that is the sign of inner*a.Q - c*s*outer."""
+    row, s = h.body.rows[vi], h.body.scale
+    for a in h.body.int_facets:
+        v = inner * _dot(a, row) - a[3] * s * outer
+        if v < 0 or (v == 0 and a[3] != 0):
+            raise AssumptionViolated(
+                "closed-form overlap level fails its interiority check at %s"
+                % (h.body.vertices[vi],)
+            )
 
 
 def _ray_hit(h, i: int) -> RayHit:
@@ -256,8 +267,7 @@ def _ray_hit(h, i: int) -> RayHit:
 def ray_point(h, i: int) -> Point3:
     """The structural point of ray i: the chord itself for a point
     chord, otherwise the near end of the segment chord."""
-    hit = _ray_hit(h, i)
-    return h.rays[i] * hit.lo
+    return _point(*_ray_row(h, i))
 
 
 def ray_chord_class(h, i: int) -> str:
@@ -271,12 +281,28 @@ def ray_chord_class(h, i: int) -> str:
 
 
 def _ray_vertex_index(h, i: int) -> Optional[int]:
-    """Vertex index of the near chord end of ray i, if it is a vertex."""
-    p = ray_point(h, i)
-    for vi, v in enumerate(h.body.vertices):
-        if v == p:
-            return vi
-    return None
+    """Vertex index of the near chord end of ray i, if it is a vertex:
+    the ray point on the body's scale, looked up among its rows."""
+    row, d = _ray_row(h, i)
+    s = h.body.scale
+    if any(c * s % d for c in row):
+        return None
+    return h._vindex.get(tuple(c * s // d for c in row))
+
+
+def _ray_row(h, i: int) -> tuple[IntVec, int]:
+    """Ray point i as an integer row over its least denominator: the
+    primitive direction times the chord's near end lo, whose numerator
+    and denominator share no factor with the direction's."""
+    lo = _ray_hit(h, i).lo
+    return _scale(h.rays[i].int_tuple(), lo.numerator), lo.denominator
+
+
+def _ray_step(h, i: int, den: int) -> IntVec:
+    """Ray point i as a numerator triple over `den`, a multiple of its
+    denominator."""
+    row, d = _ray_row(h, i)
+    return _scale(row, den // d)
 
 
 def ray_period(h, i: int) -> int:
@@ -288,159 +314,172 @@ def ray_period(h, i: int) -> int:
     return hit.lo.denominator
 
 
-def _corner_fan_points(h, i: int, k: int) -> list[Point3]:
+def _on_one_scale(points) -> tuple[list[IntVec], int]:
+    """Rational points given as (integer row, positive denominator),
+    as numerator triples over their least common denominator."""
+    den = lcm(*(d // gcd(d, *row) for row, d in points))
+    return [tuple(c * den // d for c in row) for row, d in points], den
+
+
+def _corner_fan_points(h, i: int, k: int) -> tuple[list[IntVec], int]:
     """Crossing points generating the fan of the corner slab, unordered
-    and without repeats, in the order first met.
+    and without repeats, in the order first met, as numerator triples
+    over one denominator.
 
     The edge m*p -> m*q of level m crosses level l (one of k, k + 1) at
-    the same parameter as the edge r*p -> r*q crosses the body, where
-    r = m/l, so each crossing is found on the body itself."""
+    the same parameter t as the edge r*p -> r*q crosses the body, where
+    r = m/l.  On the body's integer rows p = P/s and q = Q/s, facet row
+    (a, c) holds at t iff m*a.P + t*m*a.(Q - P) >= c*s*l, so the near
+    end t of the clipped edge is a ratio n/d of integers read off one
+    facet, and the crossing m*(d*P + n*(Q - P)) / (s*d) comes out as a
+    numerator triple over s*d."""
     vi = _ray_vertex_index(h, i)
-    p = h.body.vertices[vi]
+    p, s = h.body.rows[vi], h.body.scale
+    facets = h.body.int_facets
     entries = h.classification.entry_classes()
     exits = h.classification.exit_classes()
-    pts: list[Point3] = []
+    pts: list[tuple[IntVec, int]] = []
     for wi in h.body.adjacent_vertices(vi):
-        q = h.body.vertices[wi]
         if wi in entries:
             m, l = k + 1, k
         elif wi in exits:
             m, l = k, k + 1
         else:
             continue
-        r = Fraction(m, l)
-        clipped = clip_segment(h.body, p * r, q * r)
-        if clipped is None:
+        e = _sub(h.body.rows[wi], p)
+        # t runs over [t0, t1], each a (numerator, positive denominator)
+        t0, t1 = (0, 1), (1, 1)
+        for a in facets:
+            va, dv = m * _dot(a, p) - a[3] * s * l, m * _dot(a, e)
+            # facet a holds where va + t*dv >= 0
+            if dv > 0 and -va * t0[1] > t0[0] * dv:
+                t0 = (-va, dv)
+            elif dv < 0 and va * t1[1] < t1[0] * -dv:
+                t1 = (va, -dv)
+            elif dv == 0 and va < 0:
+                t1 = (-1, 1)
+        if t0[0] * t1[1] > t1[0] * t0[1]:
             raise AssumptionViolated(
                 "edge toward %s never enters the neighboring dilation"
-                % (q,)
+                % (h.body.vertices[wi],)
             )
-        on_edge = p + (q - p) * clipped[0]
-        if not contains(h.body, on_edge * r):
+        n, d = t0
+        on_edge = _add(_scale(p, d), _scale(e, n))
+        if any(m * _dot(a, on_edge) < a[3] * s * l * d for a in facets):
             raise AssumptionViolated("crossing point fell off the dilation")
-        hit = on_edge * m
-        if hit not in pts:
-            pts.append(hit)
-    return pts
+        pts.append((_scale(on_edge, m), s * d))
+    rows, den = _on_one_scale(pts)
+    return list(dict.fromkeys(rows)), den
 
 
-def _transverse(x: Point3, d: Point3) -> Point3:
-    """Component of x across the axis d, scaled by |d|^2 to stay exact."""
-    return x * d.dot(d) - d * d.dot(x)
+def _ordered_fan(h, i: int, k: int) -> _Template:
+    """Corner slab (i, k) as a template: the apex pair k*p, (k + 1)*p of
+    the ray point p and the fan points swept in cyclic order so the
+    last one faces the cyclically next ray, on one denominator.  Fan
+    points seen under the same angle are kept, ordered near to far.
 
+    The sweep compares the components across the ray axis d,
+    x*(d.d) - d*(d.x), of the fan's numerator triples by integer cross
+    products.  The fan shares one positive denominator, so each sign
+    test and each comparison of two lengths or two heights along d
+    comes out the same as on the points themselves."""
+    p, pd = _ray_row(h, i)
+    raw, den = _corner_fan_points(h, i, k)
+    fan = raw
+    if raw:
+        t = len(h.rays)
+        d = h.rays[i].int_tuple()
+        dd = _dot(d, d)
 
-def _ordered_fan(
-    h, i: int, k: int
-) -> tuple[tuple[Point3, Point3], list[Point3]]:
-    """Apex pair and fan points of corner slab (i, k), the fan swept in
-    cyclic order so its last point faces the cyclically next ray.  Fan
-    points seen under the same angle are kept, ordered near to far."""
-    vi = _ray_vertex_index(h, i)
-    p = h.body.vertices[vi]
-    apexes = (p * k, p * (k + 1))
-    raw = _corner_fan_points(h, i, k)
-    if not raw:
-        return apexes, []
-    t = len(h.rays)
-    d = h.rays[i]
-    u_ref = _transverse(h.rays[(i - 1) % t], d)
-    v_ref = _transverse(h.rays[(i + 1) % t], d)
-    orient = _sign(d.dot(u_ref.cross(v_ref)))
-    if orient == 0:
-        raise AssumptionViolated("neighbor rays collapse around ray %d" % i)
-    ws = []
-    for e in raw:
-        w = _transverse(e, d)
-        if w.is_zero():
+        def across(x: IntVec) -> IntVec:
+            return _sub(_scale(x, dd), _scale(d, _dot(d, x)))
+
+        def turn(a: IntVec, b: IntVec) -> int:
+            return _sign(_dot(d, _cross(a, b)))
+
+        u_ref = across(h.rays[(i - 1) % t].int_tuple())
+        v_ref = across(h.rays[(i + 1) % t].int_tuple())
+        orient = turn(u_ref, v_ref)
+        if orient == 0:
+            raise AssumptionViolated("neighbor rays collapse around ray %d" % i)
+        ws = [across(e) for e in raw]
+        if not all(map(any, ws)):
             raise AssumptionViolated("fan point sits on its own axis")
-        ws.append(w)
 
-    def cmp(a: int, b: int) -> int:
-        if a == b:
-            return 0
-        s = _sign(d.dot(ws[a].cross(ws[b])))
-        if s:
-            return -1 if s == orient else 1
-        if ws[a].dot(ws[b]) < 0:
+        def cmp(a: int, b: int) -> int:
+            if a == b:
+                return 0
+            s = turn(ws[a], ws[b])
+            if s:
+                return -1 if s == orient else 1
+            if _dot(ws[a], ws[b]) < 0:
+                raise AssumptionViolated(
+                    "fan of ray %d spans a straight angle" % i
+                )
+            m = _sign(_dot(ws[a], ws[a]) - _dot(ws[b], ws[b]))
+            if m:
+                return m
+            return _sign(_dot(d, _sub(raw[a], raw[b])))
+
+        order = sorted(range(len(raw)), key=functools.cmp_to_key(cmp))
+        # the sweep must run from the previous ray's side to the next ray's
+        if turn(u_ref, ws[order[0]]) not in (0, orient) or turn(
+            ws[order[-1]], v_ref
+        ) not in (0, orient):
             raise AssumptionViolated(
-                "fan of ray %d spans a straight angle" % i
+                "fan of ray %d leaves the wedge of its neighbor rays" % i
             )
-        m = _sign(ws[a].dot(ws[a]) - ws[b].dot(ws[b]))
-        if m:
-            return m
-        return _sign(d.dot(raw[a] - raw[b]))
-
-    order = sorted(range(len(raw)), key=functools.cmp_to_key(cmp))
-    first_w = ws[order[0]]
-    last_w = ws[order[-1]]
-    # the sweep must run from the previous ray's side to the next ray's
-    if _sign(d.dot(u_ref.cross(first_w))) not in (0, orient) or _sign(
-        d.dot(last_w.cross(v_ref))
-    ) not in (0, orient):
-        raise AssumptionViolated(
-            "fan of ray %d leaves the wedge of its neighbor rays" % i
-        )
-    return apexes, [raw[j] for j in order]
-
-
-def _corner_slab(h, i: int, k: int) -> CornerSlab:
-    apexes, fan = _ordered_fan(h, i, k)
-    return CornerSlab(ray=i, level=k, apex_pair=apexes, fan=tuple(fan))
-
-
-def _translated(h, slab: CornerSlab, k: int) -> CornerSlab:
-    """Corner slab (i, k) from slab (i, base) with k >= base >= max(1,
-    overlap level): every vertex moves by (k - base) times ray point i."""
-    d = ray_point(h, slab.ray) * (k - slab.level)
-    return CornerSlab(
-        ray=slab.ray,
-        level=k,
-        apex_pair=(slab.apex_pair[0] + d, slab.apex_pair[1] + d),
-        fan=tuple(v + d for v in slab.fan),
+        fan = [raw[j] for j in order]
+    rows, den = _on_one_scale(
+        [(_scale(p, k), pd), (_scale(p, k + 1), pd)] + [(f, den) for f in fan]
     )
+    return _Template(ray=i, level=k, rows=tuple(rows), den=den)
+
+
+def _translated(h, t: _Template, k: int) -> _Template:
+    """Template (i, base) moved to level k >= base >= max(1, overlap
+    level): every row moves by (k - base) times ray point i."""
+    move = _scale(_ray_step(h, t.ray, t.den), k - t.level)
+    return _Template(t.ray, k, tuple(_add(r, move) for r in t.rows), t.den)
 
 
 def _bridge_triangles(
-    h, a: CornerSlab, b: CornerSlab
-) -> tuple[tuple[Point3, Point3, Point3], tuple[Point3, Point3, Point3]]:
-    """The two triangles of the bridge between corner slab a and the
-    corner slab b of the next ray at the same level: one cut from each
-    fan, joined by an edge parallel to the chord between the two corner
-    points.  The triangle corners are the facing fan ends; when those
-    are not parallel to the chord (the fans were flat, so their ends are
-    ordered by distance, not angle) the unique parallel pair of fan
-    points takes over."""
-    i, j = a.ray, b.ray
-    if not a.fan or not b.fan:
+    i: int, j: int, a: Sequence[IntVec], b: Sequence[IntVec], chord: IntVec
+) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+    """The two triangles of the bridge between the corner slab a of ray
+    i and the corner slab b of the next ray j at the same level: one cut
+    from each fan, joined by an edge parallel to the chord between the
+    two corner points.  The slabs come as rows on one scale (apex pair,
+    then fan), the chord on the same scale.  The triangle corners are
+    the facing fan ends; when those are not parallel to the chord (the
+    fans were flat, so their ends are ordered by distance, not angle)
+    the unique parallel pair of fan points takes over."""
+    fa, fb = a[2:], b[2:]
+    if not fa or not fb:
         raise UnsupportedCase(
             "bridge between rays %d and %d lacks fan points" % (i, j)
         )
-    chord = ray_point(h, j) - ray_point(h, i)
 
-    def parallel(qa: Point3, qb: Point3) -> bool:
-        return (qb - qa).cross(chord).is_zero()
+    def parallel(qa: IntVec, qb: IntVec) -> bool:
+        return not any(_cross(_sub(qb, qa), chord))
 
-    if parallel(a.fan[-1], b.fan[0]):
-        qa, qb = a.fan[-1], b.fan[0]
+    if parallel(fa[-1], fb[0]):
+        qa, qb = fa[-1], fb[0]
     else:
-        pairs = {
-            (pa, pb)
-            for pa in a.fan
-            for pb in b.fan
-            if parallel(pa, pb)
-        }
+        pairs = {(pa, pb) for pa in fa for pb in fb if parallel(pa, pb)}
         if len(pairs) != 1:
             raise AssumptionViolated(
                 "bridge edge between rays %d and %d: %d candidate pairs "
                 "parallel to the corner chord" % (i, j, len(pairs))
             )
         ((qa, qb),) = pairs
-    return (*a.apex_pair, qa), (*b.apex_pair, qb)
+    return (*a[:2], qa), (*b[:2], qb)
 
 
-def _slab_set(h, corner: tuple[CornerSlab, ...]) -> SlabSet:
+def _slab_set(h, corner: tuple[_Template, ...]) -> SlabSet:
     """The corner slabs of one level with the bridges between
-    consecutive ones."""
+    consecutive ones, each bridge cut on the two templates' common
+    denominator."""
     t = len(h.rays)
     by_ray = {c.ray: c for c in corner}
     bridges = []
@@ -448,15 +487,17 @@ def _slab_set(h, corner: tuple[CornerSlab, ...]) -> SlabSet:
         nxt = by_ray.get((c.ray + 1) % t)
         if nxt is None:
             continue
-        bridges.append(
-            BridgeSlab(
-                ray=c.ray,
-                next_ray=nxt.ray,
-                level=c.level,
-                triangles=_bridge_triangles(h, c, nxt),
-            )
+        den = lcm(c.den, nxt.den)
+        tris = _bridge_triangles(
+            c.ray,
+            nxt.ray,
+            [_scale(r, den // c.den) for r in c.rows],
+            [_scale(r, den // nxt.den) for r in nxt.rows],
+            _sub(_ray_step(h, nxt.ray, den), _ray_step(h, c.ray, den)),
         )
-    return SlabSet(corner=corner, bridge=tuple(bridges))
+        tris = tuple(tuple(_point(r, den) for r in tri) for tri in tris)
+        bridges.append(BridgeSlab(c.ray, nxt.ray, c.level, tris))
+    return SlabSet(corner=tuple(c.slab() for c in corner), bridge=tuple(bridges))
 
 
 def slabs(h, k: int) -> SlabSet:
@@ -477,7 +518,7 @@ def slabs(h, k: int) -> SlabSet:
     return _slab_set(
         h,
         tuple(
-            _corner_slab(h, i, k)
+            _ordered_fan(h, i, k)
             for i in range(t)
             if h.ray_data[i].kind == "point"
         ),
@@ -490,7 +531,7 @@ def corner_slab(h, i: int, k: int) -> CornerSlab:
         raise BadParameter("slabs start at level 1")
     if _ray_hit(h, i).kind != "point":
         raise BadParameter("ray %d has a segment chord, no corner slab" % i)
-    return _corner_slab(h, i, k)
+    return _ordered_fan(h, i, k).slab()
 
 
 def slab_integer_points(slab) -> set[IntVec]:
@@ -515,7 +556,7 @@ def separation_level(
 
 def _separation(
     h, generators: Optional[Sequence[Point3]] = None
-) -> tuple[int, dict[int, CornerSlab]]:
+) -> tuple[int, dict[int, _Template]]:
     """The separation level together with the corner templates it was
     derived from: one corner slab per point-chord ray at the base level
     max(1, overlap level), keyed by ray.  `_translated` moves a template
@@ -546,22 +587,17 @@ def _separation(
     # m times ray point i, and a bridge moves each of its triangles by
     # its own ray point: a target is a list of (vertices, ray point).
     # Every collision test and gauge bound is invariant under one common
-    # positive scale, so all of it runs on integer triples scaled by the
-    # lcm of the denominators involved.
-    corners = {i: _corner_slab(h, i, base) for i in point_rays}
-    points = {i: ray_point(h, i) for i in point_rays}
-    scale = _int_scale(
-        [v for c in corners.values() for v in c.vertex_list()]
-        + list(points.values())
-        + list(gens)
-    )
-
-    def ints(vs: Sequence[Point3]) -> list[IntVec]:
-        return [_scaled_ints(v, scale) for v in vs]
-
-    verts = {i: ints(c.vertex_list()) for i, c in corners.items()}
-    steps = {i: _scaled_ints(p, scale) for i, p in points.items()}
-    moves = ints(gens)
+    # positive scale, so all of it runs on integer triples over the lcm
+    # of the templates' and generators' denominators (each ray point's
+    # divides its template's).
+    corners = {i: _ordered_fan(h, i, base) for i in point_rays}
+    scale = lcm(_int_scale(gens), *(c.den for c in corners.values()))
+    verts = {
+        i: [_scale(r, scale // c.den) for r in c.rows]
+        for i, c in corners.items()
+    }
+    steps = {i: _ray_step(h, i, scale) for i in point_rays}
+    moves = [_scaled_ints(g, scale) for g in gens]
     worst = base - 1
     for i in point_rays:
         others = [j for j in range(3) if j != i]
@@ -570,13 +606,13 @@ def _separation(
             r = others[0] if (others[0] + 1) % 3 == others[1] else others[1]
             nxt = (r + 1) % 3
             try:
-                tri_r, tri_nxt = _bridge_triangles(h, corners[r], corners[nxt])
+                tri_r, tri_nxt = _bridge_triangles(
+                    r, nxt, verts[r], verts[nxt], _sub(steps[nxt], steps[r])
+                )
             except UnsupportedCase:
                 pass
             else:
-                targets.append(
-                    [(ints(tri_r), steps[r]), (ints(tri_nxt), steps[nxt])]
-                )
+                targets.append([(tri_r, steps[r]), (tri_nxt, steps[nxt])])
         for j in others:
             source = [_add(v, moves[j]) for v in verts[i]]
             for target in targets:
@@ -667,7 +703,7 @@ def gap_region(h) -> GapRegion:
     kappa = h.overlap
     sep: Optional[int] = None
     reason: Optional[str] = None
-    templates: dict[int, CornerSlab] = {}
+    templates: dict[int, _Template] = {}
     try:
         sep, templates = _separation(h)
     except UnsupportedCase as exc:
@@ -675,10 +711,11 @@ def gap_region(h) -> GapRegion:
     base = max(1, sep if sep is not None else kappa)
 
     t = len(h.rays)
+    den = lcm(*(_ray_row(h, i)[1] for i in range(t)))
+    steps = [_ray_step(h, i, den) for i in range(t)]
     hull_part = convex_hull(
-        [ORIGIN]
-        + [ray_point(h, i) * base for i in range(t)]
-        + [ray_point(h, i) * (base + 1) for i in range(t)]
+        [(0, 0, 0)] + [_scale(p, m) for m in (base, base + 1) for p in steps],
+        den,
     )
     if sep is None:
         slab_set = slabs(h, base)

@@ -1,18 +1,20 @@
 """Exact rational geometry for convex polytopes in three dimensions.
 
-Everything here is computed over the rationals: points carry Fraction
-coordinates, facet half-spaces are stored with primitive integer normals,
-and every predicate reduces to integer sign tests.  Lattice points of
-hulls run on integer rows: a cloud is put on one integer scale once and
-solved in integers in every affine dimension.  No floating point is
-used anywhere.
+Everything here runs on integer rows: a polytope holds its vertices as
+integer triples over one positive scale and its facets as primitive
+integer rows (a, c) of a.x >= c, and every predicate, chord and lattice
+point count reduces to integer arithmetic on them.  A rational point
+cloud is put on one integer scale once.  `Point3` (Fraction coordinates)
+stays at the boundary: parsed input, a polytope's `vertices` and
+`facets` views, and the points handed back to callers.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -117,27 +119,6 @@ class HalfSpace:
         return self.normal.dot(p) - self.offset
 
 
-def _primitive_halfspace(a: Sequence, c) -> HalfSpace:
-    """Normalize (a, c) with rational entries to primitive integers,
-    preserving the solution set of a.x >= c."""
-    fa = [_frac(v) for v in a]
-    fc = _frac(c)
-    mult = lcm(
-        fa[0].denominator, fa[1].denominator, fa[2].denominator, fc.denominator
-    )
-    ia = [int(v * mult) for v in fa]
-    ic = int(fc * mult)
-    g = gcd(gcd(abs(ia[0]), abs(ia[1])), gcd(abs(ia[2]), abs(ic)))
-    if g == 0:
-        raise BadParameter("zero normal in half-space")
-    if g > 1:
-        ia = [v // g for v in ia]
-        ic //= g
-    return HalfSpace(
-        Point3(Fraction(ia[0]), Fraction(ia[1]), Fraction(ia[2])), Fraction(ic)
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class RayHit:
     """Intersection of the ray {t * direction : t >= 0} with a polytope:
@@ -165,28 +146,49 @@ class Polyhedron:
     """Bounded full-dimensional convex polytope with both vertex and facet
     descriptions plus their incidence.
 
+    Both descriptions are integers: vertex i is rows[i] / scale, and
+    facet j is {x : a.x >= c} for the primitive row (a, c) =
+    int_facets[j].  `vertices` and `facets` are their Point3 and
+    HalfSpace views, made on first use.
+
     Construct through :func:`convex_hull`; the raw constructor trusts its
     arguments (used internally by measure-preserving transforms).
     """
 
-    __slots__ = ("vertices", "facets", "facet_vertices", "edges", "_int_facets")
+    __slots__ = (
+        "rows", "scale", "int_facets", "facet_vertices", "edges",
+        "_vertices", "_facets",
+    )
 
-    def __init__(self, vertices, facets, facet_vertices, edges):
-        self.vertices: tuple[Point3, ...] = tuple(vertices)
-        self.facets: tuple[HalfSpace, ...] = tuple(facets)
+    def __init__(self, rows, scale, int_facets, facet_vertices, edges):
+        self.rows: tuple[tuple[int, int, int], ...] = tuple(rows)
+        self.scale: int = scale
+        self.int_facets: tuple[tuple[int, ...], ...] = tuple(int_facets)
         self.facet_vertices: tuple[tuple[int, ...], ...] = tuple(
             tuple(c) for c in facet_vertices
         )
         self.edges: tuple[tuple[int, int], ...] = tuple(
             tuple(e) for e in edges
         )
-        self._int_facets: Optional[tuple[tuple[int, int, int, int], ...]] = None
+        self._vertices: Optional[tuple[Point3, ...]] = None
+        self._facets: Optional[tuple[HalfSpace, ...]] = None
 
     @property
-    def int_facets(self) -> tuple[tuple[int, int, int, int], ...]:
-        if self._int_facets is None:
-            self._int_facets = tuple(f.int_tuple() for f in self.facets)
-        return self._int_facets
+    def vertices(self) -> tuple[Point3, ...]:
+        if self._vertices is None:
+            self._vertices = tuple(
+                Point3.of(*(Fraction(c, self.scale) for c in r)) for r in self.rows
+            )
+        return self._vertices
+
+    @property
+    def facets(self) -> tuple[HalfSpace, ...]:
+        if self._facets is None:
+            self._facets = tuple(
+                HalfSpace(Point3.of(ax, ay, az), Fraction(c))
+                for ax, ay, az, c in self.int_facets
+            )
+        return self._facets
 
     def adjacent_vertices(self, vi: int) -> list[int]:
         out = set()
@@ -198,18 +200,16 @@ class Polyhedron:
         return sorted(out)
 
     def bounding_box(self) -> tuple[Point3, Point3]:
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        zs = [v.z for v in self.vertices]
+        cols = list(zip(*self.rows))
         return (
-            Point3(min(xs), min(ys), min(zs)),
-            Point3(max(xs), max(ys), max(zs)),
+            Point3.of(*(Fraction(min(c), self.scale) for c in cols)),
+            Point3.of(*(Fraction(max(c), self.scale) for c in cols)),
         )
 
     def __repr__(self) -> str:
         return "Polyhedron(%d vertices, %d facets)" % (
-            len(self.vertices),
-            len(self.facets),
+            len(self.rows),
+            len(self.int_facets),
         )
 
 
@@ -217,12 +217,11 @@ def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
-def _primitive_direction(v: Point3) -> tuple[int, int, int]:
-    """The primitive integer vector pointing along a nonzero v."""
-    mult = v.denominator_lcm()
-    ix, iy, iz = int(v.x * mult), int(v.y * mult), int(v.z * mult)
-    g = gcd(gcd(abs(ix), abs(iy)), abs(iz))
-    return (ix // g, iy // g, iz // g)
+def _primitive_direction(row) -> tuple[int, int, int]:
+    """The primitive integer vector pointing along a nonzero integer
+    triple."""
+    g = gcd(*row)
+    return (row[0] // g, row[1] // g, row[2] // g)
 
 
 def _int_scale(points: Iterable[Point3]) -> int:
@@ -235,7 +234,7 @@ def _int_scale(points: Iterable[Point3]) -> int:
 
 def _scaled_ints(p: Point3, scale: int) -> tuple[int, int, int]:
     """p * scale as an integer triple; scale must clear p's denominators."""
-    return (int(p.x * scale), int(p.y * scale), int(p.z * scale))
+    return tuple(c.numerator * (scale // c.denominator) for c in (p.x, p.y, p.z))
 
 
 def _add(a, b) -> tuple[int, int, int]:
@@ -276,22 +275,6 @@ def _orient(a, b, c, d) -> int:
     return _sign(det)
 
 
-def _orient_ref4(a, b, c, ref4) -> int:
-    """Same as _orient against the point ref4/4, kept integral by scaling
-    the last row; used with the interior reference of the start simplex."""
-    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
-    wx = ref4[0] - 4 * a[0]
-    wy = ref4[1] - 4 * a[1]
-    wz = ref4[2] - 4 * a[2]
-    det = (
-        ux * (vy * wz - vz * wy)
-        - uy * (vx * wz - vz * wx)
-        + uz * (vx * wy - vy * wx)
-    )
-    return _sign(det)
-
-
 def _affine_basis(pts) -> list[int]:
     """Indices of affinely independent integer points, one more than the
     cloud's affine dimension: the first point, the first one off it, the
@@ -323,13 +306,13 @@ def _triangulated_hull(pts) -> list[tuple[int, int, int]]:
     if len(simplex) < 4:
         raise DegenerateInput("points do not span a three-dimensional body")
     s0, s1, s2, s3 = simplex
-    ref4 = tuple(
-        pts[s0][i] + pts[s1][i] + pts[s2][i] + pts[s3][i] for i in range(3)
-    )
+    # on points scaled by 4 the simplex centroid is an integer reference
+    p4 = [_scale(p, 4) for p in pts]
+    ref = _add(_add(pts[s0], pts[s1]), _add(pts[s2], pts[s3]))
 
     def outward(tri) -> tuple[int, int, int]:
         i, j, k = tri
-        if _orient_ref4(pts[i], pts[j], pts[k], ref4) > 0:
+        if _orient(p4[i], p4[j], p4[k], ref) > 0:
             return (i, k, j)
         return tri
 
@@ -392,23 +375,29 @@ def _hull2d(points: Iterable[tuple]) -> list[tuple]:
     return lower[:-1] + upper[:-1]
 
 
-def convex_hull(points: Iterable) -> Polyhedron:
-    """Exact convex hull. Returns the polytope with interior and
-    facet-interior points discarded, coplanar faces merged into facets,
-    and vertex/facet/edge incidence filled in."""
-    src = []
-    seen = set()
-    for p in points:
-        if not isinstance(p, Point3):
-            p = Point3.from_seq(p)
-        if p not in seen:
-            seen.add(p)
-            src.append(p)
-    if len(src) < 4:
+def convex_hull(points: Iterable, scale: int = 1) -> Polyhedron:
+    """Exact convex hull of the points divided by `scale`. Returns the
+    polytope with interior and facet-interior points discarded, coplanar
+    faces merged into facets, and vertex/facet/edge incidence filled in.
+    Triples of Python ints are hulled as they are; other points are put
+    on one integer scale first."""
+    pts = list(points)
+    if all(
+        isinstance(p, tuple) and len(p) == 3 and all(type(c) is int for c in p)
+        for p in pts
+    ):
+        ipts = list(dict.fromkeys(pts))
+    else:
+        src = list(
+            dict.fromkeys(
+                p if isinstance(p, Point3) else Point3.from_seq(p) for p in pts
+            )
+        )
+        den = _int_scale(src)
+        ipts = [_scaled_ints(p, den) for p in src]
+        scale *= den
+    if len(ipts) < 4:
         raise DegenerateInput("need at least four distinct points")
-
-    scale = _int_scale(src)
-    ipts = [_scaled_ints(p, scale) for p in src]
 
     tris = _triangulated_hull(ipts)
     groups: dict[tuple[int, int, int, int], set[int]] = {}
@@ -432,38 +421,21 @@ def convex_hull(points: Iterable) -> Polyhedron:
         facet_cycles.append(cycle)
         planes.append(key)
 
-    used = sorted({i for cyc in facet_cycles for i in cyc})
-    remap = {old: new for new, old in enumerate(used)}
-    verts = [
-        Point3(
-            Fraction(ipts[i][0], scale),
-            Fraction(ipts[i][1], scale),
-            Fraction(ipts[i][2], scale),
-        )
-        for i in used
-    ]
+    # vertices in lexicographic order, on the least scale that keeps
+    # them integral
+    used = sorted({i for cyc in facet_cycles for i in cyc}, key=ipts.__getitem__)
+    pos = {old: new for new, old in enumerate(used)}
+    red = gcd(scale, *(c for i in used for c in ipts[i]))
+    rows = [tuple(c // red for c in ipts[i]) for i in used]
 
-    order = sorted(
-        range(len(verts)), key=lambda i: verts[i].as_tuple()
-    )
-    final_pos = {old: pos for pos, old in enumerate(order)}
-    verts = [verts[i] for i in order]
-
-    halves = []
-    cycles = []
-    for key, cyc in zip(planes, facet_cycles):
-        nx, ny, nz, off = key
-        # inward form: -n . x >= -off, in original (unscaled) coordinates
-        halves.append(
-            _primitive_halfspace((-nx, -ny, -nz), Fraction(-off, scale))
-        )
-        cycles.append([final_pos[remap[i]] for i in cyc])
-
-    facet_order = sorted(
-        range(len(halves)), key=lambda i: halves[i].int_tuple()
-    )
-    halves = [halves[i] for i in facet_order]
-    cycles = [cycles[i] for i in facet_order]
+    facets = []
+    for (nx, ny, nz, off), cyc in zip(planes, facet_cycles):
+        # inward form: -n . x >= -off / scale, made primitive
+        row = (-nx * scale, -ny * scale, -nz * scale, -off)
+        g = gcd(*row)
+        facets.append((tuple(v // g for v in row), [pos[i] for i in cyc]))
+    facets.sort()
+    cycles = [cyc for _row, cyc in facets]
 
     edge_set = set()
     for cyc in cycles:
@@ -471,7 +443,7 @@ def convex_hull(points: Iterable) -> Polyhedron:
             edge_set.add((min(a, b), max(a, b)))
     edges = sorted(edge_set)
 
-    return Polyhedron(verts, halves, cycles, edges)
+    return Polyhedron(rows, scale // red, [f for f, _ in facets], cycles, edges)
 
 
 def contains(
@@ -486,8 +458,10 @@ def contains(
     if mode not in ("closed", "relative_interior"):
         raise BadParameter("unknown containment mode %r" % (mode,))
     exempt = frozenset(exempt_facets)
-    for idx, facet in enumerate(poly.facets):
-        v = facet.value(p)
+    den = p.denominator_lcm()
+    x, y, z = _scaled_ints(p, den)
+    for idx, (ax, ay, az, c) in enumerate(poly.int_facets):
+        v = ax * x + ay * y + az * z - c * den
         if mode == "closed" or idx in exempt:
             if v < 0:
                 return False
@@ -499,9 +473,7 @@ def contains(
 def cone_supporting_facets(poly: Polyhedron) -> tuple[int, ...]:
     """Indices of facets whose plane passes through the origin; these are
     exactly the facets lying inside facets of the spanned cone."""
-    return tuple(
-        i for i, f in enumerate(poly.facets) if f.offset == 0
-    )
+    return tuple(i for i, f in enumerate(poly.int_facets) if f[3] == 0)
 
 
 def ray_intersect(poly: Polyhedron, direction: Point3) -> RayHit:
@@ -510,29 +482,42 @@ def ray_intersect(poly: Polyhedron, direction: Point3) -> RayHit:
         direction = Point3.from_seq(direction)
     if direction.is_zero():
         raise BadParameter("zero direction")
-    lo = Fraction(0)
-    hi: Optional[Fraction] = None
-    for facet in poly.facets:
-        nd = facet.normal.dot(direction)
-        c = facet.offset
-        if nd == 0:
-            if c > 0:
-                return RayHit("empty", None, None)
-        elif nd > 0:
-            bound = c / nd
-            if bound > lo:
-                lo = bound
-        else:
-            bound = c / nd
-            if hi is None or bound < hi:
-                hi = bound
+    den = direction.denominator_lcm()
+    chord = _chord(poly.int_facets, _scaled_ints(direction, den), den)
+    if chord is None:
+        return RayHit("empty", None, None)
+    lo, hi = Fraction(*chord[0]), Fraction(*chord[1])
+    return RayHit("point" if lo == hi else "segment", lo, hi)
+
+
+def _chord(facets, row, scale: int = 1) -> Optional[tuple[tuple, tuple]]:
+    """The chord {t >= 0 : t * row / scale in {x : a.x >= c}} over the
+    integer facet rows (a, c) of a bounded polytope, for a nonzero
+    integer triple `row`: ((lo_num, lo_den), (hi_num, hi_den)) with
+    positive denominators, or None when the ray misses the polytope.
+
+    Facet (a, c) asks t * a.row >= c * scale: a lower bound where
+    a.row > 0, an upper bound where a.row < 0, and no point at all where
+    a.row = 0 < c.  The bounds are compared cross-multiplied."""
+    lo_n, lo_d = 0, 1
+    hi: Optional[tuple[int, int]] = None
+    for ax, ay, az, c in facets:
+        nd = ax * row[0] + ay * row[1] + az * row[2]
+        cs = c * scale
+        if nd > 0:
+            if cs * lo_d > lo_n * nd:
+                lo_n, lo_d = cs, nd
+        elif nd < 0:
+            # the bound cs/nd is (-cs)/(-nd) with a positive denominator
+            if hi is None or -cs * hi[1] < hi[0] * -nd:
+                hi = (-cs, -nd)
+        elif cs > 0:
+            return None
     if hi is None:
         raise AssumptionViolated("unbounded ray interval in a bounded polytope")
-    if lo > hi:
-        return RayHit("empty", None, None)
-    if lo == hi:
-        return RayHit("point", lo, hi)
-    return RayHit("segment", lo, hi)
+    if lo_n * hi[1] > hi[0] * lo_d:
+        return None
+    return (lo_n, lo_d), hi
 
 
 def dilate(poly: Polyhedron, k) -> Polyhedron | OriginPoint:
@@ -542,36 +527,20 @@ def dilate(poly: Polyhedron, k) -> Polyhedron | OriginPoint:
         raise BadParameter("dilation factor must be nonnegative")
     if k == 0:
         return OriginPoint()
-    verts = [v * k for v in poly.vertices]
-    halves = [
-        _primitive_halfspace(f.normal.as_tuple(), f.offset * k)
-        for f in poly.facets
-    ]
-    return Polyhedron(verts, halves, poly.facet_vertices, poly.edges)
-
-
-def clip_segment(
-    poly: Polyhedron, a: Point3, b: Point3
-) -> Optional[tuple[Fraction, Fraction]]:
-    """Parameter interval [t0, t1] of {a + t(b-a) : 0 <= t <= 1} inside
-    the polytope, or None when they miss each other."""
-    t0, t1 = Fraction(0), Fraction(1)
-    for facet in poly.facets:
-        va = facet.value(a)
-        dv = facet.value(b) - va
-        if dv == 0:
-            if va < 0:
-                return None
-            continue
-        bound = -va / dv
-        if dv > 0:
-            # feasible for t >= -va/dv
-            t0 = max(t0, bound)
-        else:
-            t1 = min(t1, bound)
-        if t0 > t1:
-            return None
-    return (t0, t1)
+    num, den = k.numerator, k.denominator
+    # a.x >= c*k is den*a.x >= num*c, made primitive
+    facets = []
+    for ax, ay, az, c in poly.int_facets:
+        row = (den * ax, den * ay, den * az, num * c)
+        g = gcd(*row)
+        facets.append(tuple(v // g for v in row))
+    return Polyhedron(
+        [_scale(r, num) for r in poly.rows],
+        poly.scale * den,
+        facets,
+        poly.facet_vertices,
+        poly.edges,
+    )
 
 
 # Every value the array kernels form stays below this in absolute value
@@ -648,9 +617,9 @@ def _column_blocks(poly: Polyhedron, s: int, shell: bool) -> Iterator[np.ndarray
     so no dilation is built: the z-ranges of a block of (x, y) columns
     of the bounding box are computed at once and expanded to points.
     """
-    lo, hi = poly.bounding_box()
-    x0, x1 = ceil(lo.x * s), floor(hi.x * s)
-    y0, y1 = ceil(lo.y * s), floor(hi.y * s)
+    xs, ys, _zs = zip(*poly.rows)
+    x0, x1 = -(-min(xs) * s // poly.scale), max(xs) * s // poly.scale
+    y0, y1 = -(-min(ys) * s // poly.scale), max(ys) * s // poly.scale
     facets = poly.int_facets
     dtype = kernel_dtype(facets, max(abs(x0), abs(x1), abs(y0), abs(y1)), s)
     a = np.array(facets, dtype=dtype)
@@ -730,10 +699,7 @@ def _lattice_points(rows, scale: int) -> list[tuple[int, int, int]]:
     pts = list(dict.fromkeys(rows))
     basis = _affine_basis(pts)
     if len(basis) == 4:
-        hull = convex_hull(
-            Point3(*(Fraction(c, scale) for c in p)) for p in pts
-        )
-        return sorted(integer_points(hull))
+        return sorted(integer_points(convex_hull(pts, scale)))
     out = []
     if len(basis) == 3:
         a, b, c = (pts[i] for i in basis)

@@ -29,16 +29,18 @@ stop at the first member.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Optional
 
 import numpy as np
 
 from .decomposition import (
-    CornerSlab,
+    _ray_row,
+    _ray_step,
     _separation,
+    _Template,
     ray_chord_class,
     ray_period,
-    ray_point,
 )
 from .errors import (
     AssumptionViolated,
@@ -48,14 +50,11 @@ from .errors import (
     UnsupportedCase,
 )
 from .geometry import (
-    ORIGIN,
     Point3,
     _add,
     _column_blocks,
-    _int_scale,
     _lattice_points,
     _scale,
-    _scaled_ints,
     convex_hull,
     int_rows,
 )
@@ -120,16 +119,15 @@ def check_condition3(h: SemigroupHandle, p) -> Condition3Result:
 
 
 def is_cohen_macaulay(h: SemigroupHandle) -> PropertyVerdict:
-    """Decide Cohen-Macaulayness of the semigroup ring."""
+    """Decide Cohen-Macaulayness of the semigroup ring; the handle keeps
+    the verdict, which `is_gorenstein` reads too."""
     if not h.simplicial:
         raise NotSimplicial("the decision procedures need a three-ray cone")
-    return _decide(
-        h,
-        h.ray_generators,
-        prop="Cohen-Macaulay",
-        diag={},
-        added=frozenset(),
-    )
+    if h._cm is None:
+        h._cm = _decide(
+            h, h.ray_generators, "Cohen-Macaulay", diag={}, added=frozenset()
+        )
+    return h._cm
 
 
 def is_buchsbaum(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdict:
@@ -439,29 +437,29 @@ def _climb(
 
 
 def _corner_window(
-    h: SemigroupHandle, sep: int, templates: dict[int, CornerSlab]
+    h: SemigroupHandle, sep: int, templates: dict[int, _Template]
 ) -> np.ndarray:
     """Integer points of one full period of corner slabs from the
     separation level, plus the hull joining the origin to the
     separation-level ray points, as distinct rows in lexicographic
     order.  Slab (i, k) is the base-level template of ray i moved by
-    k - base times ray point i, so no slab is rebuilt: each template
-    and its ray point are put on one integer scale once, and the moved
+    k - base times ray point i, so no slab is rebuilt: a template's rows
+    and its ray point share the template's denominator, and the moved
     rows go straight to `_lattice_points`.  The hull is sep times
-    conv(0, p0, p1, p2), read block by block off the column kernel, so
-    no dilation is built either."""
-    simplex = convex_hull([ORIGIN] + [ray_point(h, i) for i in range(3)])
+    conv(0, p0, p1, p2), hulled from integer rows and read block by
+    block off the column kernel, so no dilation is built either."""
+    den = lcm(*(_ray_row(h, i)[1] for i in range(3)))
+    simplex = convex_hull(
+        [(0, 0, 0)] + [_ray_step(h, i, den) for i in range(3)], den
+    )
     blocks = [*_column_blocks(simplex, sep, False)]
-    for slab in templates.values():
-        verts, point = slab.vertex_list(), ray_point(h, slab.ray)
-        scale = _int_scale([*verts, point])
-        rows = [_scaled_ints(v, scale) for v in verts]
-        step = _scaled_ints(point, scale)
-        first = sep - slab.level
-        for m in range(first, first + ray_period(h, slab.ray)):
+    for t in templates.values():
+        step = _ray_step(h, t.ray, t.den)
+        first = sep - t.level
+        for m in range(first, first + ray_period(h, t.ray)):
             move = _scale(step, m)
-            moved = [_add(r, move) for r in rows]
-            blocks.append(int_rows(_lattice_points(moved, scale)))
+            moved = [_add(r, move) for r in t.rows]
+            blocks.append(int_rows(_lattice_points(moved, t.den)))
     pts = np.concatenate(blocks)
     pts = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
     repeat = np.zeros(len(pts), dtype=bool)

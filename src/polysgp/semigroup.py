@@ -26,8 +26,7 @@ never answers a call with another budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import ceil, isqrt, lcm
+from math import isqrt, lcm
 from typing import (
     TYPE_CHECKING,
     Iterable,
@@ -50,13 +49,11 @@ from .errors import (
 from . import geometry
 from .geometry import (
     _BLOCK,
-    ORIGIN,
     Point3,
     Polyhedron,
     RayHit,
     _hull2d,
     _primitive_direction,
-    contains,
     convex_hull,
     int_rows,
     ray_intersect,
@@ -67,10 +64,6 @@ if TYPE_CHECKING:
     from .decomposition import VertexClassification
 
 IntVec = tuple[int, int, int]
-
-
-def _as_point(p) -> Point3:
-    return p if isinstance(p, Point3) else Point3.from_seq(p)
 
 
 def _as_intvec(p) -> IntVec:
@@ -110,11 +103,14 @@ class SemigroupHandle:
     """Computed view of one polytope semigroup.
 
     Holds the body, its extremal rays in fan (cyclic) order, the per-ray
-    chords, the body's integer facet matrix, and, for three-ray cones,
-    the smallest semigroup element on each ray.  The span hull, the
-    vertex classification and the overlap level are computed on first
-    use and kept for the handle's lifetime, and so are the Apery scan
-    (`_ray_apery`) and the closure, once per `budget_layers` value.
+    chords, the body's integer facet matrix, each body vertex's chord
+    as integer ratios (`geometry._chord`, in units of the vertex) with
+    a row -> vertex index map, and, for three-ray cones, the smallest
+    semigroup element on each ray.  The span hull, the vertex
+    classification, the overlap level and the Cohen-Macaulay verdict
+    are computed on first use and kept for the handle's lifetime, and
+    so are the Apery scan (`_ray_apery`) and the closure, once per
+    `budget_layers` value.
     Queries are thread-safe: two threads racing to fill one of these
     compute the same value and store identical results.
     """
@@ -130,9 +126,12 @@ class SemigroupHandle:
         "_flat",
         "_facets",
         "_facet_bound",
+        "_vindex",
+        "_chords",
         "_span_hull",
         "_classification",
         "_overlap",
+        "_cm",
         "_apery",
         "_closure",
     )
@@ -164,9 +163,14 @@ class SemigroupHandle:
         self._facet_bound = (a[:, :3].sum(axis=1).max(), a[:, 3].max())
         fits = sum(self._facet_bound) < geometry._INT64_LIMIT
         self._facets = np.array(body.int_facets, np.int64 if fits else object)
+        self._vindex = {row: vi for vi, row in enumerate(body.rows)}
+        self._chords = tuple(
+            geometry._chord(body.int_facets, row, body.scale) for row in body.rows
+        )
         self._span_hull: Optional[Polyhedron] = None
         self._classification: Optional[VertexClassification] = None
         self._overlap: Optional[int] = None
+        self._cm = None
         self._apery: dict[int, tuple] = {}
         self._closure: dict[int, ClosureResult] = {}
 
@@ -176,7 +180,7 @@ class SemigroupHandle:
         and sweep out the cone."""
         if self._span_hull is None:
             self._span_hull = convex_hull(
-                [ORIGIN] + list(self.body.vertices)
+                [(0, 0, 0), *self.body.rows], self.body.scale
             )
         return self._span_hull
 
@@ -383,33 +387,25 @@ def build(vertices: Sequence) -> SemigroupHandle:
     origin inside would make the semigroup the whole cone, reported as
     OriginInside rather than silently degenerating the machinery).
     """
-    pts = [_as_point(p) for p in vertices]
+    pts = [p if isinstance(p, Point3) else Point3.from_seq(p) for p in vertices]
     if len(pts) < 4:
         raise DegenerateInput("need at least four vertices")
     for p in pts:
         if not p.is_nonnegative():
             raise BadParameter("vertex %s has a negative coordinate" % (p,))
     body = convex_hull(pts)
-    if contains(body, ORIGIN):
+    # the origin is in the body iff it satisfies every facet a.x >= c
+    if all(c <= 0 for *_a, c in body.int_facets):
         raise OriginInside("the origin lies in the polytope")
 
     # Extremal rays: vertex directions meet the plane x+y+z = 1 in a 2D
-    # point cloud whose strict hull corners, in ccw order, are the rays.
-    dirs: dict[IntVec, Point3] = {}
-    for v in body.vertices:
-        d = _primitive_direction(v)
-        dirs.setdefault(d, Point3.of(*d))
-    keys = sorted(dirs)
-    mult = 1
-    cross = []
-    for d in keys:
-        s = d[0] + d[1] + d[2]
-        cross.append((Fraction(d[0], s), Fraction(d[1], s)))
-    for cx, cy in cross:
-        mult = lcm(mult, cx.denominator, cy.denominator)
+    # point cloud whose strict hull corners, in ccw order, are the rays;
+    # the cloud is hulled on the common denominator of its points.
+    keys = sorted({_primitive_direction(r) for r in body.rows})
+    mult = lcm(*(sum(d) for d in keys))
     flat = [
-        (int(cx * mult), int(cy * mult), i)
-        for i, (cx, cy) in enumerate(cross)
+        (d[0] * (mult // sum(d)), d[1] * (mult // sum(d)), i)
+        for i, d in enumerate(keys)
     ]
     ring = [p[2] for p in _hull2d(flat)]
     if len(ring) < 3:
@@ -442,7 +438,8 @@ def _smallest_ray_point(h: SemigroupHandle, i: int) -> Point3:
         cap = lo.numerator
     else:
         # beyond lo*hi/(hi-lo) every multiple admits an integer dilation
-        cap = ceil(lo * hi / (hi - lo))
+        num, den = lo.numerator * hi.numerator, hi.numerator * lo.denominator
+        cap = -(-num // (den - lo.numerator * hi.denominator))
     m = _first_member(h, (0, 0, 0), d, cap + 1)
     if m is None:
         raise AssumptionViolated("no semigroup point found on an extremal ray")

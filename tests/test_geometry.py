@@ -24,7 +24,6 @@ from polysgp.geometry import (
     _hull_contains_origin,
     _int_hull_contains_origin,
     _polygon_integer_points,
-    clip_segment,
     contains,
     cone_supporting_facets,
     integer_point_count,
@@ -163,14 +162,6 @@ def test_integer_points_in_hull_flat_cases():
     ]
     assert integer_points_in_hull([(1, 1, 1)]) == [(1, 1, 1)]
     assert integer_points_in_hull([(F(1, 2), 1, 1)]) == []
-
-
-def test_clip_segment():
-    poly = convex_hull(CUBE)
-    a, b = Point3.of(0, F(3, 2), F(3, 2)), Point3.of(3, F(3, 2), F(3, 2))
-    assert clip_segment(poly, a, b) == (F(1, 3), F(2, 3))
-    outside = Point3.of(0, 5, 5), Point3.of(3, 5, 5)
-    assert clip_segment(poly, *outside) is None
 
 
 def test_minkowski_difference_origin():

@@ -8,9 +8,14 @@ from fractions import Fraction as F
 import pytest
 
 import instancegen
-from conftest import NN_VERTICES, S3_VERTICES, S5_VERTICES
+from conftest import (
+    GORENSTEIN_NO_VERTICES,
+    NN_VERTICES,
+    S3_VERTICES,
+    S5_VERTICES,
+)
 from test_decomposition import POLY_SEPARATION, TETRA_SEPARATION
-from polysgp import build, oracle
+from polysgp import build, oracle, rings
 from polysgp.decomposition import (
     _separation,
     corner_slab,
@@ -270,6 +275,46 @@ def test_verdicts_are_deterministic(s5):
     a = is_cohen_macaulay(s5)
     b = is_cohen_macaulay(s5)
     assert a == b
+
+
+@pytest.mark.parametrize("verts", [S5_VERTICES, GORENSTEIN_NO_VERTICES])
+@pytest.mark.parametrize("cm_first", [True, False])
+def test_handle_decides_cohen_macaulay_once(monkeypatch, verts, cm_first):
+    # the handle keeps the Cohen-Macaulay verdict, which the Gorenstein
+    # decider reads, whichever of the two is asked first
+    calls = []
+    decide = rings._decide
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(rings, "_decide", counted)
+    h = build(verts)
+    asks = [is_cohen_macaulay, is_gorenstein]
+    verdicts = [ask(h) for ask in (asks if cm_first else asks[::-1])]
+    assert len(calls) == 1
+    assert is_cohen_macaulay(h) == verdicts[0 if cm_first else 1]
+
+
+def test_cohen_macaulay_builds_few_fractions(monkeypatch):
+    # the slab decider runs on integer rows: is_cohen_macaulay on a fresh
+    # s5 handle made 1428 Fractions while its geometry ran on Fraction
+    # points and 3 since (the integer chord, fan and window cores); the
+    # bound is 20% of the old count
+    new = F.__new__
+    count = [0]
+
+    def counted(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    h = build(S5_VERTICES)
+    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    verdict = is_cohen_macaulay(h)
+    monkeypatch.undo()
+    assert verdict.verdict == "no"
+    assert count[0] <= 1428 // 5
 
 
 def _window_by_dilation(h, sep):
