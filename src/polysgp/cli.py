@@ -32,6 +32,7 @@ structured`` emits canonical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -258,23 +259,9 @@ def _cmd_msg(args) -> int:
     return status
 
 
-_PROPERTY_RUNNERS = {
-    "is-cm": ("Cohen-Macaulay", lambda h, a: is_cohen_macaulay(h)),
-    "is-gorenstein": (
-        "Gorenstein",
-        lambda h, a: is_gorenstein(h, budget_layers=a.budget_layers),
-    ),
-    "is-buchsbaum": (
-        "Buchsbaum",
-        lambda h, a: is_buchsbaum(h, budget_layers=a.budget_layers),
-    ),
-}
-
-
 def _cmd_property(args) -> int:
-    _, run = _PROPERTY_RUNNERS[args.command]
     h = _load_handle(args.input)
-    v = run(h, args)
+    v = args.decide(h, args)
     if args.format == "structured":
         record = {
             "command": args.command,
@@ -693,70 +680,77 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     ap = _Parser(prog="polysgp", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text", "structured")):
+    def command(name, handler, text, formats=("text", "structured"), source=True):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        if source:
+            p.add_argument(
+                "input", nargs="?", default="-",
+                help="vertex document path, or - for stdin (default)",
+            )
         p.add_argument(
             "--format", choices=formats, default="text",
             help="output format (default text)",
         )
+        return p
 
-    def with_input(p):
-        p.add_argument(
-            "input", nargs="?", default="-",
-            help="vertex document path, or - for stdin (default)",
-        )
-
-    p = sub.add_parser("msg", help="minimal generating set")
-    with_input(p)
-    common(p)
+    p = command("msg", _cmd_msg, "minimal generating set")
     p.add_argument("--budget-layers", type=int, default=400)
     p.add_argument(
         "--oracle", action="store_true",
         help="recompute inside a box by brute force and diff",
     )
 
-    for name, (label, _run) in _PROPERTY_RUNNERS.items():
-        p = sub.add_parser(name, help="decide the %s property" % label)
-        with_input(p)
-        common(p)
+    # the lambdas look the deciders up when called, so a wrapper put on
+    # them after the parser is built still runs
+    for name, label, decide in (
+        ("is-cm", "Cohen-Macaulay", lambda h, a: is_cohen_macaulay(h)),
+        ("is-gorenstein", "Gorenstein",
+         lambda h, a: is_gorenstein(h, budget_layers=a.budget_layers)),
+        ("is-buchsbaum", "Buchsbaum",
+         lambda h, a: is_buchsbaum(h, budget_layers=a.budget_layers)),
+    ):
+        p = command(name, _cmd_property, "decide the %s property" % label)
+        p.set_defaults(decide=decide)
         if name != "is-cm":
             # is_cohen_macaulay takes no layer budget
             p.add_argument("--budget-layers", type=int, default=400)
 
-    p = sub.add_parser("gaps", help="enumerate the gap region")
-    with_input(p)
-    common(p)
+    p = command("gaps", _cmd_gaps, "enumerate the gap region")
     p.add_argument(
         "--extra-periods", type=int, default=2,
         help="slab periods to enumerate past the base level",
     )
     p.add_argument("--oracle", action="store_true")
 
-    p = sub.add_parser("decompose", help="structural decomposition report")
-    with_input(p)
-    common(p)
+    command("decompose", _cmd_decompose, "structural decomposition report")
 
-    p = sub.add_parser("family", help="emit a Gorenstein family member")
-    common(p)
+    p = command(
+        "family", _cmd_family, "emit a Gorenstein family member", source=False
+    )
     p.add_argument("--k", type=int, required=True, help="family parameter, k >= 2")
     p.add_argument(
         "--table", action="store_true",
         help="also print the Apery intersection rows",
     )
 
-    p = sub.add_parser("oracle-check", help="diff against the slow oracle")
-    with_input(p)
-    common(p, formats=("text",))
+    p = command(
+        "oracle-check", _cmd_oracle_check, "diff against the slow oracle",
+        formats=("text",),
+    )
     p.add_argument("--budget-layers", type=int, default=400)
     p.add_argument("--box", type=int, default=None, help="coordinate bound")
     p.add_argument("--max-layer", type=int, default=None)
 
-    p = sub.add_parser("export", help="emit geometry for viewers")
-    with_input(p)
-    common(p, formats=("text", "structured", "mesh"))
+    p = command(
+        "export", _cmd_export, "emit geometry for viewers",
+        formats=("text", "structured", "mesh"),
+    )
     p.add_argument(
         "--kind", choices=("dilation", "layer", "slabs"), default="dilation",
     )
@@ -765,25 +759,12 @@ def _build_parser() -> _Parser:
     return ap
 
 
-_HANDLERS = {
-    "msg": _cmd_msg,
-    "is-cm": _cmd_property,
-    "is-gorenstein": _cmd_property,
-    "is-buchsbaum": _cmd_property,
-    "gaps": _cmd_gaps,
-    "decompose": _cmd_decompose,
-    "family": _cmd_family,
-    "oracle-check": _cmd_oracle_check,
-    "export": _cmd_export,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         _validate_common(args)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except _INPUT_ERRORS as exc:
         print("error [%s]: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1

@@ -18,6 +18,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     AssumptionViolated,
     BadParameter,
@@ -748,8 +750,7 @@ def gap_rows(
 ) -> list[tuple[int, int, int]]:
     """The points of `gap_points` as integer triples: the non-members of
     every shell up to the bound, sorted once as integer rows."""
-    import numpy as np
-
+    # imported here because `semigroup` imports this module
     from .semigroup import _shell_gaps
 
     if extra_periods < 0:

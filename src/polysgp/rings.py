@@ -53,6 +53,7 @@ from .geometry import (
     Point3,
     _add,
     _column_blocks,
+    _cross,
     _lattice_points,
     _scale,
     convex_hull,
@@ -60,11 +61,12 @@ from .geometry import (
 )
 from .semigroup import (
     SemigroupHandle,
+    _apery_rows,
     _as_intvec,
     _closure_rows,
     _first_member,
     _shell_gaps,
-    apery_intersection,
+    build,
     closure,
     in_cone_int,
     member_int,
@@ -192,13 +194,11 @@ def is_gorenstein(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdi
             case_used="not Cohen-Macaulay (%s)" % cm.case_used,
             diagnostics=cm.diagnostics,
         )
-    ap = apery_intersection(h, budget_layers=budget_layers)
+    elements, maximal, complete = _apery_rows(h, budget_layers)
     diag = dict(cm.diagnostics)
-    diag["apery_elements"] = len(ap.elements)
-    diag["apery_maximal"] = tuple(
-        m.int_tuple() for m in ap.maximal_elements
-    )
-    if not ap.complete:
+    diag["apery_elements"] = len(elements)
+    diag["apery_maximal"] = tuple(maximal)
+    if not complete:
         return PropertyVerdict(
             property="Gorenstein",
             verdict="inconclusive",
@@ -206,7 +206,7 @@ def is_gorenstein(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdi
             case_used="Apery enumeration hit its layer budget",
             diagnostics=diag,
         )
-    if len(ap.maximal_elements) == 1:
+    if len(maximal) == 1:
         return PropertyVerdict(
             property="Gorenstein",
             verdict="yes",
@@ -219,7 +219,7 @@ def is_gorenstein(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdi
         verdict="no",
         witness=None,
         case_used="Cohen-Macaulay but %d maximal Apery elements"
-        % len(ap.maximal_elements),
+        % len(maximal),
         diagnostics=diag,
     )
 
@@ -256,20 +256,20 @@ def apery_table(k: int) -> AperyTable:
     in the plane z = 0, where that generator cannot be subtracted; an
     element off the plane or at y >= k refutes the table.
     """
-    ap = apery_intersection(build_family(k))
-    if not ap.complete:
+    elements, _maximal, complete = _apery_rows(build_family(k), 400)
+    if not complete:
         raise AssumptionViolated(
             "family Apery set for k=%d is incomplete" % k
         )
     rows: list[list[IntVec]] = [[] for _ in range(k)]
-    for e in ap.elements:
-        x, y, z = e.int_tuple()
+    for e in elements:
+        x, y, z = e
         if z != 0 or y >= k:
             raise AssumptionViolated(
                 "family Apery element %s outside the rows y < %d of z=0"
                 % (e, k)
             )
-        rows[y].append((x, y, z))
+        rows[y].append(e)
     return AperyTable(
         k=k,
         rows=tuple(tuple(row) for row in rows),
@@ -278,8 +278,6 @@ def apery_table(k: int) -> AperyTable:
 
 
 def build_family(k: int) -> SemigroupHandle:
-    from .semigroup import build
-
     return build(gorenstein_family(k))
 
 
@@ -287,17 +285,15 @@ def _closure_ray_generators(
     h: SemigroupHandle, added: frozenset
 ) -> tuple[Point3, ...]:
     """Least multiple of each primitive ray direction inside the
-    closure; point-chord rays keep their generator, segment rays may
-    shrink when the closure fills their first gaps.  The generator is
-    itself a multiple, so one always qualifies."""
+    closure.  No multiple below a ray generator is a member, so it is
+    the least multiple the closure added, if one is below the
+    generator, and the generator otherwise.  A point-chord ray with
+    generator a*d keeps it: m*d + a*d is no member for 0 < m < a."""
     out = []
-    for i, g in enumerate(h.ray_generators):
-        if h.ray_data[i].kind == "point":
-            out.append(g)
-            continue
-        d = h.rays[i].int_tuple()
-        mult = sum(g.int_tuple()) // sum(d)
-        m = _first_member(h, (0, 0, 0), d, mult, added)
+    for g, r in zip(h.ray_generators, h.rays):
+        d = r.int_tuple()
+        on_ray = [sum(p) // sum(d) for p in added if _cross(p, d) == (0, 0, 0)]
+        m = min([sum(g.int_tuple()) // sum(d), *on_ray])
         out.append(Point3.of(*_scale(d, m)))
     return tuple(out)
 

@@ -9,10 +9,16 @@ together with its spanned cone, extremal rays, minimal generating set,
 Apery sets of the ray generators, and the closure semigroup (elements of
 the cone whose translates by every minimal generator land in S).
 
-Every membership question asked inside the package goes to
-`member_rows` as an integer array of at most `_BLOCK` rows, through
-`_shell` or `_closure_rows`; `member_int` answers one point and is the
-reference the array kernel is tested against.  One order sieve,
+A point p is in k*B iff 1/k lies on p's chord, the segment of t >= 0
+with t*p in B (`geometry._chord`), so `member_int` reads one point's
+least dilation off its chord, and the least semigroup point m*d on the
+ray of a primitive direction d has m the numerator of the simplest
+fraction on the ray's chord.  The cone is tested against its facet
+normals, the cross products of consecutive extremal rays.  Every
+membership question asked inside the package
+goes to `member_rows` as an integer array of at most `_BLOCK` rows,
+through `_shell` or `_closure_rows`; `member_int` is the reference the
+array kernel is tested against.  One order sieve,
 `_order_sieve`, picks the minimal generators, the closure's generators
 and the maximal Apery elements out of a finite set.
 
@@ -26,14 +32,8 @@ never answers a call with another budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt, lcm
-from typing import (
-    TYPE_CHECKING,
-    Iterable,
-    Iterator,
-    Optional,
-    Sequence,
-)
+from math import gcd, isqrt, lcm
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -46,22 +46,22 @@ from .errors import (
     OutsideCone,
     UnsupportedCase,
 )
-from . import geometry
+from . import decomposition, geometry
 from .geometry import (
     _BLOCK,
     Point3,
     Polyhedron,
     RayHit,
+    _cross,
+    _dot,
     _hull2d,
     _primitive_direction,
+    _scale,
     convex_hull,
     int_rows,
     ray_intersect,
     shell_integer_points,
 )
-
-if TYPE_CHECKING:
-    from .decomposition import VertexClassification
 
 IntVec = tuple[int, int, int]
 
@@ -103,10 +103,11 @@ class SemigroupHandle:
     """Computed view of one polytope semigroup.
 
     Holds the body, its extremal rays in fan (cyclic) order, the per-ray
-    chords, the body's integer facet matrix, each body vertex's chord
-    as integer ratios (`geometry._chord`, in units of the vertex) with
-    a row -> vertex index map, and, for three-ray cones, the smallest
-    semigroup element on each ray.  The span hull, the vertex
+    chords, the cone's facet normals (`_cone`), the body's integer facet
+    matrix, each body vertex's chord as integer ratios
+    (`geometry._chord`, in units of the vertex) with a row -> vertex
+    index map, and, for three-ray cones, the smallest semigroup element
+    on each ray, read off its chord.  The span hull, the vertex
     classification, the overlap level and the Cohen-Macaulay verdict
     are computed on first use and kept for the handle's lifetime, and
     so are the Apery scan (`_ray_apery`) and the closure, once per
@@ -121,9 +122,7 @@ class SemigroupHandle:
         "simplicial",
         "ray_data",
         "ray_generators",
-        "_near",
-        "_far",
-        "_flat",
+        "_cone",
         "_facets",
         "_facet_bound",
         "_vindex",
@@ -142,21 +141,20 @@ class SemigroupHandle:
         self.simplicial: bool = simplicial
         self.ray_data: tuple[RayHit, ...] = ray_data
         self.ray_generators: Optional[tuple[Point3, ...]] = ray_generators
-        near, far, flat = [], [], []
-        for ax, ay, az, c in body.int_facets:
-            if c > 0:
-                near.append((ax, ay, az, c))
-            elif c < 0:
-                far.append((ax, ay, az, c))
-            else:
-                flat.append((ax, ay, az))
-        if not near:
+        if all(c <= 0 for *_a, c in body.int_facets):
             raise AssumptionViolated(
                 "no facet separates the origin from the body"
             )
-        self._near = tuple(near)
-        self._far = tuple(far)
-        self._flat = tuple(flat)
+        # the cone's facet normals: cross products of consecutive rays,
+        # primitive and pointing toward the rays' sum
+        ints = [r.int_tuple() for r in rays]
+        inner = [sum(c) for c in zip(*ints)]
+        cone = []
+        for a, b in zip(ints, ints[1:] + ints[:1]):
+            n = _cross(a, b)
+            g = gcd(*n) if _dot(n, inner) > 0 else -gcd(*n)
+            cone.append(tuple(v // g for v in n))
+        self._cone = tuple(cone)
         # the facet rows (int64 when they fit) and the largest |a|_1 and
         # |c| over them, from which `member_rows` picks its dtype
         a = abs(np.array(body.int_facets, dtype=object))
@@ -168,7 +166,7 @@ class SemigroupHandle:
             geometry._chord(body.int_facets, row, body.scale) for row in body.rows
         )
         self._span_hull: Optional[Polyhedron] = None
-        self._classification: Optional[VertexClassification] = None
+        self._classification: Optional[decomposition.VertexClassification] = None
         self._overlap: Optional[int] = None
         self._cm = None
         self._apery: dict[int, tuple] = {}
@@ -185,22 +183,18 @@ class SemigroupHandle:
         return self._span_hull
 
     @property
-    def classification(self) -> VertexClassification:
+    def classification(self) -> decomposition.VertexClassification:
         """How each body vertex sits on its ray chord
         (`decomposition.classify`)."""
         if self._classification is None:
-            from .decomposition import classify
-
-            self._classification = classify(self)
+            self._classification = decomposition.classify(self)
         return self._classification
 
     @property
     def overlap(self) -> int:
         """The overlap level (`decomposition.overlap_level`)."""
         if self._overlap is None:
-            from .decomposition import overlap_level
-
-            self._overlap = overlap_level(self)
+            self._overlap = decomposition.overlap_level(self)
         return self._overlap
 
     def period(self) -> int:
@@ -214,27 +208,16 @@ class SemigroupHandle:
 
 def dilation_interval(
     h: SemigroupHandle, p: IntVec
-) -> Optional[tuple[int, Optional[int]]]:
+) -> Optional[tuple[int, int]]:
     """Integer bounds [lo, hi] on dilation factors k >= 1 with p in k*B,
-    or None when p violates a through-origin facet.  hi may undershoot
-    lo, which means no integer dilation contains p."""
-    x, y, z = p
-    for ax, ay, az in h._flat:
-        if ax * x + ay * y + az * z < 0:
-            return None
-    lo = 1
-    for ax, ay, az, c in h._far:
-        v = ax * x + ay * y + az * z
-        k = -((-v) // c)
-        if k > lo:
-            lo = k
-    hi: Optional[int] = None
-    for ax, ay, az, c in h._near:
-        v = ax * x + ay * y + az * z
-        k = v // c
-        if hi is None or k < hi:
-            hi = k
-    return (lo, hi)
+    or None when the ray through p misses B.  p is in k*B iff 1/k lies
+    on p's chord [l, u] (`geometry._chord`), so lo = max(1, ceil(1/u))
+    and hi = floor(1/l); hi < lo means no integer dilation contains p."""
+    chord = geometry._chord(h.body.int_facets, p)
+    if chord is None:
+        return None
+    (ln, ld), (hn, hd) = chord
+    return (max(1, -(-hd // hn)), ld // ln)
 
 
 def member_int(h: SemigroupHandle, p: IntVec) -> tuple[bool, Optional[int]]:
@@ -246,45 +229,28 @@ def member_int(h: SemigroupHandle, p: IntVec) -> tuple[bool, Optional[int]]:
     if x == 0 and y == 0 and z == 0:
         return (True, 0)
     iv = dilation_interval(h, p)
-    if iv is None:
-        return (False, None)
-    lo, hi = iv
-    if hi is not None and lo <= hi:
-        return (True, lo)
+    if iv is not None and iv[0] <= iv[1]:
+        return (True, iv[0])
     return (False, None)
 
 
 def in_cone_int(h: SemigroupHandle, p: IntVec) -> bool:
-    """Exact test against the spanned cone (union of all real dilations)."""
+    """Exact test against the spanned cone (union of all real
+    dilations): no facet normal of the cone meets p negatively."""
     x, y, z = p
-    if x < 0 or y < 0 or z < 0:
-        return False
-    if x == 0 and y == 0 and z == 0:
-        return True
-    for ax, ay, az in h._flat:
-        if ax * x + ay * y + az * z < 0:
+    for a, b, c in h._cone:
+        if a * x + b * y + c * z < 0:
             return False
-    # real dilation bounds as numerator/denominator pairs with positive
-    # denominators: lo = max(0, v/c over far facets), hi = min over near
-    lo_n, lo_d = 0, 1
-    for ax, ay, az, c in h._far:
-        v = -(ax * x + ay * y + az * z)
-        if v * lo_d > lo_n * -c:
-            lo_n, lo_d = v, -c
-    hi_n, hi_d = None, 1
-    for ax, ay, az, c in h._near:
-        v = ax * x + ay * y + az * z
-        if hi_n is None or v * hi_d < hi_n * c:
-            hi_n, hi_d = v, c
-    return hi_n > 0 and lo_n * hi_d <= hi_n * lo_d
+    return True
 
 
 def member_rows(
     h: SemigroupHandle, pts: np.ndarray, shell: Optional[int] = None
 ) -> np.ndarray:
     """`member_int` over the rows of an (N, 3) integer array, as a bool
-    array: the same flat, far and near facet bounds as
-    `dilation_interval`.
+    array: p is in k*B iff a.p >= k*c on every facet row (a, c), so the
+    rows with c < 0 bound k below, those with c > 0 above, and those
+    with c = 0 must hold at k = 0.
 
     With `shell`, a member whose least dilation is not `shell` raises
     AssumptionViolated.
@@ -430,20 +396,30 @@ def build(vertices: Sequence) -> SemigroupHandle:
 
 def _smallest_ray_point(h: SemigroupHandle, i: int) -> Point3:
     """Least multiple m of the primitive ray direction with m*d in the
-    semigroup; for a point chord at lambda = a/b this is m = a."""
-    d = h.rays[i].int_tuple()
+    semigroup.  m*d is in k*B iff m/k lies on the ray's chord, so m is
+    the numerator of the chord's simplest fraction
+    (`_simplest_fraction`); for a point chord a/b it is a."""
     hit = h.ray_data[i]
-    lo, hi = hit.lo, hit.hi
-    if lo == hi:
-        cap = lo.numerator
-    else:
-        # beyond lo*hi/(hi-lo) every multiple admits an integer dilation
-        num, den = lo.numerator * hi.numerator, hi.numerator * lo.denominator
-        cap = -(-num // (den - lo.numerator * hi.denominator))
-    m = _first_member(h, (0, 0, 0), d, cap + 1)
-    if m is None:
-        raise AssumptionViolated("no semigroup point found on an extremal ray")
-    return Point3.of(m * d[0], m * d[1], m * d[2])
+    m, _k = _simplest_fraction(
+        hit.lo.numerator, hit.lo.denominator, hit.hi.numerator, hit.hi.denominator
+    )
+    return Point3.of(*_scale(h.rays[i].int_tuple(), m))
+
+
+def _simplest_fraction(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """The fraction m/k of [a/b, c/d] (0 < a/b <= c/d) with the least
+    numerator and denominator: every other fraction of the interval
+    descends from it in the Stern-Brocot tree.  It is the least integer
+    of the interval if there is one, and otherwise n + 1/y for
+    n = floor(a/b) and y the simplest fraction of [1/(c/d - n),
+    1/(a/b - n)]."""
+    n = a // b
+    if n * b == a:
+        return (n, 1)
+    if (n + 1) * d <= c:
+        return (n + 1, 1)
+    p, q = _simplest_fraction(d, c - n * d, b, a - n * b)
+    return (n * p + q, p)
 
 
 def member(h: SemigroupHandle, p) -> tuple[bool, Optional[int]]:
@@ -514,16 +490,24 @@ def apery_intersection(
     no new basis element beyond the structural bound; exhausting the
     budget first returns the partial basis flagged incomplete.
     """
-    if not h.simplicial:
-        raise NotSimplicial("Apery intersection needs a three-ray cone")
-    _, found, complete, _ = _ray_apery(h, budget_layers)
-    elements = sorted([(0, 0, 0), *found])
-    maximal = sorted(_order_sieve(h, elements, descending=True))
+    elements, maximal, complete = _apery_rows(h, budget_layers)
     return AperyBasis(
         elements=tuple(Point3.of(*p) for p in elements),
         maximal_elements=tuple(Point3.of(*p) for p in maximal),
         complete=complete,
     )
+
+
+def _apery_rows(
+    h: SemigroupHandle, budget_layers: int
+) -> tuple[list[IntVec], list[IntVec], bool]:
+    """The fields of `apery_intersection` as sorted integer triples."""
+    if not h.simplicial:
+        raise NotSimplicial("Apery intersection needs a three-ray cone")
+    _, found, complete, _ = _ray_apery(h, budget_layers)
+    elements = sorted([(0, 0, 0), *found])
+    maximal = sorted(_order_sieve(h, elements, descending=True))
+    return elements, maximal, complete
 
 
 def _ray_apery(
@@ -554,11 +538,8 @@ def _apery_scan(
     """
     kappa = h.overlap
     period = h.period()
-    margins = []
-    for g in gens:
-        lo, hi = dilation_interval(h, g)
-        margins.append(max(1, (hi - lo) + 1) if hi is not None else 1)
-    base = kappa + period + max(margins)
+    windows = [dilation_interval(h, g) for g in gens]
+    base = kappa + period + max(max(1, hi - lo + 1) for lo, hi in windows)
 
     found: list[IntVec] = []
     last_hit = 0

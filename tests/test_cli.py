@@ -14,7 +14,7 @@ from conftest import (
     S3_VERTICES,
     S5_VERTICES,
 )
-from polysgp import build
+from polysgp import build, cli
 from polysgp.cli import main, parse_vertices
 from polysgp.errors import ParseError
 
@@ -127,6 +127,22 @@ def test_budget_flag_only_where_it_is_read(s3_file, capsys):
         with pytest.raises(SystemExit):
             main([cmd, "--help"])
         assert "--budget-layers" in capsys.readouterr().out
+
+
+def test_main_builds_one_parser(monkeypatch, capsys):
+    # a query pays for parsing its arguments, not for the argparse tree
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    for _ in range(2):
+        assert main(["family", "--k", "2"]) == 0
+    capsys.readouterr()
+    assert built.count("polysgp") <= 1
 
 
 def test_parse_failure_exits_one(tmp_path, capsys):

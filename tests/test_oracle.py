@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import instancegen
 from conftest import S3_GENERATORS, S3_VERTICES, WE_VERTICES
-from polysgp import member_int, oracle
+from polysgp import build, in_cone_int, member_int, oracle
+from polysgp.semigroup import _smallest_ray_point
 from polysgp.errors import BoxTooSmall, DegenerateInput
 
 
@@ -69,10 +71,27 @@ def test_cone_rays_match_main_handle(s3, nn):
         assert set(oracle.cone_rays(h)) == main
 
 
-def test_ray_generators_match_main_handle(s3, we):
-    for h in (s3, we):
-        main = {g.int_tuple() for g in h.ray_generators}
-        assert set(oracle.ray_generators(h)) == main
+# Drawn bodies whose ray generators fit in the oracle's default box:
+# three-ray cones with no, one and two segment chords, and four-ray
+# cones with no and one segment chord.
+_DRAWN = [
+    instancegen.tetra_vertices(0),
+    instancegen.tetra_vertices(9),
+    instancegen.poly_vertices(0),
+    instancegen.poly_vertices(2),
+    instancegen.poly_vertices(3),
+    instancegen.poly_vertices(9),
+]
+
+
+def test_ray_generators_match_main_handle(s3, we, pyramid):
+    # a cone with more than three rays keeps no `ray_generators`; its
+    # generators come from `_smallest_ray_point` when needed
+    for h in (s3, we, pyramid, *map(build, _DRAWN)):
+        main = h.ray_generators or [
+            _smallest_ray_point(h, i) for i in range(len(h.rays))
+        ]
+        assert set(oracle.ray_generators(h)) == {g.int_tuple() for g in main}
 
 
 def test_naive_condition3_empty_for_s3(s3):
@@ -113,12 +132,19 @@ def test_scan_layer_covers_low_shells(we):
     }
 
 
-def test_oracle_matches_main_membership(s3, we):
-    for h in (s3, we):
+def test_oracle_matches_main_membership(s3, we, pyramid):
+    # membership with its least dilation, and the cone
+    for h in (s3, we, pyramid, *map(build, _DRAWN)):
         box = oracle.box_for(h, 12)
         present = oracle.scan_semigroup(h, box)
+        cone = present | oracle.scan_gaps(h, box)
+        layers = [oracle.scan_layer(h, j, box) for j in range(box.max_layer + 1)]
         for p in product(range(13), repeat=3):
-            assert (p in present) == member_int(h, p)[0]
+            ok, k = member_int(h, p)
+            assert (p in present) == ok
+            assert (p in cone) == in_cone_int(h, p)
+            if ok:
+                assert k == next(j for j, lay in enumerate(layers) if p in lay)
 
 
 def test_oracle_imports_only_errors_from_the_package():

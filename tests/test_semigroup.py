@@ -296,6 +296,27 @@ def test_apery_family_k2():
     assert {p.int_tuple() for p in ap.maximal_elements} == {(12, 1, 0)}
 
 
+# kappa = 68, period 2 and three point chords: no Apery element lies
+# in shells 1 and 2, so a scan that stopped after one quiet period
+# would certify there and miss the generator (1, 9, 11) of shell 4
+FLOOR_VERTICES = [
+    (0, F(5, 2), 3),
+    (0, F(7, 2), F(5, 2)),
+    (F(1, 4), F(9, 4), F(11, 4)),
+    (1, 0, 3),
+]
+
+
+def test_apery_scan_floor_keeps_late_generators():
+    h = build(FLOOR_VERTICES)
+    gens = minimal_generators(h)
+    assert gens.certified and gens.layers_scanned == 71
+    expected = {(0, 5, 6), (0, 7, 5), (1, 0, 3), (1, 9, 11)}
+    assert set(gens.int_tuples()) == expected
+    assert oracle.naive_msg(h, oracle.box_for(h, 12)) == expected
+    assert len(apery_intersection(h).elements) == 17
+
+
 def test_apery_requires_simplicial(pyramid):
     with pytest.raises(NotSimplicial):
         apery_intersection(pyramid)
@@ -478,8 +499,9 @@ def test_first_member_finds_every_step_across_blocks():
 
 
 def test_thin_body_ray_generator_stops_at_first_member(monkeypatch):
-    # the x-axis chord is [100, 100 + 1/1000], so the search cap is
-    # about 10**7 multiples while the first member is the 100th
+    # the x-axis chord is [100, 100 + 1/1000]: the ray generators are
+    # read off the chords, so `build` asks no membership question, and
+    # the first member on that ray is the 100th multiple
     rows = []
     kernel = semigroup.member_rows
 
@@ -488,10 +510,12 @@ def test_thin_body_ray_generator_stops_at_first_member(monkeypatch):
         return kernel(h, pts, shell)
 
     monkeypatch.setattr(semigroup, "member_rows", counting)
-    h = build(THIN_VERTICES)
+    h, *_ = [
+        build(v) for v in (THIN_VERTICES, S3_VERTICES, S5_VERTICES, WE_VERTICES)
+    ]
+    assert rows == []
     gens = dict(zip((r.int_tuple() for r in h.rays), h.ray_generators))
     assert gens[(1, 0, 0)].int_tuple() == (100, 0, 0)
-    assert sum(rows) < 1000
 
 
 def test_closure_trivial_for_tetrahedron():
