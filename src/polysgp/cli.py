@@ -36,8 +36,9 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from itertools import compress, product
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import oracle
 from .decomposition import (
@@ -58,7 +59,7 @@ from .errors import (
     ParseError,
     PolysgpError,
 )
-from .geometry import Point3, Polyhedron, convex_hull, dilate, int_rows
+from .geometry import _BLOCK, Point3, Polyhedron, convex_hull, dilate
 from .rings import (
     apery_table,
     gorenstein_family,
@@ -300,25 +301,41 @@ def _cmd_property(args) -> int:
     return 0 if v.verdict in ("yes", "no") else 2
 
 
+# one point as `json.dumps(..., indent=2)` lays it out two levels deep
+_GAP_JSON = "    [\n      %d,\n      %d,\n      %d\n    ]"
+_POINTS_SLOT = "@points@"
+
+
+def _write_rows(rows: np.ndarray, fmt: str, sep: str) -> None:
+    """Write `rows` formatted with `fmt` and joined by `sep`, `_BLOCK`
+    rows at a time, so no string for the whole listing is built."""
+    for i in range(0, len(rows), _BLOCK):
+        block = rows[i : i + _BLOCK]
+        sys.stdout.write(
+            (sep if i else "")
+            + sep.join([fmt] * len(block)) % tuple(block.ravel().tolist())
+        )
+
+
 def _cmd_gaps(args) -> int:
     h = _load_handle(args.input)
     region = gap_region(h)
-    tuples = gap_rows(h, region, extra_periods=args.extra_periods)
+    rows = gap_rows(h, region, extra_periods=args.extra_periods)
     status = 0
 
     oracle_lines: list[str] = []
     if args.oracle:
-        top = max((max(t) for t in tuples), default=1)
+        top = int(rows.max()) if len(rows) else 1
         box = oracle.box_for(h, top + 1)
         oracle_gaps = oracle.scan_gaps(h, box)
-        wrong = sorted(t for t in tuples if t not in oracle_gaps)
+        wrong = [t for t in map(tuple, rows.tolist()) if t not in oracle_gaps]
         if wrong:
             status = 2
             for p in wrong:
                 oracle_lines.append("not a gap by the oracle: %s" % (_pstr(p),))
         else:
             oracle_lines.append(
-                "oracle: ok, all %d points confirmed as gaps" % len(tuples)
+                "oracle: ok, all %d points confirmed as gaps" % len(rows)
             )
 
     if args.format == "structured":
@@ -328,12 +345,20 @@ def _cmd_gaps(args) -> int:
             "separation_level": region.separation,
             "base_level": region.base_level,
             "periods": {str(k): v for k, v in sorted(region.periods.items())},
-            "count": len(tuples),
-            "points": tuples,
+            "count": len(rows),
+            "points": _POINTS_SLOT,
         }
         if args.oracle:
             record["oracle_ok"] = status == 0
-        _emit_json(record)
+        head, _slot, tail = json.dumps(
+            record, default=_json_default, sort_keys=True, indent=2
+        ).partition('"%s"' % _POINTS_SLOT)
+        if len(rows):
+            sys.stdout.write(head + "[\n")
+            _write_rows(rows, _GAP_JSON, ",\n")
+            print("\n  ]" + tail)
+        else:
+            print(head + "[]" + tail)
     else:
         print("overlap_level: %d" % region.overlap)
         print(
@@ -341,9 +366,8 @@ def _cmd_gaps(args) -> int:
             % ("unavailable" if region.separation is None else region.separation)
         )
         print("base_level: %d" % region.base_level)
-        print("gap points: %d" % len(tuples))
-        for t in tuples:
-            print("  %s" % (_pstr(t),))
+        print("gap points: %d" % len(rows))
+        _write_rows(rows, "  %d %d %d\n", "")
         for line in oracle_lines:
             print(line)
     return status
@@ -504,15 +528,16 @@ def _cmd_oracle_check(args) -> int:
     failures = 0
     print("box: coordinates up to %d, layers up to %d" % (box.max_coord, box.max_layer))
 
-    grid = list(product(range(box.max_coord + 1), repeat=3))
-    main_members = set(compress(grid, _closure_rows(h, int_rows(grid)).tolist()))
+    grid = np.indices((box.max_coord + 1,) * 3).reshape(3, -1).T
+    ok = _closure_rows(h, grid)
+    main_members = set(map(tuple, grid[ok].tolist()))
     failures += _diff_report(
         "membership", main_members, oracle.scan_semigroup(h, box),
         "member points",
     )
 
     main_gaps = {
-        p for p in grid if p not in main_members and in_cone_int(h, p)
+        p for p in map(tuple, grid[~ok].tolist()) if in_cone_int(h, p)
     }
     failures += _diff_report(
         "gaps", main_gaps, oracle.scan_gaps(h, box), "gap points"

@@ -742,14 +742,13 @@ def gap_points(h, region: GapRegion, extra_periods: int = 2) -> list[Point3]:
     """All integer gap points up to the base level plus the requested
     number of slab periods: cone points no dilation of the body reaches.
     Sorted lexicographically."""
-    return [Point3.of(*p) for p in gap_rows(h, region, extra_periods)]
+    return [Point3.of(*p) for p in gap_rows(h, region, extra_periods).tolist()]
 
 
-def gap_rows(
-    h, region: GapRegion, extra_periods: int = 2
-) -> list[tuple[int, int, int]]:
-    """The points of `gap_points` as integer triples: the non-members of
-    every shell up to the bound, sorted once as integer rows."""
+def gap_rows(h, region: GapRegion, extra_periods: int = 2) -> np.ndarray:
+    """The points of `gap_points` as an `(N, 3)` integer array (int64
+    unless the shell scan needed object): the non-members of every shell
+    up to the bound, lexsorted once."""
     # imported here because `semigroup` imports this module
     from .semigroup import _shell_gaps
 
@@ -761,5 +760,4 @@ def gap_rows(
         [rows for _s, rows in _shell_gaps(h, bound)]
         or [np.empty((0, 3), dtype=np.int64)]
     )
-    order = np.lexsort((gaps[:, 2], gaps[:, 1], gaps[:, 0]))
-    return list(map(tuple, gaps[order].tolist()))
+    return gaps[np.lexsort((gaps[:, 2], gaps[:, 1], gaps[:, 0]))]

@@ -2,12 +2,19 @@
 
 Every answer here is recomputed straight from the definitions:
 membership by testing each dilation layer against facet inequalities,
-generators by trying every two-term decomposition, Apery elements by
+generators by ruling out every two-term decomposition, Apery elements by
 subtracting generators one at a time.  The facet inequalities, the
 cone, and the ray directions are derived from the vertex coordinates
-from scratch; nothing is imported from the fast implementations, so a
+from scratch, on the integer rows of L.P for L the lcm of the vertex
+denominators; nothing is imported from the fast implementations, so a
 bug there cannot leak in here.  Expect cubic grids and quadratic
 sieves, and keep the boxes small.
+
+The box is [0, max_coord]^3 and every part of a sum of box points is
+coordinatewise below it, so the generator and Apery tests look their
+differences up in the set of present points instead of testing layers
+again: a nonnegative difference p - q with q present lies in the box,
+and the box scan is refused unless it decides every point of the box.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 import numpy as np
@@ -55,19 +62,21 @@ def _cross(a, b):
     )
 
 
-def _scaled_int(fracs) -> tuple[int, ...]:
-    """Clear denominators and divide out the common factor."""
-    mult = 1
-    for f in fracs:
-        d = Fraction(f).denominator
-        mult = mult * d // gcd(mult, d)
-    ints = [int(Fraction(f) * mult) for f in fracs]
+def _primitive(ints) -> tuple[int, ...]:
+    """Divide out the common factor of an integer tuple."""
     g = 0
     for i in ints:
-        g = gcd(g, abs(i))
-    if g > 1:
-        ints = [i // g for i in ints]
-    return tuple(ints)
+        g = gcd(g, i)
+    return tuple(i // g for i in ints) if g > 1 else tuple(ints)
+
+
+def _cleared(verts) -> tuple[int, list[IntVec]]:
+    """The lcm L of the vertex denominators and the integer rows of L.P."""
+    scale = 1
+    for v in verts:
+        for c in v:
+            scale = lcm(scale, c.denominator)
+    return scale, [tuple(int(c * scale) for c in v) for v in verts]
 
 
 def _vertex_list(source) -> list[tuple[Fraction, Fraction, Fraction]]:
@@ -87,16 +96,19 @@ def _vertex_list(source) -> list[tuple[Fraction, Fraction, Fraction]]:
 
 def _body_facets(verts) -> list[tuple[int, int, int, int]]:
     """Inward inequalities n.x >= c of the hull, found by testing every
-    vertex-triple plane against the whole vertex set."""
+    vertex-triple plane against the whole vertex set.  The planes are
+    found on the integer rows of L.P: a facet n.y >= c of L.P is the
+    facet (L.n).x >= c of P, made primitive."""
     if len(verts) < 4:
         raise DegenerateInput("need at least four vertices")
+    scale, rows = _cleared(verts)
     found = set()
-    for a, b, c in combinations(verts, 3):
+    for a, b, c in combinations(rows, 3):
         n = _cross(_sub(b, a), _sub(c, a))
         if n == (0, 0, 0):
             continue
         off = _dot(n, a)
-        sides = [_dot(n, v) - off for v in verts]
+        sides = [_dot(n, v) - off for v in rows]
         if all(s == 0 for s in sides):
             raise DegenerateInput("vertex set is coplanar")
         if all(s >= 0 for s in sides):
@@ -106,25 +118,27 @@ def _body_facets(verts) -> list[tuple[int, int, int, int]]:
             off = -off
         else:
             continue
-        found.add(_scaled_int((n[0], n[1], n[2], off)))
+        found.add(_primitive((scale * n[0], scale * n[1], scale * n[2], off)))
     return sorted(found)
 
 
 def _cone_facets(verts) -> list[IntVec]:
-    """Inward inequalities n.x >= 0 of the cone over the vertices."""
+    """Inward inequalities n.x >= 0 of the cone over the vertices,
+    found on the integer rows of L.P, which span the same cone."""
+    _scale, rows = _cleared(verts)
     found = set()
-    for a, b in combinations(verts, 2):
+    for a, b in combinations(rows, 2):
         n = _cross(a, b)
         if n == (0, 0, 0):
             continue
-        sides = [_dot(n, v) for v in verts]
+        sides = [_dot(n, v) for v in rows]
         if all(s >= 0 for s in sides):
             pass
         elif all(s <= 0 for s in sides):
             n = (-n[0], -n[1], -n[2])
         else:
             continue
-        found.add(_scaled_int(n))
+        found.add(_primitive(n))
     if len(found) < 3:
         raise DegenerateInput("cone over the vertices is not solid")
     return sorted(found)
@@ -143,8 +157,8 @@ def _prepare(source) -> _Prepared:
     facets = _body_facets(verts)
     cone = _cone_facets(verts)
     rays = set()
-    for v in verts:
-        d = _scaled_int(v)
+    for v in _cleared(verts)[1]:
+        d = _primitive(v)
         if d == (0, 0, 0):
             continue
         if sum(1 for n in cone if _dot(n, d) == 0) >= 2:
@@ -220,6 +234,10 @@ def _grid(max_coord: int) -> np.ndarray:
     )
 
 
+def _masked_points(pts: np.ndarray, mask: np.ndarray) -> set[IntVec]:
+    return set(map(tuple, pts.T[mask].tolist()))
+
+
 def _facet_dtype(facets, box: Box, layers: int):
     """int64 unless the facet coefficients could overflow it."""
     top = max(abs(c) for f in facets for c in f)
@@ -255,7 +273,7 @@ def scan_semigroup(source, box: Optional[Box] = None) -> set[IntVec]:
     present = np.zeros(pts.shape[1], dtype=bool)
     for j in range(1, need + 1):
         present |= (dots >= j * offsets[:, None]).all(axis=0)
-    out = {tuple(int(c) for c in p) for p in pts.T[present]}
+    out = _masked_points(pts, present)
     out.add(_ORIGIN)
     return out
 
@@ -269,12 +287,7 @@ def scan_gaps(source, box: Optional[Box] = None) -> set[IntVec]:
     pts = _grid(box.max_coord)
     normals = np.array(pre.cone, dtype=np.int64)
     in_cone = (normals @ pts >= 0).all(axis=0)
-    cone_pts = {tuple(int(c) for c in p) for p in pts.T[in_cone]}
-    return cone_pts - present
-
-
-def _masked_points(pts: np.ndarray, mask: np.ndarray) -> set[IntVec]:
-    return {tuple(int(c) for c in p) for p in pts.T[mask]}
+    return _masked_points(pts, in_cone) - present
 
 
 def scan_layer(source, j: int, box: Optional[Box] = None) -> set[IntVec]:
@@ -312,31 +325,24 @@ def scan_layer_gaps(source, k: int, box: Optional[Box] = None) -> set[IntVec]:
 
 
 def naive_msg(source, box: Optional[Box] = None) -> set[IntVec]:
-    """Present points with no two-term decomposition into smaller
+    """Present points with no two-term decomposition into nonzero
     present points.  Complete for generators inside the box, since both
-    parts of a decomposition are coordinatewise below their sum."""
+    parts of a decomposition are coordinatewise below their sum.
+
+    The points are walked in coordinate-sum order, and p is kept unless
+    p - g is present for a g kept before it.  This is the two-term test:
+    if p = a + b, some kept g has a - g present (a itself, or a kept
+    part of a's own decomposition), so p - g = (a - g) + b is present,
+    being a member below p; and p - g present for a kept g != p is a
+    decomposition."""
     present = scan_semigroup(source, box)
-    by_sum: dict[int, list[IntVec]] = {}
-    for p in present:
-        if p != _ORIGIN:
-            by_sum.setdefault(p[0] + p[1] + p[2], []).append(p)
-    gens: set[IntVec] = set()
-    for p in present:
-        if p == _ORIGIN:
-            continue
-        s = p[0] + p[1] + p[2]
-        decomposable = False
-        for s1 in range(1, s // 2 + 1):
-            for a in by_sum.get(s1, ()):
-                rest = _sub(p, a)
-                if min(rest) >= 0 and rest in present:
-                    decomposable = True
-                    break
-            if decomposable:
-                break
-        if not decomposable:
-            gens.add(p)
-    return gens
+    gens: list[IntVec] = []
+    for p in sorted(present, key=sum):
+        if p != _ORIGIN and not any(
+            (p[0] - g[0], p[1] - g[1], p[2] - g[2]) in present for g in gens
+        ):
+            gens.append(p)
+    return set(gens)
 
 
 def _ray_generators(pre: _Prepared, box: Box) -> list[IntVec]:
@@ -393,16 +399,21 @@ def naive_condition3(
 def naive_apery(source, box: Optional[Box] = None) -> set[IntVec]:
     """Present points whose translate by each ray generator leaves the
     semigroup (the intersection of the per-generator Apery sets),
-    restricted to the box."""
+    restricted to the box.
+
+    p - g is looked up among the present points: p - g <= p, so a
+    nonnegative p - g lies in the box, and `scan_semigroup` refuses a
+    box whose layers do not decide every point of it."""
     pre = _prepare(source)
     if box is None:
         box = default_box(source)
     gens = _ray_generators(pre, box)
-    out = set()
-    for p in scan_semigroup(source, box):
+    present = scan_semigroup(source, box)
+    return {
+        p
+        for p in present
         if all(
-            not _point_member(pre, (p[0] - g[0], p[1] - g[1], p[2] - g[2]))
+            (p[0] - g[0], p[1] - g[1], p[2] - g[2]) not in present
             for g in gens
-        ):
-            out.add(p)
-    return out
+        )
+    }

@@ -13,8 +13,10 @@ from conftest import (
     S3_GENERATORS,
     S3_VERTICES,
     S5_VERTICES,
+    WE_VERTICES,
 )
 from polysgp import build, cli
+from polysgp.decomposition import gap_points, gap_region
 from polysgp.cli import main, parse_vertices
 from polysgp.errors import ParseError
 
@@ -267,6 +269,75 @@ def test_slab_mesh_export_matches_golden(tmp_path, capsys, vertices, golden):
     argv = ["export", "--kind", "slabs", "--format", "mesh", str(path)]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text("utf-8")
+
+
+# a body whose cone points are all members: its gap listing is empty
+NO_GAP_VERTICES = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]
+
+
+def _reference_gaps(vertices, structured, with_oracle):
+    """The `gaps` listing rendered one point at a time, the way the
+    command printed it before it wrote from the integer rows."""
+    h = build(vertices)
+    region = gap_region(h)
+    pts = [p.int_tuple() for p in gap_points(h, region)]
+    if structured:
+        record = {
+            "command": "gaps",
+            "overlap_level": region.overlap,
+            "separation_level": region.separation,
+            "base_level": region.base_level,
+            "periods": {str(k): v for k, v in sorted(region.periods.items())},
+            "count": len(pts),
+            "points": pts,
+        }
+        if with_oracle:
+            record["oracle_ok"] = True
+        return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    sep = region.separation
+    lines = [
+        "overlap_level: %d" % region.overlap,
+        "separation_level: %s" % ("unavailable" if sep is None else sep),
+        "base_level: %d" % region.base_level,
+        "gap points: %d" % len(pts),
+    ]
+    lines += ["  %s" % cli._pstr(t) for t in pts]
+    if with_oracle:
+        lines.append("oracle: ok, all %d points confirmed as gaps" % len(pts))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("with_oracle", [False, True])
+@pytest.mark.parametrize("structured", [False, True])
+@pytest.mark.parametrize(
+    "vertices", [S3_VERTICES, WE_VERTICES, NO_GAP_VERTICES],
+    ids=["s3", "we", "no_gaps"],
+)
+def test_gap_listing_matches_reference(
+    tmp_path, capsys, vertices, structured, with_oracle
+):
+    path = tmp_path / "body.txt"
+    path.write_text(_document(vertices), encoding="utf-8")
+    argv = ["gaps", str(path)]
+    argv += ["--format", "structured"] if structured else []
+    argv += ["--oracle"] if with_oracle else []
+    assert main(argv) == 0
+    expect = _reference_gaps(vertices, structured, with_oracle)
+    assert capsys.readouterr().out == expect
+
+
+def test_gap_listing_joins_blocks(tmp_path, capsys, monkeypatch):
+    # blocks of two rows: s3's 95 gaps end on a part block, we's 3 too
+    monkeypatch.setattr(cli, "_BLOCK", 2)
+    for vertices in (S3_VERTICES, WE_VERTICES):
+        path = tmp_path / "body.txt"
+        path.write_text(_document(vertices), encoding="utf-8")
+        for structured in (False, True):
+            argv = ["gaps", str(path)]
+            argv += ["--format", "structured"] if structured else []
+            assert main(argv) == 0
+            expect = _reference_gaps(vertices, structured, False)
+            assert capsys.readouterr().out == expect
 
 
 def test_oracle_check_passes_on_small_box(s3_file, capsys):

@@ -6,13 +6,15 @@ window sizes, and against the main algorithms over full boxes.
 """
 
 import ast
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
 import instancegen
 from conftest import S3_GENERATORS, S3_VERTICES, WE_VERTICES
+from test_acceptance import CM_YES_VERTICES
 from polysgp import build, in_cone_int, member_int, oracle
 from polysgp.semigroup import _smallest_ray_point
 from polysgp.errors import BoxTooSmall, DegenerateInput
@@ -92,6 +94,57 @@ def test_ray_generators_match_main_handle(s3, we, pyramid):
             _smallest_ray_point(h, i) for i in range(len(h.rays))
         ]
         assert set(oracle.ray_generators(h)) == {g.int_tuple() for g in main}
+
+
+def test_naive_apery_matches_its_definition():
+    # each p - g asked of the layer-by-layer membership test; the box
+    # just covers the ray generators (one drawn body, whose generators
+    # reach coordinate 74, would make that test take half a minute)
+    for verts in (S3_VERTICES, WE_VERTICES, *_DRAWN):
+        gens = oracle.ray_generators(verts)
+        top = max(max(g) for g in gens)
+        if top > 30:
+            continue
+        box = oracle.box_for(verts, top + 2)
+        expect = {
+            p
+            for p in oracle.scan_semigroup(verts, box)
+            if not any(
+                oracle.point_member(verts, oracle._sub(p, g)) for g in gens
+            )
+        }
+        assert oracle.naive_apery(verts, box) == expect
+
+
+def test_naive_msg_matches_two_term_definition():
+    # a generator is a nonzero present point that is no sum a + b of
+    # two nonzero present points
+    for verts in (S3_VERTICES, WE_VERTICES, CM_YES_VERTICES, *_DRAWN):
+        box = oracle.box_for(verts, 12)
+        nonzero = oracle.scan_semigroup(verts, box) - {(0, 0, 0)}
+        expect = {
+            p for p in nonzero
+            if not any(oracle._sub(p, a) in nonzero for a in nonzero)
+        }
+        assert oracle.naive_msg(verts, box) == expect
+
+
+def test_prepared_facets_are_facets_of_fractional_bodies():
+    # the facets are found on the integer rows of L.P; on bodies with
+    # fractional vertices each must hold on every vertex of P and be
+    # tight on three of them that are not collinear
+    bodies = [CM_YES_VERTICES, *map(instancegen.tetra_vertices, range(12))]
+    for verts in bodies:
+        pts = [tuple(Fraction(c) for c in v) for v in verts]
+        assert any(c.denominator > 1 for v in pts for c in v)
+        for f in oracle._prepare(verts).facets:
+            n, off = f[:3], f[3]
+            assert all(oracle._dot(n, v) >= off for v in pts)
+            tight = [v for v in pts if oracle._dot(n, v) == off]
+            assert any(
+                any(oracle._cross(oracle._sub(b, a), oracle._sub(c, a)))
+                for a, b, c in combinations(tight, 3)
+            ), (verts, f)
 
 
 def test_naive_condition3_empty_for_s3(s3):
