@@ -169,7 +169,14 @@ def classify(h) -> VertexClassification:
     out of the body, read off the handle's integer vertex chords: the
     chord (lo_num/lo_den, hi_num/hi_den) is in units of the vertex, so
     the vertex sits at 1.  Computes from scratch; `h.classification`
-    keeps the result."""
+    keeps the result.
+
+    A point-chord vertex v lies on an extremal ray, so it is filed
+    untested: were v's direction in the relative interior of C = cone(B)
+    or of a 2-face F of C, projecting along v would send v into the
+    relative interior of the image of B (of B n F), a convex combination
+    of other vertices' images, which lifts to a point w != v of B on
+    v's ray."""
     ray_dirs = {r.int_tuple() for r in h.rays}
     point_e, entry_e, exit_e, entry_i, exit_i = [], [], [], [], []
     for vi, (row, chord) in enumerate(zip(h.body.rows, h._chords)):
@@ -180,11 +187,6 @@ def classify(h) -> VertexClassification:
         (ln, ld), (hn, hd) = chord
         extremal = _primitive_direction(row) in ray_dirs
         if ln * hd == hn * ld:
-            if not extremal:
-                raise UnsupportedCase(
-                    "vertex %s is an isolated chord on a non-extremal ray"
-                    % (h.body.vertices[vi],)
-                )
             point_e.append(vi)
         elif ln == ld:
             (entry_e if extremal else entry_i).append(vi)
@@ -216,7 +218,9 @@ def overlap_level(h) -> int:
     [lo, hi] of q's ray kept on the handle, compared cross-multiplied,
     and every check asks the body's facet rows.  The facets through the
     origin, exempt in that check, do not cut the chord: n.q >= 0 on the
-    body."""
+    body.  An entry vertex has ln == ld and hn > hd, and so has an exit
+    vertex after t -> 1/t: each window (1, hn/hd) reaches above 1, and
+    its lower end admits every k."""
     cls = h.classification
     entries = cls.entry_extremal + cls.entry_inner
     best = 0
@@ -226,19 +230,8 @@ def overlap_level(h) -> int:
             # t -> 1/t maps an exit vertex's chord [lo, 1] to [1, 1/lo]
             # and its scales k/(k+1) to (k+1)/k
             (ln, ld), (hn, hd) = (hd, hn), (ld, ln)
-        # scales (k+1)/k decrease toward 1, so they enter the window from
-        # above; the window must reach above 1 for any k to work
-        if hn <= hd:
-            raise UnsupportedCase(
-                "chord of vertex %s touches the body boundary"
-                % (h.body.vertices[vi],)
-            )
+        # scales (k+1)/k fall toward 1, entering the window from above
         k = hd // (hn - hd) + 1
-        if not (k + 1) * ld > ln * k:
-            raise UnsupportedCase(
-                "interior window of vertex %s excludes all levels"
-                % (h.body.vertices[vi],)
-            )
         _check_interior(h, vi, *((k, k + 1) if vi in entries else (k + 1, k)))
         best = max(best, k)
     return best
@@ -273,23 +266,20 @@ def ray_point(h, i: int) -> Point3:
 
 
 def ray_chord_class(h, i: int) -> str:
-    """'point' when ray i meets the body in one point, 'entry_vertex'
-    when the near chord end is a vertex, else 'entry_hidden'."""
-    if _ray_hit(h, i).kind == "point":
-        return "point"
-    if _ray_vertex_index(h, i) is not None:
-        return "entry_vertex"
-    return "entry_hidden"
+    """'point' when ray i meets the body in one point, else
+    'entry_vertex': the near chord end is a vertex (`_ray_vertex_index`)."""
+    return "point" if _ray_hit(h, i).kind == "point" else "entry_vertex"
 
 
-def _ray_vertex_index(h, i: int) -> Optional[int]:
-    """Vertex index of the near chord end of ray i, if it is a vertex:
-    the ray point on the body's scale, looked up among its rows."""
+def _ray_vertex_index(h, i: int) -> int:
+    """Vertex index of the near chord end of ray i, the ray point on the
+    body's scale looked up among its rows.  It is a vertex: a plane H
+    through the origin has H n cone(B) = ray i, so the chord B n H is a
+    face of B (a vertex or an edge), and its near end sits at lo = 1 on
+    its own chord, a point_extremal or entry_extremal vertex."""
     row, d = _ray_row(h, i)
     s = h.body.scale
-    if any(c * s % d for c in row):
-        return None
-    return h._vindex.get(tuple(c * s // d for c in row))
+    return h._vindex[tuple(c * s // d for c in row)]
 
 
 def _ray_row(h, i: int) -> tuple[IntVec, int]:
@@ -455,7 +445,10 @@ def _bridge_triangles(
     then fan), the chord on the same scale.  The triangle corners are
     the facing fan ends; when those are not parallel to the chord (the
     fans were flat, so their ends are ordered by distance, not angle)
-    the unique parallel pair of fan points takes over."""
+    the unique parallel pair of fan points takes over.  On a three-ray
+    cone no fan is empty: only extremal rays hold point-chord vertices,
+    one each (`classify`), so a vertex's three or more neighbours include
+    an entry or exit vertex, whose edge gives a fan point."""
     fa, fb = a[2:], b[2:]
     if not fa or not fb:
         raise UnsupportedCase(
@@ -490,38 +483,40 @@ def _slab_set(h, corner: tuple[_Template, ...]) -> SlabSet:
         if nxt is None:
             continue
         den = lcm(c.den, nxt.den)
-        tris = _bridge_triangles(
-            c.ray,
-            nxt.ray,
-            [_scale(r, den // c.den) for r in c.rows],
-            [_scale(r, den // nxt.den) for r in nxt.rows],
-            _sub(_ray_step(h, nxt.ray, den), _ray_step(h, c.ray, den)),
-        )
+        try:
+            tris = _bridge_triangles(
+                c.ray,
+                nxt.ray,
+                [_scale(r, den // c.den) for r in c.rows],
+                [_scale(r, den // nxt.den) for r in nxt.rows],
+                _sub(_ray_step(h, nxt.ray, den), _ray_step(h, c.ray, den)),
+            )
+        except AssumptionViolated as exc:
+            if h.simplicial:  # bridges are proved on three rays only
+                raise
+            raise UnsupportedCase(str(exc)) from None
         tris = tuple(tuple(_point(r, den) for r in tri) for tri in tris)
         bridges.append(BridgeSlab(c.ray, nxt.ray, c.level, tris))
     return SlabSet(corner=tuple(c.slab() for c in corner), bridge=tuple(bridges))
+
+
+def _check_level(h, k: int) -> None:
+    """Slabs start at the base level max(1, overlap level)."""
+    base = max(1, h.overlap)
+    if k < base:
+        raise BadParameter("slabs start at the base level %d" % base)
 
 
 def slabs(h, k: int) -> SlabSet:
     """All corner and bridge slabs at level k (only the nonempty kinds:
     corner slabs exist on point-chord rays, bridges between consecutive
     point-chord rays)."""
-    if k < 1:
-        raise BadParameter("slabs start at level 1")
-    # a body the classification rejects has no slabs, point chords or not
-    h.classification
-    t = len(h.rays)
-    for i in range(t):
-        if ray_chord_class(h, i) == "entry_hidden":
-            raise UnsupportedCase(
-                "ray %d has a segment chord whose near end is not a "
-                "vertex" % i
-            )
+    _check_level(h, k)
     return _slab_set(
         h,
         tuple(
             _ordered_fan(h, i, k)
-            for i in range(t)
+            for i in range(len(h.rays))
             if h.ray_data[i].kind == "point"
         ),
     )
@@ -529,8 +524,7 @@ def slabs(h, k: int) -> SlabSet:
 
 def corner_slab(h, i: int, k: int) -> CornerSlab:
     """The corner slab of one point-chord ray at one level."""
-    if k < 1:
-        raise BadParameter("slabs start at level 1")
+    _check_level(h, k)
     if _ray_hit(h, i).kind != "point":
         raise BadParameter("ray %d has a segment chord, no corner slab" % i)
     return _ordered_fan(h, i, k).slab()
@@ -548,8 +542,7 @@ def separation_level(
     generator of another ray, can land in that ray's corner slab or in
     the bridge between the other two rays.
 
-    Needs a three-ray cone whose rays all have point chords, except
-    possibly one whose near chord end is an extremal-ray vertex.
+    Needs a three-ray cone with at least two point-chord rays.
     `generators` overrides the translation vectors (one per ray, in ray
     order); by default the ray generators of the semigroup are used.
     """
@@ -562,21 +555,11 @@ def _separation(
     """The separation level together with the corner templates it was
     derived from: one corner slab per point-chord ray at the base level
     max(1, overlap level), keyed by ray.  `_translated` moves a template
-    to any level from the base on."""
-    cls = h.classification
+    to any level from the base on.  No fan is empty (`_bridge_triangles`)."""
     if not h.simplicial:
         raise NotSimplicial("separation level needs a three-ray cone")
     point_rays = [i for i in range(3) if h.ray_data[i].kind == "point"]
-    if len(point_rays) == 2:
-        other = next(i for i in range(3) if i not in point_rays)
-        if ray_chord_class(h, other) != "entry_vertex" or (
-            _ray_vertex_index(h, other) not in cls.entry_extremal
-        ):
-            raise UnsupportedCase(
-                "segment-chord ray %d does not start at an extremal vertex"
-                % other
-            )
-    elif len(point_rays) != 3:
+    if len(point_rays) < 2:
         raise UnsupportedCase(
             "separation level needs at least two point-chord rays"
         )
@@ -607,14 +590,10 @@ def _separation(
         if len(point_rays) == 3:
             r = others[0] if (others[0] + 1) % 3 == others[1] else others[1]
             nxt = (r + 1) % 3
-            try:
-                tri_r, tri_nxt = _bridge_triangles(
-                    r, nxt, verts[r], verts[nxt], _sub(steps[nxt], steps[r])
-                )
-            except UnsupportedCase:
-                pass
-            else:
-                targets.append([(tri_r, steps[r]), (tri_nxt, steps[nxt])])
+            tri_r, tri_nxt = _bridge_triangles(
+                r, nxt, verts[r], verts[nxt], _sub(steps[nxt], steps[r])
+            )
+            targets.append([(tri_r, steps[r]), (tri_nxt, steps[nxt])])
         for j in others:
             source = [_add(v, moves[j]) for v in verts[i]]
             for target in targets:

@@ -138,9 +138,6 @@ def is_buchsbaum(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdic
     all recomputed relative to the closure."""
     if not h.simplicial:
         raise NotSimplicial("the decision procedures need a three-ray cone")
-    # read before the try: a classification failure is an error, not an
-    # "unsupported" verdict about the closure
-    h.classification
     try:
         cl = closure(h, budget_layers=budget_layers)
     except UnsupportedCase as exc:
@@ -178,14 +175,6 @@ def is_gorenstein(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdi
     """Decide Gorensteinness: Cohen-Macaulay plus a unique maximal
     element in the intersection of the ray-generator Apery sets."""
     cm = is_cohen_macaulay(h)
-    if cm.verdict == "unsupported":
-        return PropertyVerdict(
-            property="Gorenstein",
-            verdict="unsupported",
-            witness=None,
-            case_used="Cohen-Macaulay stage: %s" % cm.case_used,
-            diagnostics=cm.diagnostics,
-        )
     if cm.verdict == "no":
         return PropertyVerdict(
             property="Gorenstein",
@@ -308,7 +297,9 @@ def _decide(
     """Shared dispatcher: the Cohen-Macaulay criterion for the
     semigroup, or for its closure when `added` holds the closure's
     added points.  Every membership question is an array for
-    `semigroup._closure_rows`."""
+    `semigroup._closure_rows`.  The verdict is "yes" or "no":
+    `_separation` takes every three-ray cone with two or three point
+    chords, as the docstrings of `decomposition` prove."""
     classes = [ray_chord_class(h, i) for i in range(3)]
     kappa = h.overlap
     diag = dict(diag)
@@ -360,16 +351,7 @@ def _decide(
             diagnostics=diag,
         )
 
-    try:
-        sep, templates = _separation(h, gens)
-    except (UnsupportedCase, NotSimplicial) as exc:
-        return PropertyVerdict(
-            property=prop,
-            verdict="unsupported",
-            witness=None,
-            case_used="configuration outside the decided cases: %s" % exc,
-            diagnostics=diag,
-        )
+    sep, templates = _separation(h, gens)
     diag["separation_level"] = sep
     region = _corner_window(h, sep, templates)
     diag["region_points"] = len(region)

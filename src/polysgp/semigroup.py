@@ -107,11 +107,11 @@ class SemigroupHandle:
     matrix, each body vertex's chord as integer ratios
     (`geometry._chord`, in units of the vertex) with a row -> vertex
     index map, and, for three-ray cones, the smallest semigroup element
-    on each ray, read off its chord.  The span hull, the vertex
-    classification, the overlap level and the Cohen-Macaulay verdict
-    are computed on first use and kept for the handle's lifetime, and
-    so are the Apery scan (`_ray_apery`) and the closure, once per
-    `budget_layers` value.
+    on each ray, read off its chord.  Only `build` makes one, after its
+    OriginInside check.  The span hull, the vertex classification, the
+    overlap level and the Cohen-Macaulay verdict are computed on first
+    use and kept for the handle's lifetime, and so are the Apery scan
+    (`_ray_apery`) and the closure, once per `budget_layers` value.
     Queries are thread-safe: two threads racing to fill one of these
     compute the same value and store identical results.
     """
@@ -141,10 +141,6 @@ class SemigroupHandle:
         self.simplicial: bool = simplicial
         self.ray_data: tuple[RayHit, ...] = ray_data
         self.ray_generators: Optional[tuple[Point3, ...]] = ray_generators
-        if all(c <= 0 for *_a, c in body.int_facets):
-            raise AssumptionViolated(
-                "no facet separates the origin from the body"
-            )
         # the cone's facet normals: cross products of consecutive rays,
         # primitive and pointing toward the rays' sum
         ints = [r.int_tuple() for r in rays]

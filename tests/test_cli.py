@@ -119,6 +119,27 @@ def test_unsupported_configuration_exits_two(tmp_path, capsys):
 def test_exhausted_budget_exits_two(s3_file, capsys):
     assert main(["msg", "--budget-layers", "2", s3_file]) == 2
     capsys.readouterr()
+    for cmd in ("is-gorenstein", "is-buchsbaum"):
+        assert main([cmd, "--budget-layers", "1", s3_file]) == 2
+        assert "verdict: inconclusive" in capsys.readouterr().out.splitlines()
+
+
+def test_slab_export_below_base_level_exits_one(s3_file, capsys):
+    # s3's overlap level is 3, so the default --level 1 has no slabs
+    argv = ["export", "--kind", "slabs", "--format", "mesh", s3_file]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "BadParameter" in err and "base level 3" in err
+
+
+@pytest.mark.parametrize("seed", [0, 15])
+def test_uncut_bridge_past_three_rays_is_unsupported(tmp_path, capsys, seed):
+    # four-ray bodies whose bridge has no edge parallel to its chord
+    path = tmp_path / "body.txt"
+    path.write_text(_document(instancegen.poly_vertices(seed)), "utf-8")
+    for cmd in ("gaps", "decompose"):
+        assert main([cmd, str(path)]) == 2
+        assert "error [UnsupportedCase]" in capsys.readouterr().err
 
 
 def test_budget_flag_only_where_it_is_read(s3_file, capsys):
@@ -188,6 +209,67 @@ def test_structured_output_is_sorted_json(s3_file, capsys):
     assert list(record) == sorted(record)
     assert main(["msg", "--format", "structured", s3_file]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_msg_oracle_agrees(s3_file, capsys):
+    assert main(["msg", "--oracle", s3_file]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "oracle: ok, 6 generators match inside the box"
+
+
+def test_structured_cm_witness(s5_file, capsys):
+    assert main(["is-cm", "--format", "structured", s5_file]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["verdict"] == "no"
+    assert record["witness"] == {
+        "point": [5, 5, 5],
+        "generator_indices": [0, 1],
+    }
+
+
+def test_decompose_names_why_separation_is_missing(tmp_path, capsys):
+    path = tmp_path / "we.txt"
+    path.write_text(_document(WE_VERTICES), encoding="utf-8")
+    assert main(["decompose", str(path)]) == 0
+    assert (
+        "separation_level: unavailable (separation level needs at least "
+        "two point-chord rays)"
+    ) in capsys.readouterr().out.splitlines()
+
+
+def test_structured_decompose_and_slab_export_agree(s3_file, capsys):
+    assert main(["decompose", "--format", "structured", s3_file]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["simplicial"] is True
+    assert [r["chord"] for r in record["rays"]] == [
+        "entry_vertex",
+        "point",
+        "point",
+    ]
+    assert (record["overlap_level"], record["separation_level"]) == (3, 3)
+    assert record["separation_unavailable_reason"] is None
+    assert record["base_level"] == 3
+    corners = [
+        (c["ray"], c["level"], c["fan_size"]) for c in record["corner_slabs"]
+    ]
+    assert corners == [(1, 3, 2), (2, 3, 2)]
+    assert [b["rays"] for b in record["bridge_slabs"]] == [[1, 2]]
+
+    argv = ["export", "--kind", "slabs", "--level", "3"]
+    assert main(argv + ["--format", "structured", s3_file]) == 0
+    export = json.loads(capsys.readouterr().out)
+    assert (export["kind"], export["level"]) == ("slabs", 3)
+    assert [
+        (c["ray"], c["level"], len(c["fan"])) for c in export["corner"]
+    ] == corners
+    assert [b["rays"] for b in export["bridge"]] == [[1, 2]]
+    # the slabs the export lists are the ones decompose counts
+    assert [len(c["integer_points"]) for c in export["corner"]] == [
+        c["integer_points"] for c in record["corner_slabs"]
+    ]
+    assert [len(b["integer_points"]) for b in export["bridge"]] == [
+        b["integer_points"] for b in record["bridge_slabs"]
+    ]
 
 
 def test_family_output_feeds_other_commands(tmp_path, capsys):

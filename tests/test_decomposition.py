@@ -39,9 +39,15 @@ from polysgp.decomposition import (
     slab_integer_points,
     slabs,
 )
-from polysgp.errors import BadParameter, NotSimplicial, UnsupportedCase
+from polysgp.errors import (
+    BadParameter,
+    DegenerateInput,
+    NotSimplicial,
+    UnsupportedCase,
+)
 from polysgp.geometry import (
     Point3,
+    _primitive_direction,
     cone_supporting_facets,
     contains,
     dilate,
@@ -361,6 +367,12 @@ def test_corner_slab_parameter_validation(s3):
         corner_slab(s3, segment_ray, 3)
     with pytest.raises(BadParameter):
         corner_slab(s3, point_ray, 0)
+    # below the base level max(1, overlap level) = 3 a fan edge can miss
+    # the neighbouring dilation
+    with pytest.raises(BadParameter, match="base level 3"):
+        corner_slab(s3, point_ray, 2)
+    with pytest.raises(BadParameter, match="base level 3"):
+        slabs(s3, 2)
     for ray in (-1, len(s3.rays)):
         with pytest.raises(BadParameter):
             corner_slab(s3, ray, 3)
@@ -371,23 +383,44 @@ def test_corner_slab_parameter_validation(s3):
         slabs(s3, 0)
 
 
-def test_chord_near_ends_are_always_vertices(s3, s5, nn, we):
-    # the two cone walls through an extremal ray pin any face meeting
-    # the ray to the ray itself, so a chord end is always a body vertex;
-    # the 'entry_hidden' branch exists only as an internal guard
+def test_chord_near_ends_are_always_vertices(
+    s3, s5, nn, we, gorenstein_no, pyramid
+):
+    # the proofs the slab code relies on, checked on a battery: a chord's
+    # near end is a body vertex (extremal rays are exposed), only extremal
+    # rays hold point-chord vertices, classify and overlap_level refuse
+    # nothing, and every corner fan of a three-ray cone is nonempty.
+    # Seeds whose vertices span no body are the only ones left out.
     import instancegen
 
-    handles = [s3, s5, nn, we]
-    for seed in range(40):
-        try:
-            handles.append(build(instancegen.poly_vertices(seed)))
-        except Exception:
-            continue
+    handles = [s3, s5, nn, we, gorenstein_no, pyramid]
+    for seed in range(1000):
+        for gen in (instancegen.tetra_vertices, instancegen.poly_vertices):
+            try:
+                handles.append(build(gen(seed)))
+            except DegenerateInput:
+                continue
+    assert len(handles) > 1900
     for h in handles:
         vset = set(h.body.vertices)
         for i in range(len(h.rays)):
-            assert ray_chord_class(h, i) in ("point", "entry_vertex")
             assert ray_point(h, i) in vset
+        cls = classify(h)
+        overlap_level(h)
+        ray_dirs = {r.int_tuple() for r in h.rays}
+        points = [
+            vi
+            for vi, ((ln, ld), (hn, hd)) in enumerate(h._chords)
+            if ln * hd == hn * ld
+        ]
+        assert sorted(cls.point_extremal) == points
+        for vi in points:
+            assert _primitive_direction(h.body.rows[vi]) in ray_dirs
+        if h.simplicial:
+            base = max(1, h.overlap)
+            for i in range(3):
+                if h.ray_data[i].kind == "point":
+                    assert corner_slab(h, i, base).fan, (h.body.vertices, i)
 
 
 def test_slabs_reject_non_simplicial(pyramid):

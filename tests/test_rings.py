@@ -193,6 +193,16 @@ def test_gorenstein_propagates_cm_failure(s5):
     _replay_witness(s5, v)
 
 
+def test_exhausted_budgets_give_inconclusive_verdicts():
+    h = build(S3_VERTICES)
+    v = is_gorenstein(h, budget_layers=1)
+    assert v.verdict == "inconclusive" and v.witness is None
+    assert v.case_used == "Apery enumeration hit its layer budget"
+    v = is_buchsbaum(h, budget_layers=1)
+    assert v.verdict == "inconclusive" and v.witness is None
+    assert v.case_used == "closure generator enumeration hit its layer budget"
+
+
 def test_gorenstein_rejects_non_simplicial(pyramid):
     with pytest.raises(NotSimplicial):
         is_gorenstein(pyramid)

@@ -99,6 +99,12 @@ def test_member_raises_outside_cone(s3):
     assert ok and level == 2
 
 
+def test_member_reports_an_in_cone_gap(s5):
+    # (5, 5, 5) is the gap s5's Cohen-Macaulay witness names
+    assert in_cone_int(s5, (5, 5, 5))
+    assert member(s5, (5, 5, 5)) == (False, None)
+
+
 def test_non_normal_membership(nn):
     assert member_int(nn, (2, 2, 2))[0] is True
     assert member_int(nn, (1, 1, 1))[0] is False
