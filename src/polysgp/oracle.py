@@ -1,7 +1,8 @@
 """Brute-force ground truth for small instances.
 
 Every answer here is recomputed straight from the definitions:
-membership by testing each dilation layer against facet inequalities,
+membership by reading the range of dilation layers whose facet
+inequalities a point meets off its facet products,
 generators by ruling out every two-term decomposition, Apery elements by
 subtracting generators one at a time.  The facet inequalities, the
 cone, and the ray directions are derived from the vertex coordinates
@@ -267,12 +268,21 @@ def scan_semigroup(source, box: Optional[Box] = None) -> set[IntVec]:
         )
     dtype = _dtype_for(pre, box)
     pts = _grid(box.max_coord)
-    normals = np.array([f[:3] for f in pre.facets], dtype=dtype)
-    offsets = np.array([f[3] for f in pre.facets], dtype=dtype)
-    dots = normals @ pts.astype(dtype)
-    present = np.zeros(pts.shape[1], dtype=bool)
-    for j in range(1, need + 1):
-        present |= (dots >= j * offsets[:, None]).all(axis=0)
+    grid = pts.astype(dtype, copy=False)
+    # layer j holds q iff n.q >= j * c on every facet (n, c): a positive
+    # c caps j at floor(n.q / c), a negative one raises it to
+    # ceil(n.q / c), and c = 0 needs n.q >= 0
+    least = np.ones(pts.shape[1], dtype=dtype)
+    most = np.full(pts.shape[1], need, dtype=dtype)
+    for *n, c in pre.facets:
+        dot = np.array(n, dtype=dtype) @ grid
+        if c > 0:
+            most = np.minimum(most, dot // c)
+        elif c < 0:
+            least = np.maximum(least, -(dot // -c))
+        else:
+            most[dot < 0] = 0
+    present = least <= most
     out = _masked_points(pts, present)
     out.add(_ORIGIN)
     return out

@@ -173,7 +173,13 @@ def is_buchsbaum(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdic
 
 def is_gorenstein(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdict:
     """Decide Gorensteinness: Cohen-Macaulay plus a unique maximal
-    element in the intersection of the ray-generator Apery sets."""
+    element in the intersection of the ray-generator Apery sets.
+
+    The Cohen-Macaulay verdict is asked for first, so on a "yes" the
+    Apery set comes from the cosets of Z^3 / ZE
+    (`semigroup._coset_apery`) rather than the shell scan; it is the
+    same set, cut by `budget_layers` the same way, and a coset whose
+    least point is no member raises AssumptionViolated."""
     cm = is_cohen_macaulay(h)
     if cm.verdict == "no":
         return PropertyVerdict(

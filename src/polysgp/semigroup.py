@@ -15,18 +15,26 @@ least dilation off its chord, and the least semigroup point m*d on the
 ray of a primitive direction d has m the numerator of the simplest
 fraction on the ray's chord.  The cone is tested against its facet
 normals, the cross products of consecutive extremal rays.  Every
-membership question asked inside the package
-goes to `member_rows` as an integer array of at most `_BLOCK` rows,
-through `_shell` or `_closure_rows`; `member_int` is the reference the
-array kernel is tested against.  One order sieve,
+membership question asked inside the package goes to the array kernel
+`_dilation_rows` as an integer array of at most `_BLOCK` rows, through
+`_shell` or `_closure_rows` (both by way of `member_rows`), or
+directly where the least dilation is wanted; `member_int` is the
+reference the array kernel is tested against.  One order sieve,
 `_order_sieve`, picks the minimal generators, the closure's generators
 and the maximal Apery elements out of a finite set.
 
-The handle keeps what several entry points read: the Apery scan over
-the ray generators, which `minimal_generators` and
-`apery_intersection` share, and the closure, which `is_buchsbaum`
-reuses; each is computed once per handle and `budget_layers` value and
-never answers a call with another budget.
+The Apery set of the ray generators E is scanned shell by shell
+(`_apery_scan`), except on a three-ray cone whose handle keeps a "yes"
+Cohen-Macaulay verdict: there each coset of Z^3 / ZE holds exactly
+one Apery element, its least point in the semigroup, and
+`_coset_apery` finds all of them at once by membership probes and
+reports what the scan would at the same budget.
+
+The handle keeps what several entry points read: the Apery set of the
+ray generators, which `minimal_generators` and `apery_intersection`
+share, and the closure, which `is_buchsbaum` reuses; each is computed
+once per handle and `budget_layers` value and never answers a call with
+another budget.
 """
 
 from __future__ import annotations
@@ -79,7 +87,8 @@ def _as_intvec(p) -> IntVec:
 class GeneratorSet:
     """Minimal generating set of the semigroup when `certified`;
     otherwise the layer budget ran out first and the set is partial.
-    `layers_scanned` counts the dilation shells the Apery scan read."""
+    `layers_scanned` counts the dilation shells the Apery scan read, or
+    would read when the set comes from the cosets (`_ray_apery`)."""
 
     generators: tuple[Point3, ...]
     certified: bool
@@ -110,7 +119,7 @@ class SemigroupHandle:
     on each ray, read off its chord.  Only `build` makes one, after its
     OriginInside check.  The span hull, the vertex classification, the
     overlap level and the Cohen-Macaulay verdict are computed on first
-    use and kept for the handle's lifetime, and so are the Apery scan
+    use and kept for the handle's lifetime, and so are the Apery set
     (`_ray_apery`) and the closure, once per `budget_layers` value.
     Queries are thread-safe: two threads racing to fill one of these
     compute the same value and store identical results.
@@ -251,6 +260,23 @@ def member_rows(
     With `shell`, a member whose least dilation is not `shell` raises
     AssumptionViolated.
     """
+    ok, lo = _dilation_rows(h, pts)
+    if shell is not None:
+        wrong = np.flatnonzero(ok & (lo != shell))
+        if len(wrong):
+            i = wrong[0]
+            raise AssumptionViolated(
+                "shell %d point %s reports dilation %s"
+                % (shell, tuple(pts[i].tolist()), int(lo[i]))
+            )
+    return ok | ~pts.any(axis=1)
+
+
+def _dilation_rows(
+    h: SemigroupHandle, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel of `member_rows`: whether some dilation k >= 1 holds
+    each row, and the least k that can (read only where it does)."""
     # at or above `kernel_dtype`'s bound: |a.p| + |c| over every facet
     # is at most max |a|_1 * max |p_i| + max |c|
     norm, top_c = h._facet_bound
@@ -264,15 +290,7 @@ def member_rows(
     lo = (-(-v[:, far] // c[far])).max(axis=1, initial=1)
     hi = (v[:, near] // c[near]).min(axis=1)
     ok = (p >= 0).all(axis=1) & (v[:, c == 0] >= 0).all(axis=1) & (lo <= hi)
-    if shell is not None:
-        wrong = np.flatnonzero(ok & (lo != shell))
-        if len(wrong):
-            i = wrong[0]
-            raise AssumptionViolated(
-                "shell %d point %s reports dilation %s"
-                % (shell, tuple(pts[i].tolist()), int(lo[i]))
-            )
-    return ok | ~p.any(axis=1)
+    return ok, lo
 
 
 def _shell(
@@ -509,15 +527,30 @@ def _apery_rows(
 def _ray_apery(
     h: SemigroupHandle, budget_layers: int
 ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], bool, int]:
-    """The ray generators E of `minimal_generators` and `_apery_scan`
-    over them, computed once per handle and budget."""
+    """The ray generators E of `minimal_generators` and the Apery
+    elements over them, computed once per handle and budget: by
+    `_coset_apery` on a three-ray cone whose handle keeps a "yes"
+    Cohen-Macaulay verdict, and by `_apery_scan` otherwise.  Both
+    return the same elements, `complete` flag and layer count."""
     if budget_layers not in h._apery:
         rays = h.ray_generators or [
             _smallest_ray_point(h, i) for i in range(len(h.rays))
         ]
         gens = tuple(g.int_tuple() for g in rays)
-        h._apery[budget_layers] = (gens, *_apery_scan(h, gens, budget_layers))
+        cm = h._cm is not None and h._cm.verdict == "yes"
+        apery = _coset_apery if cm and len(gens) == 3 else _apery_scan
+        h._apery[budget_layers] = (gens, *apery(h, gens, budget_layers))
     return h._apery[budget_layers]
+
+
+def _scan_base(h: SemigroupHandle, gens: Sequence[IntVec]) -> tuple[int, int]:
+    """The shell `_apery_scan` must pass before it may stop, kappa +
+    period + the widest dilation window of a generator, and the
+    period."""
+    period = h.period()
+    windows = [dilation_interval(h, g) for g in gens]
+    width = max(max(1, hi - lo + 1) for lo, hi in windows)
+    return h.overlap + period + width, period
 
 
 def _apery_scan(
@@ -526,16 +559,12 @@ def _apery_scan(
     """Nonzero semigroup points p with p - g outside the semigroup for
     every g in `gens`, scanned shell by shell.
 
-    Stops once the scan is past kappa + period + the widest dilation
-    window of a generator and a full period has passed with no new
-    element.  Returns the elements in scan order, whether the scan
-    stopped that way (rather than at the budget), and the number of
-    layers scanned.
+    Stops once the scan is past `_scan_base` and a full period has
+    passed with no new element.  Returns the elements in scan order,
+    whether the scan stopped that way (rather than at the budget), and
+    the number of layers scanned.
     """
-    kappa = h.overlap
-    period = h.period()
-    windows = [dilation_interval(h, g) for g in gens]
-    base = kappa + period + max(max(1, hi - lo + 1) for lo, hi in windows)
+    base, period = _scan_base(h, gens)
 
     found: list[IntVec] = []
     last_hit = 0
@@ -555,6 +584,102 @@ def _apery_scan(
         if scanned >= base and scanned >= last_hit + period:
             return tuple(found), True, scanned
     return tuple(found), False, scanned
+
+
+def _scan_stop(shells: Iterable[int], base: int, period: int) -> int:
+    """The shell at which `_apery_scan` stops when its elements lie in
+    the ascending `shells`: the first s >= base that is at least a
+    period past the last shell up to s holding an element.  A shell
+    holding one never qualifies, so between two such shells the first
+    candidate is max(base, last + period)."""
+    last = 0
+    for s in shells:
+        if max(base, last + period) < s:
+            break
+        last = s
+    return max(base, last + period)
+
+
+def _coset_apery(
+    h: SemigroupHandle, gens: Sequence[IntVec], budget_layers: int
+) -> tuple[tuple[IntVec, ...], bool, int]:
+    """`_apery_scan` over three ray generators E of a Cohen-Macaulay
+    semigroup, read off the cosets of Z^3 / ZE instead of the shells.
+
+    The lattice points of a coset in the cone are r + nE, n in N^3, for
+    its point r in the half-open parallelepiped {lambda E : lambda in
+    [0, 1)^3}.  The n with r + nE in S form an up-set, as S + E lies in
+    S, and S is Cohen-Macaulay exactly when each up-set is n0 + N^3
+    (Rosales and Garcia-Sanchez, Proc. Edinburgh Math. Soc. 41 (1998)),
+    so that r + n0 E is the coset's one Apery element.  The semigroup
+    spans Z^3, so each coset holds a member r + nE, and r + t(E1 + E2 +
+    E3) is one for t >= max(n): t doubles from 0 until it is.  Each
+    coordinate of n0 is then bisected in [0, t] with the other two held
+    at t.  A least point that is no member means the up-set is not an
+    orthant, so the kept verdict was wrong: AssumptionViolated.
+
+    The representatives are the box below the diagonal (h1, h2, h3) of
+    E's lower-triangular Hermite form, with h3 the gcd of E's last
+    column and h2 h3 that of its 2x2 minors on the last two columns,
+    moved into the parallelepiped with E's adjugate.  Each element's
+    shell is its least dilation, and `_scan_stop` says where the scan
+    would stop, so the result is `_apery_scan`'s at every budget.
+    """
+    e1, e2, e3 = gens
+    adj = (_cross(e2, e3), _cross(e3, e1), _cross(e1, e2))
+    det = _dot(e1, adj[0])
+    h3 = gcd(e1[2], e2[2], e3[2])
+    h23 = gcd(*(a[0] for a in adj))
+    box = (abs(det) // h23, h23 // h3, h3)
+    # int64 while every value stays below `room`: r . adj below
+    # 3 |det| max|adj|, the quotient's translate below 12 max|adj| max|E|,
+    # and t times a generator coordinate, checked as t grows
+    room = geometry._INT64_LIMIT // 8
+    a_top = max(abs(c) for a in adj for c in a)
+    top = 3 * abs(det) * a_top + 12 * a_top * max(max(e) for e in gens)
+    dtype = np.int64 if top < room else object
+    r = np.indices(box).reshape(3, -1).T.astype(dtype)
+    E = np.array(gens, dtype=dtype)
+    r = r - (r @ np.array(adj, dtype=dtype).T // det) @ E
+
+    step = E.sum(axis=0)
+    t = np.zeros(len(r), dtype=dtype)
+    todo = np.arange(len(r))
+    while len(todo):
+        if int(t.max()) * int(step.max()) >= room:
+            r, t, E, step = (a.astype(object) for a in (r, t, E, step))
+        todo = todo[~_closure_rows(h, r[todo] + t[todo, None] * step)]
+        t[todo] = np.maximum(1, 2 * t[todo])
+    climb = r + t[:, None] * step
+    least = climb.copy()
+    for e in E:
+        lo, hi = np.full_like(t, -1), t.copy()
+        while (open_ := np.flatnonzero(hi - lo > 1)).size:
+            mid = (lo[open_] + hi[open_]) // 2
+            ok = _closure_rows(h, climb[open_] - (t[open_] - mid)[:, None] * e)
+            hi[open_[ok]] = mid[ok]
+            lo[open_[~ok]] = mid[~ok]
+        least -= (t - hi)[:, None] * e
+
+    least = least[least.any(axis=1)]
+    blocks = [
+        _dilation_rows(h, least[i : i + _BLOCK])
+        for i in range(0, len(least), _BLOCK)
+    ]
+    ok = np.concatenate([b[0] for b in blocks] or [np.zeros(0, dtype=bool)])
+    shell = np.concatenate([b[1] for b in blocks] or [np.zeros(0, dtype=int)])
+    if not ok.all():
+        raise AssumptionViolated(
+            "least point %s of its coset is no member: the kept "
+            "Cohen-Macaulay verdict is wrong"
+            % (tuple(least[np.flatnonzero(~ok)[0]].tolist()),)
+        )
+    base, period = _scan_base(h, gens)
+    stop = _scan_stop(np.unique(shell).tolist(), base, period)
+    scanned = max(0, min(stop, budget_layers))
+    order = np.lexsort((least[:, 2], least[:, 1], least[:, 0], shell))
+    found = least[order[shell[order] <= scanned]]
+    return tuple(map(tuple, found.tolist())), stop <= budget_layers, scanned
 
 
 def _order_sieve(

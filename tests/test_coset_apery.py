@@ -1,0 +1,179 @@
+"""The Apery set of a Cohen-Macaulay three-ray cone read off the cosets
+of Z^3 / ZE (`semigroup._coset_apery`), against the shell scan
+(`semigroup._apery_scan`) it replaces there."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import instancegen
+from conftest import (
+    GORENSTEIN_NO_VERTICES,
+    NN_VERTICES,
+    S3_VERTICES,
+    S5_VERTICES,
+    WE_VERTICES,
+)
+from polysgp import build, semigroup
+from polysgp.errors import AssumptionViolated, PolysgpError
+from polysgp.geometry import _cross, _dot
+from polysgp.rings import (
+    PropertyVerdict,
+    build_family,
+    is_cohen_macaulay,
+    is_gorenstein,
+)
+from polysgp.semigroup import (
+    _apery_scan,
+    _coset_apery,
+    _ray_apery,
+    member_int,
+)
+
+# The Cohen-Macaulay bodies among tetra/poly seeds 0-99 with overlap
+# level at most 25 (every other seed is non-simplicial, not
+# Cohen-Macaulay, past that level, or rejected by `build`).
+CM_TETRA_SEEDS = [
+    0, 1, 2, 3, 5, 6, 10, 11, 13, 14, 16, 18, 20, 21, 23, 24, 28, 38, 42,
+    43, 53, 57, 59, 61, 62, 65, 71, 73, 75, 77, 83, 84, 85, 87, 93, 97, 98,
+]
+CM_POLY_SEEDS = [
+    4, 5, 6, 10, 11, 20, 22, 27, 31, 34, 35, 38, 40, 42, 44, 47, 48, 50,
+    61, 64, 66, 73, 80, 82, 83, 85, 92, 93, 95, 96, 97, 98,
+]
+
+_BODIES = {
+    "s3": lambda: build(S3_VERTICES),
+    "nn": lambda: build(NN_VERTICES),
+    "gorenstein_no": lambda: build(GORENSTEIN_NO_VERTICES),
+    **{"family%d" % k: (lambda k=k: build_family(k)) for k in range(2, 9)},
+    **{
+        "tetra%d" % s: (lambda s=s: build(instancegen.tetra_vertices(s)))
+        for s in CM_TETRA_SEEDS
+    },
+    **{
+        "poly%d" % s: (lambda s=s: build(instancegen.poly_vertices(s)))
+        for s in CM_POLY_SEEDS
+    },
+}
+
+
+def _gens(h):
+    return tuple(g.int_tuple() for g in h.ray_generators)
+
+
+# Certifying layer count up to which the scan runs at every budget; a
+# deeper scan runs once, and its shells 1..b stand for budget b.
+_EVERY_BUDGET = 30
+
+
+@pytest.mark.parametrize("name", sorted(_BODIES))
+def test_coset_apery_matches_scan_at_every_budget(name, monkeypatch):
+    h = _BODIES[name]()
+    assert is_cohen_macaulay(h).verdict == "yes" and h.overlap <= 25
+    gens = _gens(h)
+    top = _coset_apery(h, gens, 400)
+    assert top[1] and top == _coset_apery(h, gens, top[2])
+    if top[2] > _EVERY_BUDGET:
+        assert top == _apery_scan(h, gens, 400)
+        found, _, last = top
+        shell = [member_int(h, p)[1] for p in found]
+        assert shell == sorted(shell) and shell[-1] < last
+        for budget in range(1, last):
+            want = tuple(p for p, s in zip(found, shell) if s <= budget)
+            assert _coset_apery(h, gens, budget) == (want, False, budget)
+        return
+    # the scan at budget b reads shells 1..b, the same at every budget,
+    # so each shell is enumerated once and replayed for the larger ones
+    shells, shell = {}, semigroup._shell
+
+    def replay(h, s):
+        if s not in shells:
+            shells[s] = list(shell(h, s))
+        return iter(shells[s])
+
+    monkeypatch.setattr(semigroup, "_shell", replay)
+    for budget in range(1, top[2] + 1):
+        got = _coset_apery(h, gens, budget)
+        assert got == _apery_scan(h, gens, budget), budget
+    assert got == top
+
+
+@pytest.mark.parametrize(
+    "name", ["s3", "gorenstein_no", "family2", "family5", "tetra0", "poly96"]
+)
+@pytest.mark.parametrize("budget", [1, 400])
+def test_is_gorenstein_unchanged_on_fresh_handles(name, budget, monkeypatch):
+    fast = is_gorenstein(_BODIES[name](), budget_layers=budget)
+    # the scan again, whatever verdict the handle keeps
+    monkeypatch.setattr(semigroup, "_coset_apery", _apery_scan)
+    assert is_gorenstein(_BODIES[name](), budget_layers=budget) == fast
+    if budget == 1:
+        assert fast.verdict == "inconclusive"
+
+
+@pytest.mark.parametrize(
+    "name", ["s3", "gorenstein_no", "family3", "tetra1", "poly4"]
+)
+def test_ray_apery_takes_the_cosets_only_after_a_yes(name, monkeypatch):
+    calls = {"_coset_apery": 0, "_apery_scan": 0}
+    for fn in calls:
+
+        def counted(*args, _fn=getattr(semigroup, fn), _name=fn):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(semigroup, fn, counted)
+    h = _BODIES[name]()
+    _ray_apery(h, 400)
+    is_cohen_macaulay(h)
+    _ray_apery(h, 399)
+    assert calls == {"_coset_apery": 1, "_apery_scan": 1}
+    assert h._apery[399][1:] == h._apery[400][1:]
+
+
+# Overlap level and ray-generator index past which a drawn body is
+# skipped as too costly for the shell scan.
+_DRAWN_KAPPA = 12
+_DRAWN_INDEX = 5000
+
+
+@given(
+    st.sampled_from(["tetra", "poly"]),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=30, deadline=None)
+def test_coset_apery_matches_scan_on_drawn_bodies(kind, seed):
+    verts = getattr(instancegen, kind + "_vertices")(seed)
+    try:
+        h = build(verts)
+        assume(h.simplicial and h.overlap <= _DRAWN_KAPPA)
+        gens = _gens(h)
+        e1, e2, e3 = gens
+        assume(abs(_dot(e1, _cross(e2, e3))) <= _DRAWN_INDEX)
+        assume(is_cohen_macaulay(h).verdict == "yes")
+    except PolysgpError:
+        assume(False)
+    got, want = _coset_apery(h, gens, 400), _apery_scan(h, gens, 400)
+    assert got == want, "%s seed %d: %s" % (kind, seed, verts)
+
+
+@pytest.mark.parametrize("verts", [S5_VERTICES, WE_VERTICES])
+def test_wrong_cm_verdict_is_caught_by_the_cosets(verts):
+    # neither body is Cohen-Macaulay, and some coset's least point is
+    # no member, so a forced "yes" raises instead of answering
+    h = build(verts)
+    assert is_cohen_macaulay(build(verts)).verdict == "no"
+    h._cm = PropertyVerdict("Cohen-Macaulay", "yes", None, "forced")
+    with pytest.raises(AssumptionViolated, match="no member"):
+        _ray_apery(h, 400)
+
+
+@pytest.mark.xfail(strict=True, raises=AssumptionViolated)
+def test_poly_seed_735_gets_a_cm_verdict():
+    # the body lies flat on the cone facet of rays 0 and 1, where the
+    # bridge model finds no edge parallel to the corner chord
+    h = build(instancegen.poly_vertices(735))
+    assert is_cohen_macaulay(h).verdict in ("yes", "no")

@@ -10,8 +10,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import conftest
 import instancegen
 from conftest import S3_GENERATORS, S3_VERTICES, WE_VERTICES
 from test_acceptance import CM_YES_VERTICES
@@ -183,6 +185,37 @@ def test_scan_layer_covers_low_shells(we):
     assert {p for p in union if sum(p) <= 7} == {
         p for p in present if sum(p) <= 7
     }
+
+
+def _scan_layer_by_layer(source, box):
+    """`scan_semigroup` as a loop over the layers 1..need, testing each
+    box point against every one."""
+    pre = oracle._prepare(source)
+    need = oracle._layer_bound(pre, 3 * box.max_coord)
+    dtype = oracle._dtype_for(pre, box)
+    pts = oracle._grid(box.max_coord)
+    normals = np.array([f[:3] for f in pre.facets], dtype=dtype)
+    offsets = np.array([f[3] for f in pre.facets], dtype=dtype)
+    dots = normals @ pts.astype(dtype)
+    present = np.zeros(pts.shape[1], dtype=bool)
+    for j in range(1, need + 1):
+        present |= (dots >= j * offsets[:, None]).all(axis=0)
+    return oracle._masked_points(pts, present) | {(0, 0, 0)}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["S3", "S5", "NN", "WE", "GORENSTEIN_NO", "NONSIMPLICIAL"],
+)
+@pytest.mark.parametrize("exact", [False, True])
+def test_scan_reads_layers_off_facet_products(name, exact, monkeypatch):
+    verts = getattr(conftest, name + "_VERTICES")
+    box = oracle.default_box(verts)
+    if exact:
+        # Python integers, as for boxes whose products pass int64
+        monkeypatch.setattr(oracle, "_dtype_for", lambda pre, box: object)
+        box = oracle.box_for(verts, 9)
+    assert oracle.scan_semigroup(verts, box) == _scan_layer_by_layer(verts, box)
 
 
 def test_oracle_matches_main_membership(s3, we, pyramid):
