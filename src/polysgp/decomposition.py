@@ -34,7 +34,7 @@ from .geometry import (
     _add,
     _cross,
     _dot,
-    _int_hull_contains_origin,
+    _hull_planes,
     _int_scale,
     _primitive_direction,
     _scale,
@@ -555,7 +555,12 @@ def _separation(
     """The separation level together with the corner templates it was
     derived from: one corner slab per point-chord ray at the base level
     max(1, overlap level), keyed by ray.  `_translated` moves a template
-    to any level from the base on.  No fan is empty (`_bridge_triangles`)."""
+    to any level from the base on.  No fan is empty (`_bridge_triangles`).
+
+    Each (source ray, target) pair is scanned once, for the generators
+    of both other rays together: moving the source by a generator moves
+    the difference cloud as a whole, so `_worst_collision` hulls that
+    cloud at most once per pair (once per tested level for a bridge)."""
     if not h.simplicial:
         raise NotSimplicial("separation level needs a three-ray cone")
     point_rays = [i for i in range(3) if h.ray_data[i].kind == "point"]
@@ -594,12 +599,12 @@ def _separation(
                 r, nxt, verts[r], verts[nxt], _sub(steps[nxt], steps[r])
             )
             targets.append([(tri_r, steps[r]), (tri_nxt, steps[nxt])])
-        for j in others:
-            source = [_add(v, moves[j]) for v in verts[i]]
-            for target in targets:
-                worst = max(
-                    worst, _worst_collision(base, source, steps[i], target)
-                )
+        shifts = [moves[j] for j in others]
+        for target in targets:
+            worst = max(
+                worst,
+                _worst_collision(base, verts[i], steps[i], shifts, target),
+            )
     return max(base, worst + 1), corners
 
 
@@ -623,6 +628,7 @@ def _worst_collision(
     base: int,
     source: list[IntVec],
     step: IntVec,
+    moves: Sequence[IntVec],
     target: list[tuple[Sequence[IntVec], IntVec]],
 ) -> int:
     """Largest min(source level, target level) over colliding pairs of
@@ -632,12 +638,13 @@ def _worst_collision(
     collision test and both bounds below are ratios or sign tests, so
     they come out the same as on the unscaled points.
 
-    `source` is S0 + g, the base-level source template moved by the
-    generator g; it rises by `step`, its ray point p_i, per level.  The
-    target template T0 is the union of the vertex groups in `target`,
-    each rising by its own ray point per level (one group for a corner
-    slab, one triangle per ray for a bridge).  Source level base + alpha
-    can meet target level base + beta only within two bounds:
+    `source` is S0, the base-level source template; it is moved by each
+    generator g in `moves` in turn and rises by `step`, its ray point
+    p_i, per level.  The target template T0 is the union of the vertex
+    groups in `target`, each rising by its own ray point per level (one
+    group for a corner slab, one triangle per ray for a bridge).  Source
+    level base + alpha can meet target level base + beta only within
+    two bounds:
 
     * alpha <= floor((t_max - min n.(S0 + g)) / n.p_i), where n is
       _dual_positive(p_i, target steps) and t_max = max n.T0.  n
@@ -651,6 +658,23 @@ def _worst_collision(
       the one before in this gauge; past the bound the whole target
       lies above the source in the all-ones gauge, so the two cannot
       meet.
+
+    The pair collides iff the origin lies in the hull of the difference
+    cloud (target level) - (source level).  Write the target level as
+    T_beta + beta d_0, where d_0 is the first group's ray point and
+    T_beta moves group k by beta (d_k - d_0): then the cloud is
+    D_beta - x with D_beta = T_beta - S0 and x = g + alpha p_i - beta d_0,
+    and the pair collides iff x lies in hull(D_beta).  Translating a
+    cloud moves its hull and leaves its facet normals as they are, so
+    one hull of D_beta, as integer planes n.x <= c (`_hull_planes`),
+    answers every (g, alpha) by the plane sums
+    alpha n.p_i - beta n.d_0 + n.g <= c: exactly, with no new hull.  A
+    corner target moves as a whole (T_beta = T0), so one hull serves
+    every pair; a bridge's two triangles drift apart by beta (d_1 - d_0),
+    so it takes one hull per tested beta.  A hull is built on first use
+    only.  A flat D_beta is lifted off its affine span once, and its
+    span's equations join the planes as opposite pairs.  Pairs whose
+    min(alpha, beta) cannot beat the worst one found are not tested.
     """
     steps = [d for _verts, d in target]
     t_verts = [v for verts, _d in target for v in verts]
@@ -658,23 +682,42 @@ def _worst_collision(
     t_max = max(_dot(n, v) for v in t_verts)
     t_low = min(sum(v) for v in t_verts)
     rise = min(sum(d) for d in steps)
-    worst = base - 1
-    alphas = (t_max - min(_dot(n, v) for v in source)) // _dot(n, step)
-    for alpha in range(alphas + 1):
-        src = [_add(v, _scale(step, alpha)) for v in source]
-        betas = (max(sum(v) for v in src) - t_low) // rise
-        for beta in range(betas + 1):
-            tgt = [
-                _add(v, _scale(d, beta)) for verts, d in target for v in verts
+    s_low = min(_dot(n, v) for v in source)
+    s_top = max(sum(v) for v in source)
+    d0 = steps[0]
+    hulls: dict = {}
+
+    def hull(beta: int) -> list:
+        """The planes of D_beta as (n.p_i, n.d_0, n, c)."""
+        drift = tuple(_scale(_sub(d, d0), beta) for d in steps)
+        if drift not in hulls:
+            planes = _hull_planes(
+                [
+                    _sub(_add(t, move), s)
+                    for (verts, _d), move in zip(target, drift)
+                    for t in verts
+                    for s in source
+                ]
+            )
+            hulls[drift] = [
+                (_dot(m, step), _dot(m, d0), m, c) for m, c in planes
             ]
-            diffs = [
-                (t[0] - s[0], t[1] - s[1], t[2] - s[2])
-                for t in tgt
-                for s in src
-            ]
-            if _int_hull_contains_origin(diffs):
-                worst = max(worst, base + min(alpha, beta))
-    return worst
+        return hulls[drift]
+
+    worst = -1
+    for g in moves:
+        alphas = (t_max - s_low - _dot(n, g)) // _dot(n, step)
+        for alpha in range(worst + 1, alphas + 1):
+            betas = (s_top + sum(g) + alpha * sum(step) - t_low) // rise
+            for beta in range(worst + 1, betas + 1):
+                if all(
+                    a * alpha - b * beta + _dot(m, g) <= c
+                    for a, b, m, c in hull(beta)
+                ):
+                    worst = max(worst, min(alpha, beta))
+                    if worst == alpha:
+                        break
+    return base + worst
 
 
 def gap_region(h) -> GapRegion:

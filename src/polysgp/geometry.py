@@ -775,35 +775,41 @@ def _hull_contains_origin(points: list[Point3]) -> bool:
 
 
 def _int_hull_contains_origin(points: Sequence[tuple[int, int, int]]) -> bool:
-    """Membership of the origin in the hull of integer triples.  A
-    full-dimensional cloud holds it iff the origin lies on the inner
-    side of every outward triangle of its triangulated hull, so no
-    Polyhedron is built.  A flat cloud holds it iff the origin lies on
-    the cloud's affine span and in the hull of the cloud plus points
-    lifted off that span, since the lifted hull meets the span in the
-    cloud's own hull: p0 + n off a plane with normal n, and p0 + u and
-    p0 + d x u off a line along d, with u = d x e for an axis e."""
+    """Membership of the origin in the hull of integer triples, read off
+    `_hull_planes`, so no Polyhedron is built."""
+    return bool(points) and all(c >= 0 for _n, c in _hull_planes(points))
+
+
+_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _hull_planes(points: Sequence[tuple[int, int, int]]) -> list:
+    """The hull of a nonempty cloud of integer triples as integer planes
+    (n, c): x lies in the hull iff n.x <= c for every one.  A
+    full-dimensional cloud gives one plane per outward triangle of its
+    triangulated hull.  A flat cloud is lifted off its affine span:
+    normals m span the span's orthogonal complement (the plane normal;
+    u and d x u for a line along d, with u = d x e for an axis e; the
+    three axes for one point), the hull of the cloud plus p0 + m for
+    each m meets the span in the cloud's own hull, and each equation
+    m.x = m.p0 of the span comes as the two planes (m, m.p0) and
+    (-m, -m.p0)."""
     pts = list(dict.fromkeys(points))
-    o = (0, 0, 0)
-    try:
-        tris = _triangulated_hull(pts)
-    except DegenerateInput:
-        if len(pts) < 2:
-            return pts == [o]
-        p0 = pts[0]
-        d = _sub(pts[1], p0)
-        n = next(
-            (c for c in (_cross(d, _sub(p, p0)) for p in pts) if any(c)), None
-        )
-        if n is not None:
-            if _dot(n, p0):
-                return False
-            lift = [_add(p0, n)]
-        else:
-            if any(_cross(d, p0)):
-                return False
-            axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-            u = next(c for c in (_cross(d, e) for e in axes) if any(c))
-            lift = [_add(p0, u), _add(p0, _cross(d, u))]
-        return _int_hull_contains_origin(pts + lift)
-    return all(_orient(pts[a], pts[b], pts[c], o) <= 0 for a, b, c in tris)
+    basis = _affine_basis(pts)
+    p0 = pts[0]
+    if len(basis) == 3:
+        eqs = [_cross(_sub(pts[basis[1]], p0), _sub(pts[basis[2]], p0))]
+    elif len(basis) == 2:
+        d = _sub(pts[basis[1]], p0)
+        u = next(c for c in (_cross(d, e) for e in _AXES) if any(c))
+        eqs = [u, _cross(d, u)]
+    elif len(basis) == 1:
+        eqs = list(_AXES)
+    else:
+        eqs = []
+    planes = [(n, _dot(n, p0)) for m in eqs for n in (m, _scale(m, -1))]
+    pts += [_add(p0, m) for m in eqs]
+    for a, b, c in _triangulated_hull(pts):
+        n = _cross(_sub(pts[b], pts[a]), _sub(pts[c], pts[a]))
+        planes.append((n, _dot(n, pts[a])))
+    return planes

@@ -33,7 +33,12 @@ from polysgp.rings import (
     is_cohen_macaulay,
     is_gorenstein,
 )
-from polysgp.errors import BadParameter, NotAGap, NotSimplicial
+from polysgp.errors import (
+    BadParameter,
+    NotAGap,
+    NotSimplicial,
+    PolysgpError,
+)
 from polysgp.semigroup import (
     closure,
     closure_member_int,
@@ -377,3 +382,45 @@ def test_corner_window_bodies_include_a_raised_template():
     h = build(instancegen.tetra_vertices(85))
     sep, templates = _separation(h)
     assert sep > max(t.level for t in templates.values())
+
+
+def test_staircase_refutations_are_oracle_checked(monkeypatch):
+    # every "no" of the emptiness branch (at most one point chord) over
+    # tetra/poly seeds 0-399: the staircase's end is an oracle gap whose
+    # two named generator translates are oracle members; every climb
+    # stays within kappa + period + 4, a sixteenth of its cap
+    climbs = []
+    climb = rings._climb
+
+    def recorded(h, added, p, g, cap):
+        length = climb(h, added, p, g, cap)
+        climbs.append((length, cap))
+        return length
+
+    monkeypatch.setattr(rings, "_climb", recorded)
+    refuted = 0
+    for kind in ("tetra", "poly"):
+        make = getattr(instancegen, "%s_vertices" % kind)
+        for seed in range(400):
+            verts = make(seed)
+            try:
+                h = build(verts)
+            except PolysgpError:
+                continue
+            if not h.simplicial or sum(
+                d.kind == "point" for d in h.ray_data
+            ) > 1:
+                continue
+            v = is_cohen_macaulay(h)
+            if v.verdict != "no":
+                continue
+            refuted += 1
+            p = v.witness.point.int_tuple()
+            assert not oracle.point_member(verts, p), (kind, seed)
+            for idx in v.witness.indices:
+                g = h.ray_generators[idx].int_tuple()
+                t = tuple(a + b for a, b in zip(p, g))
+                assert oracle.point_member(verts, t), (kind, seed, idx)
+    assert refuted == 145
+    assert max(length for length, _cap in climbs) == 4
+    assert all(16 * length <= cap for length, cap in climbs)
