@@ -71,7 +71,6 @@ from .semigroup import (
     SemigroupHandle,
     _closure_rows,
     build,
-    in_cone_int,
     minimal_generators,
     apery_intersection,
 )
@@ -326,12 +325,11 @@ def _cmd_gaps(args) -> int:
     oracle_lines: list[str] = []
     if args.oracle:
         top = int(rows.max()) if len(rows) else 1
-        box = oracle.box_for(h, top + 1)
-        oracle_gaps = oracle.scan_gaps(h, box)
-        wrong = [t for t in map(tuple, rows.tolist()) if t not in oracle_gaps]
-        if wrong:
+        gaps = oracle.Cube(h, oracle.box_for(h, top + 1)).gaps()
+        wrong = rows[~gaps[tuple(rows.T)]]
+        if len(wrong):
             status = 2
-            for p in wrong:
+            for p in wrong.tolist():
                 oracle_lines.append("not a gap by the oracle: %s" % (_pstr(p),))
         else:
             oracle_lines.append(
@@ -500,18 +498,38 @@ def _cmd_family(args) -> int:
     return 0
 
 
-def _diff_report(name: str, main: set, naive: set, unit: str) -> bool:
-    """Print one oracle-check line (and up to ten differing points);
-    True when the two sets differ."""
+def _diff_report(
+    name: str, main: np.ndarray, naive: np.ndarray, unit: str
+) -> bool:
+    """Print one oracle-check line (and up to ten differing points, in
+    lexicographic order) for two box masks; True when they differ."""
     diff = main ^ naive
-    if not diff:
-        print("%s: ok, %d %s" % (name, len(main), unit))
+    count = np.count_nonzero(diff)
+    if not count:
+        print("%s: ok, %d %s" % (name, np.count_nonzero(main), unit))
         return False
-    print("%s: MISMATCH at %d points" % (name, len(diff)))
-    for p in sorted(diff)[:10]:
-        side = "main only" if p in main else "oracle only"
+    print("%s: MISMATCH at %d points" % (name, count))
+    for p in np.argwhere(diff)[:10].tolist():
+        side = "main only" if main[tuple(p)] else "oracle only"
         print("  %s (%s)" % (_pstr(p), side))
     return True
+
+
+def _box_mask(points, shape) -> np.ndarray:
+    """The box mask of a collection of integer triples inside it."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[tuple(np.array(list(points), dtype=np.int64).reshape(-1, 3).T)] = True
+    return mask
+
+
+def _cone_rows(h: SemigroupHandle, pts: np.ndarray) -> np.ndarray:
+    """`in_cone_int` over the rows of an (N, 3) integer array, exact: on
+    Python integers when |n|_1 * max |p_i|, the largest |n.p| a cone
+    normal n can reach, could pass int64."""
+    normals = np.array(h._cone, dtype=object)
+    top = abs(normals).sum(axis=1).max() * int(abs(pts).max(initial=0))
+    dtype = np.int64 if top < 2**62 else object
+    return (pts.astype(dtype) @ normals.astype(dtype).T >= 0).all(axis=1)
 
 
 def _cmd_oracle_check(args) -> int:
@@ -528,26 +546,20 @@ def _cmd_oracle_check(args) -> int:
     failures = 0
     print("box: coordinates up to %d, layers up to %d" % (box.max_coord, box.max_layer))
 
-    grid = np.indices((box.max_coord + 1,) * 3).reshape(3, -1).T
-    ok = _closure_rows(h, grid)
-    main_members = set(map(tuple, grid[ok].tolist()))
-    failures += _diff_report(
-        "membership", main_members, oracle.scan_semigroup(h, box),
-        "member points",
-    )
-
-    main_gaps = {
-        p for p in map(tuple, grid[~ok].tolist()) if in_cone_int(h, p)
-    }
-    failures += _diff_report(
-        "gaps", main_gaps, oracle.scan_gaps(h, box), "gap points"
-    )
+    cube = oracle.Cube(h, box)
+    shape = cube.present.shape
+    grid = np.indices(shape).reshape(3, -1).T
+    member = _closure_rows(h, grid).reshape(shape)
+    failures += _diff_report("membership", member, cube.present, "member points")
+    main_gaps = _cone_rows(h, grid).reshape(shape) & ~member
+    failures += _diff_report("gaps", main_gaps, cube.gaps(), "gap points")
 
     gens = minimal_generators(h, budget_layers=args.budget_layers)
     if gens.certified:
-        inside = {g for g in gens.int_tuples() if max(g) <= box.max_coord}
+        inside = [g for g in gens.int_tuples() if max(g) <= box.max_coord]
         failures += _diff_report(
-            "generators", inside, oracle.naive_msg(h, box), "generators"
+            "generators", _box_mask(inside, shape), cube.generators(),
+            "generators",
         )
     else:
         print("generators: skipped (layer budget hit before certification)")
@@ -566,7 +578,7 @@ def _cmd_oracle_check(args) -> int:
         elems = {p.int_tuple() for p in ap.elements}
         if ap.complete and all(max(t) <= box.max_coord for t in elems):
             failures += _diff_report(
-                "apery", elems, oracle.naive_apery(h, box), "elements"
+                "apery", _box_mask(elems, shape), cube.apery(), "elements"
             )
         else:
             print("apery: skipped (incomplete or outside the box)")

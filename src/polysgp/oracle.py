@@ -4,18 +4,20 @@ Every answer here is recomputed straight from the definitions:
 membership by reading the range of dilation layers whose facet
 inequalities a point meets off its facet products,
 generators by ruling out every two-term decomposition, Apery elements by
-subtracting generators one at a time.  The facet inequalities, the
+subtracting generators.  The facet inequalities, the
 cone, and the ray directions are derived from the vertex coordinates
 from scratch, on the integer rows of L.P for L the lcm of the vertex
 denominators; nothing is imported from the fast implementations, so a
-bug there cannot leak in here.  Expect cubic grids and quadratic
-sieves, and keep the boxes small.
+bug there cannot leak in here.  The work grows with the cube of the
+box side, so keep the boxes small.
 
-The box is [0, max_coord]^3 and every part of a sum of box points is
-coordinatewise below it, so the generator and Apery tests look their
-differences up in the set of present points instead of testing layers
-again: a nonnegative difference p - q with q present lies in the box,
-and the box scan is refused unless it decides every point of the box.
+The box is [0, max_coord]^3, held as one boolean array present[x, y, z]
+(`Cube`).  Every part of a sum of box points is coordinatewise below
+it, so the generator and Apery tests read their differences off that
+array, shifted by a whole generator at a time, instead of testing
+layers again: a nonnegative difference p - q with q present lies in
+the box, and the box scan is refused unless it decides every point of
+the box.
 """
 
 from __future__ import annotations
@@ -221,24 +223,6 @@ def default_box(source) -> Box:
     return box_for(source, int(6 * top) + 1)
 
 
-def _grid(max_coord: int) -> np.ndarray:
-    side = max_coord + 1
-    return (
-        np.stack(
-            np.meshgrid(
-                np.arange(side), np.arange(side), np.arange(side),
-                indexing="ij",
-            )
-        )
-        .reshape(3, -1)
-        .astype(np.int64)
-    )
-
-
-def _masked_points(pts: np.ndarray, mask: np.ndarray) -> set[IntVec]:
-    return set(map(tuple, pts.T[mask].tolist()))
-
-
 def _facet_dtype(facets, box: Box, layers: int):
     """int64 unless the facet coefficients could overflow it."""
     top = max(abs(c) for f in facets for c in f)
@@ -251,68 +235,152 @@ def _dtype_for(pre: _Prepared, box: Box):
     return _facet_dtype(pre.facets, box, _layer_bound(pre, 3 * box.max_coord) + 1)
 
 
-def scan_semigroup(source, box: Optional[Box] = None) -> set[IntVec]:
-    """All integer points of the box lying in some dilation layer.
+def _dots(normal, side: int, dtype) -> np.ndarray:
+    """n.(x, y, z) over the cube [0, side)^3, indexed [x, y, z]."""
+    r = np.arange(side).astype(dtype)
+    a, b, c = normal
+    return (a * r)[:, None, None] + (b * r)[None, :, None] + (c * r)[None, None, :]
 
-    The box must allow every layer that can reach its far corner;
-    otherwise points would be silently misclassified as absent.
+
+def _layer(facets, j: int, box: Box) -> np.ndarray:
+    """The points q of the box with n.q >= j * c on every facet (n, c).
+    Layer 0 is the origin alone: no nonzero q has n.q >= 0 on every
+    facet of a bounded body."""
+    side = box.max_coord + 1
+    dtype = _facet_dtype(facets, box, j)
+    mask = np.ones((side,) * 3, dtype=bool)
+    for *n, c in facets:
+        mask &= _dots(n, side, dtype) >= j * c
+    return mask
+
+
+def _points(mask: np.ndarray) -> set[IntVec]:
+    """The points (x, y, z) of the box where mask[x, y, z] holds."""
+    return set(map(tuple, np.argwhere(mask).tolist()))
+
+
+def _shifted(g: IntVec, side: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Index tuples (to, frm) that line each point p = q + g of a cube
+    up with q, so that `m[to]` against `n[frm]` reads shift(n, g) at p,
+    where shift(n, g)[p] = n[p - g] and is False when p - g leaves the
+    box.  Needs 0 <= g < side."""
+    return (
+        tuple(slice(d, None) for d in g),
+        tuple(slice(None, side - d) for d in g),
+    )
+
+
+class Cube:
+    """One body's box [0, max_coord]^3 as boolean arrays indexed
+    [x, y, z].  `present` holds the points of some dilation layer (the
+    origin in layer 0); the gaps, the generators and the Apery set are
+    read off it by whole-array operations, in integers and booleans.
+
+    The box must allow every layer that can reach its far corner, or
+    points would be misclassified as absent: BoxTooSmall otherwise.
     """
-    pre = _prepare(source)
-    if box is None:
-        box = default_box(source)
-    need = _layer_bound(pre, 3 * box.max_coord)
-    if need > box.max_layer:
-        raise BoxTooSmall(
-            "covering the box needs %d layers, cap is %d"
-            % (need, box.max_layer)
-        )
-    dtype = _dtype_for(pre, box)
-    pts = _grid(box.max_coord)
-    grid = pts.astype(dtype, copy=False)
-    # layer j holds q iff n.q >= j * c on every facet (n, c): a positive
-    # c caps j at floor(n.q / c), a negative one raises it to
-    # ceil(n.q / c), and c = 0 needs n.q >= 0
-    least = np.ones(pts.shape[1], dtype=dtype)
-    most = np.full(pts.shape[1], need, dtype=dtype)
-    for *n, c in pre.facets:
-        dot = np.array(n, dtype=dtype) @ grid
-        if c > 0:
-            most = np.minimum(most, dot // c)
-        elif c < 0:
-            least = np.maximum(least, -(dot // -c))
-        else:
-            most[dot < 0] = 0
-    present = least <= most
-    out = _masked_points(pts, present)
-    out.add(_ORIGIN)
-    return out
+
+    def __init__(self, source, box: Optional[Box] = None):
+        pre = self._pre = _prepare(source)
+        if box is None:
+            box = default_box(source)
+        self.box = box
+        need = _layer_bound(pre, 3 * box.max_coord)
+        if need > box.max_layer:
+            raise BoxTooSmall(
+                "covering the box needs %d layers, cap is %d"
+                % (need, box.max_layer)
+            )
+        dtype = _dtype_for(pre, box)
+        side = box.max_coord + 1
+        # layer j holds q iff n.q >= j * c on every facet (n, c): a
+        # positive c caps j at floor(n.q / c), a negative one raises it to
+        # ceil(n.q / c), and c = 0 needs n.q >= 0
+        least = np.ones((side,) * 3, dtype=dtype)
+        most = np.full((side,) * 3, need, dtype=dtype)
+        for *n, c in pre.facets:
+            dot = _dots(n, side, dtype)
+            if c > 0:
+                np.minimum(most, dot // c, out=most)
+            elif c < 0:
+                np.maximum(least, -(dot // -c), out=least)
+            else:
+                most[dot < 0] = 0
+        self.present = least <= most
+        self.present[0, 0, 0] = True
+
+    def gaps(self) -> np.ndarray:
+        """Integer cone points of the box missed by every layer.  The
+        cone test runs on Python integers when |n|_1 * max_coord, the
+        largest |n.q| over the box, could pass int64."""
+        side = self.box.max_coord + 1
+        top = max(sum(map(abs, n)) for n in self._pre.cone)
+        dtype = np.int64 if top * self.box.max_coord < 2**62 else object
+        out = ~self.present
+        for n in self._pre.cone:
+            out &= _dots(n, side, dtype) >= 0
+        return out
+
+    def generators(self) -> np.ndarray:
+        """Present points with no two-term decomposition into nonzero
+        present points.  Complete for generators inside the box, since
+        both parts of a decomposition are coordinatewise below their sum.
+
+        The coordinate-sum levels are walked upward.  A point of a level
+        is kept unless it was reached: p = g + q for a g kept on a lower
+        level and a nonzero present q.  This is the two-term test: if
+        p = a + b, some kept g has a - g present (a itself, or a kept
+        part of a's own decomposition), so p = g + ((a - g) + b) with
+        (a - g) + b a nonzero member below p; and p = g + q is a
+        decomposition.  A kept g reaches only levels above its own, so a
+        level's reached points are all marked before it is read."""
+        nonzero = self.present.copy()
+        nonzero[0, 0, 0] = False
+        side = len(nonzero)
+        pts = np.argwhere(nonzero)
+        sums = pts.sum(axis=1)
+        order = np.argsort(sums, kind="stable")
+        pts, sums = pts[order], sums[order]
+        reached = np.zeros_like(nonzero)
+        gens = np.zeros_like(nonzero)
+        for level in np.split(pts, np.flatnonzero(np.diff(sums)) + 1):
+            new = level[~reached[tuple(level.T)]]
+            gens[tuple(new.T)] = True
+            for g in new.tolist():
+                to, frm = _shifted(g, side)
+                reached[to] |= nonzero[frm]
+        return gens
+
+    def apery(self) -> np.ndarray:
+        """Present points whose translate by each ray generator leaves
+        the semigroup (the intersection of the per-generator Apery
+        sets), restricted to the box: `present` with shift(present, g)
+        removed for each ray generator g.  p - g <= p, so a nonnegative
+        p - g lies in the box, whose layers decide every point of it."""
+        side = self.box.max_coord + 1
+        out = self.present.copy()
+        for g in _ray_generators(self._pre, self.box):
+            to, frm = _shifted(g, side)
+            out[to] &= ~self.present[frm]
+        return out
+
+
+def scan_semigroup(source, box: Optional[Box] = None) -> set[IntVec]:
+    """All integer points of the box lying in some dilation layer;
+    BoxTooSmall when its layer cap cannot reach the far corner."""
+    return _points(Cube(source, box).present)
 
 
 def scan_gaps(source, box: Optional[Box] = None) -> set[IntVec]:
     """Integer cone points of the box missed by every dilation layer."""
-    pre = _prepare(source)
-    if box is None:
-        box = default_box(source)
-    present = scan_semigroup(source, box)
-    pts = _grid(box.max_coord)
-    normals = np.array(pre.cone, dtype=np.int64)
-    in_cone = (normals @ pts >= 0).all(axis=0)
-    return _masked_points(pts, in_cone) - present
+    return _points(Cube(source, box).gaps())
 
 
 def scan_layer(source, j: int, box: Optional[Box] = None) -> set[IntVec]:
     """Integer points of one dilation layer inside the box."""
-    pre = _prepare(source)
     if box is None:
         box = default_box(source)
-    if j == 0:
-        return {_ORIGIN}
-    dtype = _facet_dtype(pre.facets, box, j)
-    pts = _grid(box.max_coord)
-    normals = np.array([f[:3] for f in pre.facets], dtype=dtype)
-    offsets = np.array([f[3] for f in pre.facets], dtype=dtype)
-    mask = (normals @ pts.astype(dtype) >= j * offsets[:, None]).all(axis=0)
-    return _masked_points(pts, mask)
+    return _points(_layer(_prepare(source).facets, j, box))
 
 
 def scan_layer_gaps(source, k: int, box: Optional[Box] = None) -> set[IntVec]:
@@ -324,35 +392,17 @@ def scan_layer_gaps(source, k: int, box: Optional[Box] = None) -> set[IntVec]:
         box = default_box(source)
     doubled = [tuple(k * c for c in v) for v in verts]
     doubled += [tuple((k + 1) * c for c in v) for v in verts]
-    hull_facets = _body_facets(sorted(set(doubled)))
-    dtype = _facet_dtype(hull_facets, box, 1)
-    pts = _grid(box.max_coord)
-    normals = np.array([f[:3] for f in hull_facets], dtype=dtype)
-    offsets = np.array([f[3] for f in hull_facets], dtype=dtype)
-    in_hull = (normals @ pts.astype(dtype) >= offsets[:, None]).all(axis=0)
-    covered = scan_layer(source, k, box) | scan_layer(source, k + 1, box)
-    return _masked_points(pts, in_hull) - covered
+    facets = _prepare(verts).facets
+    return _points(
+        _layer(_body_facets(sorted(set(doubled))), 1, box)
+        & ~_layer(facets, k, box)
+        & ~_layer(facets, k + 1, box)
+    )
 
 
 def naive_msg(source, box: Optional[Box] = None) -> set[IntVec]:
-    """Present points with no two-term decomposition into nonzero
-    present points.  Complete for generators inside the box, since both
-    parts of a decomposition are coordinatewise below their sum.
-
-    The points are walked in coordinate-sum order, and p is kept unless
-    p - g is present for a g kept before it.  This is the two-term test:
-    if p = a + b, some kept g has a - g present (a itself, or a kept
-    part of a's own decomposition), so p - g = (a - g) + b is present,
-    being a member below p; and p - g present for a kept g != p is a
-    decomposition."""
-    present = scan_semigroup(source, box)
-    gens: list[IntVec] = []
-    for p in sorted(present, key=sum):
-        if p != _ORIGIN and not any(
-            (p[0] - g[0], p[1] - g[1], p[2] - g[2]) in present for g in gens
-        ):
-            gens.append(p)
-    return set(gens)
+    """The minimal generators inside the box (`Cube.generators`)."""
+    return _points(Cube(source, box).generators())
 
 
 def _ray_generators(pre: _Prepared, box: Box) -> list[IntVec]:
@@ -407,23 +457,6 @@ def naive_condition3(
 
 
 def naive_apery(source, box: Optional[Box] = None) -> set[IntVec]:
-    """Present points whose translate by each ray generator leaves the
-    semigroup (the intersection of the per-generator Apery sets),
-    restricted to the box.
-
-    p - g is looked up among the present points: p - g <= p, so a
-    nonnegative p - g lies in the box, and `scan_semigroup` refuses a
-    box whose layers do not decide every point of it."""
-    pre = _prepare(source)
-    if box is None:
-        box = default_box(source)
-    gens = _ray_generators(pre, box)
-    present = scan_semigroup(source, box)
-    return {
-        p
-        for p in present
-        if all(
-            (p[0] - g[0], p[1] - g[1], p[2] - g[2]) not in present
-            for g in gens
-        )
-    }
+    """The intersection of the per-generator Apery sets inside the box
+    (`Cube.apery`)."""
+    return _points(Cube(source, box).apery())

@@ -93,6 +93,18 @@ NONSIMPLICIAL_VERTICES = [
 ]
 
 
+# Tetrahedron with its rays within 1/A of the axes, A = 2*10^18 + 1: its
+# cone normals are near (-1, -1, A + 1), so n.p passes int64 once a
+# coordinate of p reaches 5, and every cone test on it needs exact
+# integers.
+_A = 2 * 10**18 + 1
+WIDE_NORMALS_VERTICES = [
+    (5, F(5, _A), F(5, _A)),
+    (F(5, _A), 5, F(5, _A)),
+    (F(5, _A), F(5, _A), 5),
+    (5, 5, 5),
+]
+
 @pytest.fixture(scope="session")
 def s3():
     return build(S3_VERTICES)

@@ -1,9 +1,11 @@
 """End-to-end command line checks, run in-process through main()."""
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import instancegen
@@ -14,11 +16,13 @@ from conftest import (
     S3_VERTICES,
     S5_VERTICES,
     WE_VERTICES,
+    WIDE_NORMALS_VERTICES,
 )
-from polysgp import build, cli
+from polysgp import build, cli, in_cone_int
 from polysgp.decomposition import gap_points, gap_region
 from polysgp.cli import main, parse_vertices
 from polysgp.errors import ParseError
+from polysgp.geometry import Point3
 
 
 def _document(points) -> str:
@@ -454,3 +458,118 @@ def test_family_table_output(capsys):
         "k": 3,
         "vertices": [[4, 0, 0], [10, 0, 0], [7, 3, 0], [7, 0, 1]],
     }
+
+
+
+def test_grid_cone_test_stays_exact_past_int64():
+    # the cone normal (-1, -1, 2 * 10**18 + 2) meets (1, 1, 5), a cone
+    # point, at about 10**19, past int64
+    h = build(WIDE_NORMALS_VERTICES)
+    grid = np.indices((10, 10, 10)).reshape(3, -1).T
+    expect = [in_cone_int(h, p) for p in map(tuple, grid.tolist())]
+    assert cli._cone_rows(h, grid).tolist() == expect
+    assert expect[115]
+
+# ---------------------------------------------------------------------------
+# oracle failure paths: a discrepancy is injected on the main side, so
+# the oracle's own answer is what the report is checked against
+
+
+@pytest.fixture()
+def we_file(tmp_path):
+    path = tmp_path / "we.txt"
+    path.write_text(_document(WE_VERTICES), encoding="utf-8")
+    return str(path)
+
+
+def _swap_generator(monkeypatch):
+    # drop the generator (4, 6, 7) of s3 and claim (5, 6, 7) instead
+    real = cli.minimal_generators
+
+    def doctored(h, **kwargs):
+        gens = real(h, **kwargs)
+        kept = [g for g in gens.generators if g.int_tuple() != (4, 6, 7)]
+        return dataclasses.replace(gens, generators=(*kept, Point3(5, 6, 7)))
+
+    monkeypatch.setattr(cli, "minimal_generators", doctored)
+
+
+def test_msg_oracle_reports_both_sides(s3_file, capsys, monkeypatch):
+    _swap_generator(monkeypatch)
+    assert main(["msg", "--oracle", s3_file]) == 2
+    assert capsys.readouterr().out == (
+        "generators: 6 (certified)\n  1 2 3\n  2 3 1\n  2 3 2\n  2 3 3\n"
+        "  3 3 2\n  5 6 7\noracle only: 4 6 7\nmain only: 5 6 7\n"
+    )
+    assert main(["msg", "--oracle", "--format", "structured", s3_file]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["oracle_ok"] is False
+    assert record["generators"][-1] == [5, 6, 7]
+
+
+def test_gaps_oracle_reports_members(we_file, capsys, monkeypatch):
+    # (2, 2, 2) is a member of we; the repeated (1, 0, 0) is a gap
+    real = cli.gap_rows
+    monkeypatch.setattr(
+        cli, "gap_rows",
+        lambda h, region, **kw: np.vstack(
+            [real(h, region, **kw), [[2, 2, 2], [1, 0, 0]]]
+        ),
+    )
+    assert main(["gaps", "--oracle", we_file]) == 2
+    assert capsys.readouterr().out == (
+        "overlap_level: 3\nseparation_level: unavailable\nbase_level: 3\n"
+        "gap points: 5\n  0 0 1\n  0 1 0\n  1 0 0\n  2 2 2\n  1 0 0\n"
+        "not a gap by the oracle: 2 2 2\n"
+    )
+    assert main(["gaps", "--oracle", "--format", "structured", we_file]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["oracle_ok"] is False
+    assert record["count"] == 5
+
+
+def test_oracle_check_lists_ten_points_per_mismatch(s3_file, capsys, monkeypatch):
+    # flip the first fifteen box points in lexicographic order: the
+    # origin turns into a main-side gap, the rest into main-side members
+    real = cli._closure_rows
+
+    def doctored(h, pts, *args):
+        ok = real(h, pts, *args)
+        ok[:15] ^= True
+        return ok
+
+    monkeypatch.setattr(cli, "_closure_rows", doctored)
+    assert main(["oracle-check", "--box", "9", s3_file]) == 2
+    assert capsys.readouterr().out == (
+        "box: coordinates up to 9, layers up to 4\n"
+        "membership: MISMATCH at 15 points\n"
+        "  0 0 0 (oracle only)\n"
+        + "".join("  0 0 %d (main only)\n" % z for z in range(1, 10))
+        + "gaps: MISMATCH at 1 points\n  0 0 0 (main only)\n"
+        "generators: ok, 6 generators\nrays: ok, 3 extremal rays\n"
+        "apery: skipped (incomplete or outside the box)\n"
+        "result: 2 mismatches\n"
+    )
+
+
+def test_oracle_check_reports_generators_and_apery(s3_file, capsys, monkeypatch):
+    _swap_generator(monkeypatch)
+    real = cli.apery_intersection
+
+    def doctored(h, **kwargs):
+        ap = real(h, **kwargs)
+        kept = [p for p in ap.elements if p.int_tuple() != (0, 0, 0)]
+        return dataclasses.replace(ap, elements=(*kept, Point3(9, 9, 9)))
+
+    monkeypatch.setattr(cli, "apery_intersection", doctored)
+    assert main(["oracle-check", s3_file]) == 2
+    assert capsys.readouterr().out == (
+        "box: coordinates up to 28, layers up to 14\n"
+        "membership: ok, 1372 member points\ngaps: ok, 279 gap points\n"
+        "generators: MISMATCH at 2 points\n"
+        "  4 6 7 (oracle only)\n  5 6 7 (main only)\n"
+        "rays: ok, 3 extremal rays\n"
+        "apery: MISMATCH at 2 points\n"
+        "  0 0 0 (oracle only)\n  9 9 9 (main only)\n"
+        "result: 2 mismatches\n"
+    )

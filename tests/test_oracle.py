@@ -15,7 +15,12 @@ import pytest
 
 import conftest
 import instancegen
-from conftest import S3_GENERATORS, S3_VERTICES, WE_VERTICES
+from conftest import (
+    S3_GENERATORS,
+    S3_VERTICES,
+    WE_VERTICES,
+    WIDE_NORMALS_VERTICES,
+)
 from test_acceptance import CM_YES_VERTICES
 from polysgp import build, in_cone_int, member_int, oracle
 from polysgp.semigroup import _smallest_ray_point
@@ -120,9 +125,20 @@ def test_naive_apery_matches_its_definition():
 
 def test_naive_msg_matches_two_term_definition():
     # a generator is a nonzero present point that is no sum a + b of
-    # two nonzero present points
-    for verts in (S3_VERTICES, WE_VERTICES, CM_YES_VERTICES, *_DRAWN):
-        box = oracle.box_for(verts, 12)
+    # two nonzero present points; the drawn seeds 0-99 on tiny boxes
+    cases = [
+        (verts, 12)
+        for verts in (S3_VERTICES, WE_VERTICES, CM_YES_VERTICES, *_DRAWN)
+    ]
+    for seed in range(100):
+        cases.append((instancegen.tetra_vertices(seed), 4))
+        cases.append((instancegen.poly_vertices(seed), 4))
+    for verts, top in cases:
+        try:
+            box = oracle.box_for(verts, top)
+        except DegenerateInput:
+            # a poly with three vertices and no segment chord is flat
+            continue
         nonzero = oracle.scan_semigroup(verts, box) - {(0, 0, 0)}
         expect = {
             p for p in nonzero
@@ -193,14 +209,14 @@ def _scan_layer_by_layer(source, box):
     pre = oracle._prepare(source)
     need = oracle._layer_bound(pre, 3 * box.max_coord)
     dtype = oracle._dtype_for(pre, box)
-    pts = oracle._grid(box.max_coord)
+    pts = np.indices((box.max_coord + 1,) * 3).reshape(3, -1)
     normals = np.array([f[:3] for f in pre.facets], dtype=dtype)
     offsets = np.array([f[3] for f in pre.facets], dtype=dtype)
     dots = normals @ pts.astype(dtype)
     present = np.zeros(pts.shape[1], dtype=bool)
     for j in range(1, need + 1):
         present |= (dots >= j * offsets[:, None]).all(axis=0)
-    return oracle._masked_points(pts, present) | {(0, 0, 0)}
+    return set(map(tuple, pts.T[present].tolist())) | {(0, 0, 0)}
 
 
 @pytest.mark.parametrize(
@@ -216,6 +232,100 @@ def test_scan_reads_layers_off_facet_products(name, exact, monkeypatch):
         monkeypatch.setattr(oracle, "_dtype_for", lambda pre, box: object)
         box = oracle.box_for(verts, 9)
     assert oracle.scan_semigroup(verts, box) == _scan_layer_by_layer(verts, box)
+
+
+# Set-based references: the scans as they ran before the oracle held its
+# box as one boolean cube, point by point on `_scan_layer_by_layer`.
+
+
+def _reference_gaps(source, box):
+    cone = oracle._prepare(source).cone
+    present = _scan_layer_by_layer(source, box)
+    return {
+        p
+        for p in product(range(box.max_coord + 1), repeat=3)
+        if p not in present and all(oracle._dot(n, p) >= 0 for n in cone)
+    }
+
+
+def _reference_msg(source, box):
+    # p is kept unless p - g is present for a g kept before it
+    present = _scan_layer_by_layer(source, box)
+    gens = []
+    for p in sorted(present, key=sum):
+        if p != (0, 0, 0) and not any(
+            oracle._sub(p, g) in present for g in gens
+        ):
+            gens.append(p)
+    return set(gens)
+
+
+def _reference_apery(source, box):
+    gens = oracle.ray_generators(source, box)
+    present = _scan_layer_by_layer(source, box)
+    return {
+        p
+        for p in present
+        if all(oracle._sub(p, g) not in present for g in gens)
+    }
+
+
+def _check_cube(verts, box):
+    cube = oracle.Cube(verts, box)
+    assert oracle._points(cube.present) == _scan_layer_by_layer(verts, box)
+    assert oracle._points(cube.gaps()) == _reference_gaps(verts, box)
+    assert oracle._points(cube.generators()) == _reference_msg(verts, box)
+    try:
+        expect = _reference_apery(verts, box)
+    except BoxTooSmall:
+        # a ray generator lies past the box
+        with pytest.raises(BoxTooSmall):
+            cube.apery()
+    else:
+        assert oracle._points(cube.apery()) == expect
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["S3", "S5", "NN", "WE", "GORENSTEIN_NO", "NONSIMPLICIAL", "CM_YES"],
+)
+def test_cube_matches_set_references_on_fixtures(name):
+    verts = CM_YES_VERTICES if name == "CM_YES" else getattr(
+        conftest, name + "_VERTICES"
+    )
+    _check_cube(verts, oracle.default_box(verts))
+
+
+def test_cube_matches_set_references_on_drawn_bodies():
+    # a poly with three vertices and no segment chord is flat
+    checked = 0
+    for seed in range(100):
+        for verts in (
+            instancegen.tetra_vertices(seed),
+            instancegen.poly_vertices(seed),
+        ):
+            try:
+                box = oracle.box_for(verts, 14)
+            except DegenerateInput:
+                continue
+            _check_cube(verts, box)
+            checked += 1
+    assert checked == 194
+
+
+def test_cone_test_stays_exact_past_int64():
+    # n.p reaches 9 * (A + 1) > 2^63 in this box, so int64 would wrap
+    verts = WIDE_NORMALS_VERTICES
+    h = build(verts)
+    box = oracle.box_for(verts, 9)
+    assert max(map(abs, sum(oracle._prepare(verts).cone, ()))) * 9 >= 2**63
+    cube = oracle.Cube(verts, box)
+    gaps = cube.gaps()
+    for p in product(range(10), repeat=3):
+        member = oracle.point_member(verts, p)
+        assert cube.present[p] == member
+        assert gaps[p] == (in_cone_int(h, p) and not member), p
+    assert gaps[1:, 1:, 5:].any()
 
 
 def test_oracle_matches_main_membership(s3, we, pyramid):
