@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import oracle
+from . import geometry, oracle
 from .decomposition import (
     gap_region,
     gap_rows,
@@ -528,7 +528,7 @@ def _cone_rows(h: SemigroupHandle, pts: np.ndarray) -> np.ndarray:
     normal n can reach, could pass int64."""
     normals = np.array(h._cone, dtype=object)
     top = abs(normals).sum(axis=1).max() * int(abs(pts).max(initial=0))
-    dtype = np.int64 if top < 2**62 else object
+    dtype = np.int64 if top < geometry._INT64_LIMIT else object
     return (pts.astype(dtype) @ normals.astype(dtype).T >= 0).all(axis=1)
 
 
@@ -540,8 +540,6 @@ def _cmd_oracle_check(args) -> int:
         box = oracle.box_for(h, args.box)
     else:
         box = oracle.default_box(h)
-    if args.max_layer is not None:
-        box = oracle.Box(box.max_coord, args.max_layer)
 
     failures = 0
     print("box: coordinates up to %d, layers up to %d" % (box.max_coord, box.max_layer))
@@ -782,7 +780,6 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--budget-layers", type=int, default=400)
     p.add_argument("--box", type=int, default=None, help="coordinate bound")
-    p.add_argument("--max-layer", type=int, default=None)
 
     p = command(
         "export", _cmd_export, "emit geometry for viewers",

@@ -4,10 +4,12 @@ Everything here runs on integer rows: a polytope holds its vertices as
 integer triples over one positive scale and its facets as primitive
 integer rows (a, c) of a.x >= c, and every predicate, chord and lattice
 point count reduces to integer arithmetic on them.  A rational point
-cloud is put on one integer scale once.  `Point3` (Fraction coordinates)
-stays at the boundary: parsed input, a polytope's `vertices` and
-`facets` views, and the points handed back to callers.  No floating
-point is used anywhere.
+cloud is put on one integer scale once.  One column kernel lists the
+lattice points of every hull: a polytope, a dilation shell, or the hull
+of a cloud of any affine dimension, read as integer planes.  `Point3`
+(Fraction coordinates) stays at the boundary: parsed input, a
+polytope's `vertices` and `facets` views, and the points handed back to
+callers.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -299,12 +301,10 @@ def _affine_basis(pts) -> list[int]:
     return [0, i1, i2] if i3 is None else [0, i1, i2, i3]
 
 
-def _triangulated_hull(pts) -> list[tuple[int, int, int]]:
+def _triangulated_hull(pts, simplex) -> list[tuple[int, int, int]]:
     """Outward-oriented triangles covering the hull boundary of integer
-    points; coplanar regions come out as multiple triangles."""
-    simplex = _affine_basis(pts)
-    if len(simplex) < 4:
-        raise DegenerateInput("points do not span a three-dimensional body")
+    points, grown from the indices of four affinely independent ones;
+    coplanar regions come out as multiple triangles."""
     s0, s1, s2, s3 = simplex
     # on points scaled by 4 the simplex centroid is an integer reference
     p4 = [_scale(p, 4) for p in pts]
@@ -398,8 +398,11 @@ def convex_hull(points: Iterable, scale: int = 1) -> Polyhedron:
         scale *= den
     if len(ipts) < 4:
         raise DegenerateInput("need at least four distinct points")
+    simplex = _affine_basis(ipts)
+    if len(simplex) < 4:
+        raise DegenerateInput("points do not span a three-dimensional body")
 
-    tris = _triangulated_hull(ipts)
+    tris = _triangulated_hull(ipts, simplex)
     groups: dict[tuple[int, int, int, int], set[int]] = {}
     for tri in tris:
         groups.setdefault(_plane_key(ipts, tri), set()).update(tri)
@@ -579,89 +582,105 @@ def int_rows(points: Sequence[tuple[int, int, int]]) -> np.ndarray:
     return np.array(points, dtype=dtype).reshape(-1, 3)
 
 
-def _z_ranges(a: np.ndarray, xs: np.ndarray, ys: np.ndarray, scales):
-    """For each k in `scales`, the integer z-range (lo, hi) of every
-    column (xs[i], ys[i]) inside {p : a.p >= k * c} for the facet rows
-    (a, c) of `a`; lo > hi marks an empty column."""
-    az = a[:, 2]
-    up, down = az > 0, az < 0
-    vertical = ~(up | down)
-    if not up.any() or not down.any():
-        raise AssumptionViolated("unbounded z-column in a polytope")
-    dot = xs[:, None] * a[:, 0] + ys[:, None] * a[:, 1]
-    out = []
-    for k in scales:
-        rem = k * a[:, 3] - dot
-        lo = (-(-rem[:, up] // az[up])).max(axis=1)
-        hi = (rem[:, down] // az[down]).min(axis=1)
-        if vertical.any():
-            hi = np.where((rem[:, vertical] > 0).any(axis=1), lo - 1, hi)
-        out.append((lo, hi))
-    return out
+def _column_blocks(
+    rows, scale: int, facets, s: int = 1, shell: bool = False
+) -> Iterator[np.ndarray]:
+    """Integer points p with a.p >= s*c for every facet row (a, c), or
+    with `shell` those minus the points with a.p >= (s-1)*c (the origin
+    alone at s = 1), inside the bounding box of s*rows/scale: as (N, 3)
+    arrays over consecutive blocks of columns, in lexicographic order.
 
-
-def _expand_columns(xs, ys, lo, hi) -> np.ndarray:
-    """Rows (x, y, z) for lo <= z <= hi in each column, column by column."""
-    n = np.maximum(hi - lo + 1, 0).astype(np.int64)
-    first = np.cumsum(n) - n
-    z = np.repeat(lo, n) + (np.arange(int(n.sum())) - np.repeat(first, n))
-    return np.column_stack((np.repeat(xs, n), np.repeat(ys, n), z))
-
-
-def _column_blocks(poly: Polyhedron, s: int, shell: bool) -> Iterator[np.ndarray]:
-    """Integer points of s*poly, or with `shell` of s*poly minus
-    (s-1)*poly (0*poly being the origin alone), as (N, 3) arrays over
-    consecutive blocks of columns, in lexicographic order.
-
-    The facets of s*poly are a.p >= s*c for the facets (a, c) of poly,
-    so no dilation is built: the z-ranges of a block of (x, y) columns
-    of the bounding box are computed at once and expanded to points.
+    A polytope's facets a.x >= c give its s-fold dilation as
+    a.p >= s*c, so no dilation is built.  A block of (x, y) columns
+    takes one floor quotient per facet and column: a row with a_z > 0
+    bounds z from below, one with a_z < 0 from above, and a vertical
+    row (a_z = 0) empties the columns it cuts.  The z-ranges are then
+    expanded to points.
     """
-    xs, ys, _zs = zip(*poly.rows)
-    x0, x1 = -(-min(xs) * s // poly.scale), max(xs) * s // poly.scale
-    y0, y1 = -(-min(ys) * s // poly.scale), max(ys) * s // poly.scale
-    facets = poly.int_facets
+    xs, ys, _zs = zip(*rows)
+    x0, x1 = -(-min(xs) * s // scale), max(xs) * s // scale
+    y0, y1 = -(-min(ys) * s // scale), max(ys) * s // scale
     dtype = kernel_dtype(facets, max(abs(x0), abs(x1), abs(y0), abs(y1)), s)
-    a = np.array(facets, dtype=dtype)
-    scales = (s, s - 1) if shell and s > 1 else (s,)
-    ny = y1 - y0 + 1
-    step = max(1, _BLOCK // max(ny, 1))
+    # rows bounding z from below, then from above (with |a_z|), then
+    # vertical ones
+    up = [f for f in facets if f[2] > 0]
+    down = [(ax, ay, -az, c) for ax, ay, az, c in facets if az < 0]
+    nu, nz = len(up), len(up) + len(down)
+    if not nu or not down:
+        raise AssumptionViolated("unbounded z-column in a polytope")
+    a = np.array(up + down + [f for f in facets if not f[2]], dtype=dtype)
+    ax, az = a[:, 0], a[:nz, 2]
+    ycol = np.arange(y0, y1 + 1, dtype=dtype)
+    # on column (x, y), a.p >= k*c asks a_z z >= -rem for
+    # rem = a_x x + a_y y - k c; the y and k terms serve every block
+    rests = [
+        ycol[:, None] * a[:, 1] - k * a[:, 3]
+        for k in ((s, s - 1) if shell and s > 1 else (s,))
+    ]
+    step = max(1, _BLOCK // max(len(ycol), 1))
     for xb in range(x0, x1 + 1, step):
-        nx = min(step, x1 + 1 - xb)
-        xs = np.repeat(np.arange(xb, xb + nx), ny).astype(dtype)
-        ys = np.tile(np.arange(y0, y1 + 1), nx).astype(dtype)
-        ranges = _z_ranges(a, xs, ys, scales)
-        zlo, zhi = ranges[0]
+        xcol = np.arange(xb, min(xb + step, x1 + 1), dtype=dtype)
+        xdot = xcol[:, None, None] * ax
+        ranges = []
+        for rest in rests:
+            rem = (xdot + rest).reshape(-1, len(a))
+            # with t = floor(rem / |a_z|), z >= -t where a_z > 0 and
+            # z <= t where a_z < 0: the column runs from lo = -min over
+            # the first rows, and n = hi - lo + 1 counts its points
+            tu, td = np.minimum.reduceat(rem[:, :nz] // az, [0, nu], axis=1).T
+            n = td + tu + 1
+            if nz < len(a):
+                n[(rem[:, nz:] < 0).any(axis=1)] = 0
+            ranges.append((-tu, n))
+        lo, n = ranges[0]
         if len(ranges) == 1:
-            pts = _expand_columns(xs, ys, zlo, zhi)
+            pts = _expand_columns(xcol, ycol, lo[:, None], n[:, None])
         else:
             # the dilations nest, so each column loses the one z-range
             # [ilo, ihi] of the inner dilation: keep what lies below and
             # above it
-            ilo, ihi = ranges[1]
-            hole = ilo <= ihi
-            below_hi = np.where(hole, np.minimum(zhi, ilo - 1), zhi)
-            above_lo = np.where(hole, np.maximum(zlo, ihi + 1), zhi + 1)
+            ilo, ni = ranges[1]
+            hi, ihi = lo + n - 1, ilo + ni - 1
+            hole = ni > 0
+            below_hi = np.where(hole, np.minimum(hi, ilo - 1), hi)
+            above_lo = np.where(hole, np.maximum(lo, ihi + 1), hi + 1)
             pts = _expand_columns(
-                np.repeat(xs, 2),
-                np.repeat(ys, 2),
-                np.column_stack((zlo, above_lo)).ravel(),
-                np.column_stack((below_hi, zhi)).ravel(),
+                xcol,
+                ycol,
+                np.column_stack((lo, above_lo)),
+                np.column_stack((below_hi - lo, hi - above_lo)) + 1,
             )
         if shell and s == 1:
             pts = pts[pts.any(axis=1)]
         yield pts
 
 
+def _expand_columns(xcol, ycol, lo, n) -> np.ndarray:
+    """Rows (x, y, z) with lo <= z < lo + n, over the columns (x, y) of
+    the grid xcol by ycol in x-major order and, within a column, over
+    its z-ranges: the columns of lo and n (n <= 0 for an empty one)."""
+    n = np.maximum(n, 0).astype(np.int64, copy=False)
+    cols = np.empty((len(xcol), len(ycol), lo.shape[1], 3), dtype=lo.dtype)
+    cols[..., 0] = xcol[:, None, None]
+    cols[..., 1] = ycol[:, None]
+    # z = lo + (row index - index of the range's first row)
+    cols[..., 2] = (lo + n - np.cumsum(n).reshape(n.shape)).reshape(
+        cols.shape[:3]
+    )
+    pts = np.repeat(cols.reshape(-1, 3), n.ravel(), axis=0)
+    pts[:, 2] += np.arange(len(pts))
+    return pts
+
+
 def integer_points(poly: Polyhedron) -> Iterator[tuple[int, int, int]]:
     """All integer points of the polytope, column by column, in
     lexicographic order.  Exact integer arithmetic throughout."""
-    for pts in _column_blocks(poly, 1, False):
+    for pts in _column_blocks(poly.rows, poly.scale, poly.int_facets):
         yield from map(tuple, pts.tolist())
 
 
 def integer_point_count(poly: Polyhedron) -> int:
-    return sum(len(pts) for pts in _column_blocks(poly, 1, False))
+    return sum(map(len, _column_blocks(poly.rows, poly.scale, poly.int_facets)))
 
 
 def shell_integer_points(hull: Polyhedron, s: int) -> np.ndarray:
@@ -670,9 +689,13 @@ def shell_integer_points(hull: Polyhedron, s: int) -> np.ndarray:
     `kernel_dtype` proves it exact, object otherwise)."""
     if s < 1:
         raise BadParameter("shell index must be at least 1")
-    return np.concatenate(
-        [np.empty((0, 3), dtype=np.int64), *_column_blocks(hull, s, True)]
-    )
+    return _stack(_column_blocks(hull.rows, hull.scale, hull.int_facets, s, True))
+
+
+def _stack(blocks) -> np.ndarray:
+    """The kernel's blocks as one (N, 3) array, int64 when empty."""
+    blocks = [np.empty((0, 3), dtype=np.int64), *blocks]
+    return blocks[1] if len(blocks) == 2 else np.concatenate(blocks)
 
 
 def integer_points_in_hull(points: Iterable) -> list[tuple[int, int, int]]:
@@ -681,80 +704,31 @@ def integer_points_in_hull(points: Iterable) -> list[tuple[int, int, int]]:
     scale and handed to _lattice_points."""
     pts = [p if isinstance(p, Point3) else Point3.from_seq(p) for p in points]
     scale = _int_scale(pts)
-    return _lattice_points([_scaled_ints(p, scale) for p in pts], scale)
+    rows = [_scaled_ints(p, scale) for p in pts]
+    return list(map(tuple, _lattice_points(rows, scale).tolist()))
 
 
-def _lattice_points(rows, scale: int) -> list[tuple[int, int, int]]:
+def _lattice_points(rows, scale: int) -> np.ndarray:
     """The integer points x with scale*x in the convex hull of the
-    integer triples `rows`, sorted lexicographically.
+    integer triples `rows`, as an (N, 3) array in lexicographic order
+    (int64 when `kernel_dtype` proves it exact, object otherwise).
 
-    A solid cloud goes to integer_points.  A flat one is solved in
-    integers.  On a plane n.X = n.a through the cloud, scale*x needs
-    n.x = n.a/scale: x is read off the integer points of the polygon
-    in the two coordinates left when the one with the largest |n| is
-    dropped.  On a segment [a, b], whose ends are the lexicographic
-    extremes of the cloud, x runs over the longest axis and
-    scale*x = a + t(b - a) must come out integral.  A single point a
-    holds a/scale when scale divides it."""
-    pts = list(dict.fromkeys(rows))
-    basis = _affine_basis(pts)
-    if len(basis) == 4:
-        return sorted(integer_points(convex_hull(pts, scale)))
-    out = []
-    if len(basis) == 3:
-        a, b, c = (pts[i] for i in basis)
-        n = _cross(_sub(b, a), _sub(c, a))
-        off, r = divmod(_dot(n, a), scale)
-        if r:
-            return []
-        axis = max(range(3), key=lambda i: abs(n[i]))
-        u, v = (axis + 1) % 3, (axis + 2) % 3
-        ring = [(p[u], p[v]) for p in pts]
-        for pu, pv in _polygon_integer_points(ring, scale):
-            w, r = divmod(off - n[u] * pu - n[v] * pv, n[axis])
-            if not r:
-                x = [0, 0, 0]
-                x[u], x[v], x[axis] = pu, pv, w
-                out.append(tuple(x))
-    elif len(basis) == 2:
-        a, b = min(pts), max(pts)
-        d = _sub(b, a)
-        axis = max(range(3), key=lambda i: abs(d[i]))
-        den = d[axis] * scale
-        lo, hi = sorted((a[axis], b[axis]))
-        for w in range(-(-lo // scale), hi // scale + 1):
-            num = _add(_scale(a, d[axis]), _scale(d, scale * w - a[axis]))
-            if not any(c % den for c in num):
-                out.append((num[0] // den, num[1] // den, num[2] // den))
-    elif basis and not any(c % scale for c in pts[0]):
-        out.append(tuple(c // scale for c in pts[0]))
-    return sorted(out)
+    The hull comes from `_hull_planes` in every affine dimension: a flat
+    cloud's span arrives as pairs of opposite planes, so a polygon, a
+    segment or a point goes through the column kernel as a solid does."""
+    if not rows:
+        return _stack([])
+    return _points_under(rows, scale, _primitive(_hull_planes(rows)))
 
 
-def _polygon_integer_points(ring, scale: int) -> list[tuple[int, int]]:
-    """Integer pairs p with scale*p in the convex hull of integer pairs
-    in the plane, column by column.  The pairs must not be collinear.
-
-    Column u is U = u*scale, and each edge crossing is a ratio of
-    integers whose floor and ceiling come from //.  A vertical edge is
-    skipped: the two edges next to it end at its corners, with no
-    collinear corners in the hull."""
-    ring = _hull2d(ring)
-    out = []
-    us = [pu for pu, _ in ring]
-    for u in range(-(-min(us) // scale), max(us) // scale + 1):
-        uu = u * scale
-        # crossings v = num / den with den > 0, in unscaled units
-        cuts: list[tuple[int, int]] = []
-        for (pu, pv), (qu, qv) in zip(ring, ring[1:] + ring[:1]):
-            if pu != qu and min(pu, qu) <= uu <= max(pu, qu):
-                num = pv * (qu - pu) + (qv - pv) * (uu - pu)
-                den = (qu - pu) * scale
-                cuts.append((-num, -den) if den < 0 else (num, den))
-        lo = min(-(-num // den) for num, den in cuts)
-        hi = max(num // den for num, den in cuts)
-        out.extend((u, v) for v in range(lo, hi + 1))
-    return out
+def _points_under(rows, scale: int, planes) -> np.ndarray:
+    """The integer points x with n.(scale*x) <= c for every primitive
+    integer plane (n, c), where the planes cut out a polytope inside the
+    bounding box of the integer triples `rows` over `scale`: as
+    `_lattice_points` returns them.  Each plane is the primitive facet
+    -n.x >= -floor(c / scale), exactly, since n.x is an integer."""
+    facets = [(-n[0], -n[1], -n[2], -(c // scale)) for n, c in planes]
+    return _stack(_column_blocks(rows, scale, facets))
 
 
 def minkowski_difference_contains_origin(a, b) -> bool:
@@ -785,15 +759,15 @@ _AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 def _hull_planes(points: Sequence[tuple[int, int, int]]) -> list:
     """The hull of a nonempty cloud of integer triples as integer planes
-    (n, c): x lies in the hull iff n.x <= c for every one.  A
-    full-dimensional cloud gives one plane per outward triangle of its
-    triangulated hull.  A flat cloud is lifted off its affine span:
-    normals m span the span's orthogonal complement (the plane normal;
-    u and d x u for a line along d, with u = d x e for an axis e; the
-    three axes for one point), the hull of the cloud plus p0 + m for
-    each m meets the span in the cloud's own hull, and each equation
-    m.x = m.p0 of the span comes as the two planes (m, m.p0) and
-    (-m, -m.p0)."""
+    (n, c): x lies in the hull iff n.x <= c for every one, and c is a
+    multiple of gcd(n).  A full-dimensional cloud gives one plane per
+    outward triangle of its triangulated hull.  A flat cloud is lifted
+    off its affine span: normals m span the span's orthogonal complement
+    (the plane normal; u and d x u for a line along d, with u = d x e
+    for an axis e; the three axes for one point), the hull of the cloud
+    plus p0 + m for each m meets the span in the cloud's own hull, and
+    each equation m.x = m.p0 of the span comes as the two planes
+    (m, m.p0) and (-m, -m.p0)."""
     pts = list(dict.fromkeys(points))
     basis = _affine_basis(pts)
     p0 = pts[0]
@@ -808,8 +782,20 @@ def _hull_planes(points: Sequence[tuple[int, int, int]]) -> list:
     else:
         eqs = []
     planes = [(n, _dot(n, p0)) for m in eqs for n in (m, _scale(m, -1))]
+    simplex = basis + list(range(len(pts), len(pts) + len(eqs)))
     pts += [_add(p0, m) for m in eqs]
-    for a, b, c in _triangulated_hull(pts):
+    for a, b, c in _triangulated_hull(pts, simplex):
         n = _cross(_sub(pts[b], pts[a]), _sub(pts[c], pts[a]))
         planes.append((n, _dot(n, pts[a])))
     return planes
+
+
+def _primitive(planes) -> list:
+    """The distinct planes (n/g, c/g), g = gcd(n), of integer planes
+    (n, c) whose offsets are multiples of gcd(n), as `_hull_planes`
+    gives them."""
+    out: dict = {}
+    for n, c in planes:
+        g = gcd(*n)
+        out[(n[0] // g, n[1] // g, n[2] // g), c // g] = None
+    return list(out)

@@ -30,10 +30,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BoxTooSmall, DegenerateInput
+from .errors import BoxTooSmall, DegenerateInput, UnsupportedCase
 
 IntVec = tuple[int, int, int]
 _ORIGIN: IntVec = (0, 0, 0)
+
+# The most cells a box may hold: a cube keeps several int64 arrays of
+# the box's size alive, about 32 bytes a cell, so about 540 MB.
+_MAX_CELLS = 2**24
 
 
 @dataclass(frozen=True)
@@ -277,7 +281,9 @@ class Cube:
     read off it by whole-array operations, in integers and booleans.
 
     The box must allow every layer that can reach its far corner, or
-    points would be misclassified as absent: BoxTooSmall otherwise.
+    points would be misclassified as absent: BoxTooSmall otherwise.  A
+    box of more than _MAX_CELLS cells is refused as UnsupportedCase
+    before anything is allocated.
     """
 
     def __init__(self, source, box: Optional[Box] = None):
@@ -285,6 +291,12 @@ class Cube:
         if box is None:
             box = default_box(source)
         self.box = box
+        side = box.max_coord + 1
+        if side**3 > _MAX_CELLS:
+            raise UnsupportedCase(
+                "oracle box of %d^3 = %d cells exceeds the cap of %d cells"
+                % (side, side**3, _MAX_CELLS)
+            )
         need = _layer_bound(pre, 3 * box.max_coord)
         if need > box.max_layer:
             raise BoxTooSmall(
@@ -292,7 +304,6 @@ class Cube:
                 % (need, box.max_layer)
             )
         dtype = _dtype_for(pre, box)
-        side = box.max_coord + 1
         # layer j holds q iff n.q >= j * c on every facet (n, c): a
         # positive c caps j at floor(n.q / c), a negative one raises it to
         # ceil(n.q / c), and c = 0 needs n.q >= 0

@@ -52,11 +52,13 @@ from .errors import (
 from .geometry import (
     Point3,
     _add,
-    _column_blocks,
     _cross,
+    _dot,
+    _hull_planes,
     _lattice_points,
+    _points_under,
+    _primitive,
     _scale,
-    convex_hull,
     int_rows,
 )
 from .semigroup import (
@@ -426,24 +428,26 @@ def _corner_window(
     """Integer points of one full period of corner slabs from the
     separation level, plus the hull joining the origin to the
     separation-level ray points, as distinct rows in lexicographic
-    order.  Slab (i, k) is the base-level template of ray i moved by
-    k - base times ray point i, so no slab is rebuilt: a template's rows
-    and its ray point share the template's denominator, and the moved
-    rows go straight to `_lattice_points`.  The hull is sep times
-    conv(0, p0, p1, p2), hulled from integer rows and read block by
-    block off the column kernel, so no dilation is built either."""
+    order.  Everything goes through the column kernel, so no dilation
+    and no `Polyhedron` is built.  Slab (i, k) is the base-level
+    template of ray i moved by k - base times ray point i: a template's
+    rows and its ray point share the template's denominator, so its
+    hull planes n.X <= c are found once and each translate by `move`
+    reads them as n.X <= c + n.move.  The hull is sep times
+    conv(0, p0, p1, p2), from integer rows on the ray points' common
+    denominator."""
     den = lcm(*(_ray_row(h, i)[1] for i in range(3)))
-    simplex = convex_hull(
-        [(0, 0, 0)] + [_ray_step(h, i, den) for i in range(3)], den
-    )
-    blocks = [*_column_blocks(simplex, sep, False)]
+    tips = [_scale(_ray_step(h, i, den), sep) for i in range(3)]
+    blocks = [_lattice_points([(0, 0, 0), *tips], den)]
     for t in templates.values():
         step = _ray_step(h, t.ray, t.den)
+        planes = _primitive(_hull_planes(t.rows))
         first = sep - t.level
         for m in range(first, first + ray_period(h, t.ray)):
             move = _scale(step, m)
-            moved = [_add(r, move) for r in t.rows]
-            blocks.append(int_rows(_lattice_points(moved, t.den)))
+            rows = [_add(r, move) for r in t.rows]
+            moved = [(n, c + _dot(n, move)) for n, c in planes]
+            blocks.append(_points_under(rows, t.den, moved))
     pts = np.concatenate(blocks)
     pts = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
     repeat = np.zeros(len(pts), dtype=bool)

@@ -18,7 +18,7 @@ from conftest import (
     WE_VERTICES,
     WIDE_NORMALS_VERTICES,
 )
-from polysgp import build, cli, in_cone_int
+from polysgp import build, cli, in_cone_int, oracle
 from polysgp.decomposition import gap_points, gap_region
 from polysgp.cli import main, parse_vertices
 from polysgp.errors import ParseError
@@ -431,6 +431,27 @@ def test_oracle_check_passes_on_small_box(s3_file, capsys):
     out = capsys.readouterr().out
     assert "membership: ok" in out
     assert "generators: ok" in out
+
+
+def test_oracle_refuses_a_box_past_the_cell_cap(s3_file, capsys, monkeypatch):
+    # --box 9 is a cube of 10^3 cells, --box 10 one of 11^3
+    monkeypatch.setattr(oracle, "_MAX_CELLS", 1000)
+    assert main(["oracle-check", "--box", "9", s3_file]) == 0
+    assert capsys.readouterr().out.endswith("result: ok\n")
+    assert main(["oracle-check", "--box", "10", s3_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("box: coordinates up to 10,")
+    assert captured.err == (
+        "error [UnsupportedCase]: oracle box of 11^3 = 1331 cells exceeds "
+        "the cap of 1000 cells\n"
+    )
+    # the gap listing's box reaches past its largest gap coordinate
+    monkeypatch.setattr(oracle, "_MAX_CELLS", 8)
+    assert main(["gaps", "--oracle", s3_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [UnsupportedCase]: oracle box of ")
+    assert main(["gaps", s3_file]) == 0
 
 
 def test_family_table_output(capsys):

@@ -23,7 +23,7 @@ from polysgp.geometry import (
     OriginPoint,
     _hull_contains_origin,
     _int_hull_contains_origin,
-    _polygon_integer_points,
+    _lattice_points,
     contains,
     cone_supporting_facets,
     integer_point_count,
@@ -162,6 +162,7 @@ def test_integer_points_in_hull_flat_cases():
     ]
     assert integer_points_in_hull([(1, 1, 1)]) == [(1, 1, 1)]
     assert integer_points_in_hull([(F(1, 2), 1, 1)]) == []
+    assert integer_points_in_hull([]) == []
 
 
 def test_minkowski_difference_origin():
@@ -375,7 +376,8 @@ scaled = st.integers(-12, 12)
 def test_polygon_integer_points_match_box_scan(ring, scale, vertical):
     # the ring holds scale times the polygon's corners; `vertical` adds
     # two points left of it at one abscissa, so the hull has a vertical
-    # edge
+    # edge.  The polygon goes to the kernel in the plane z = 0 and in
+    # the vertical plane x = y, whose equality pair has no z term
     if vertical is not None:
         u0 = min(u for u, _ in ring) - 1
         v0, dv = vertical
@@ -387,8 +389,11 @@ def test_polygon_integer_points_match_box_scan(ring, scale, vertical):
         for c in ring
     ):
         return
-    pts = [(F(u, scale), F(v, scale)) for u, v in ring]
-    assert _polygon_integer_points(ring, scale) == _box_scan_polygon(pts)
+    expected = _box_scan_polygon([(F(u, scale), F(v, scale)) for u, v in ring])
+    flat = _lattice_points([(u, v, 0) for u, v in ring], scale)
+    assert flat.tolist() == [[u, v, 0] for u, v in expected]
+    upright = _lattice_points([(u, u, v) for u, v in ring], scale)
+    assert upright.tolist() == [[u, u, v] for u, v in expected]
 
 
 def _box_scan_hull(cloud):

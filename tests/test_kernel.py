@@ -14,6 +14,7 @@ import instancegen
 from polysgp import build, geometry
 from polysgp.decomposition import gap_points, gap_region
 from polysgp.errors import PolysgpError
+from polysgp.rings import is_buchsbaum, is_cohen_macaulay, is_gorenstein
 from polysgp.geometry import (
     dilate,
     integer_points,
@@ -93,16 +94,24 @@ def test_huge_facet_coefficients_take_the_object_path():
     assert got == [member_int(h, p)[0] for p in grid]
 
 
-def _results(h):
-    """Every scan-backed result on the handle, exceptions included.  The
-    layer budget keeps the Buchsbaum body's object-dtype run short; the
-    partial results compare just as well."""
+def _results(verts):
+    """Every scan-backed result and every decider verdict, exceptions
+    included: the scans on one fresh handle, the deciders on another,
+    so that each decider runs its own window, Apery set and staircase.
+    The handle keeps its scan, closure and CM verdict, so a second run
+    on one handle would only read them back.  The layer budget keeps the
+    Buchsbaum body's object-dtype run short; the partial results compare
+    just as well."""
+    h, d = build(verts), build(verts)
     out = []
     for run in (
         lambda: minimal_generators(h, budget_layers=12),
         lambda: apery_intersection(h, budget_layers=12),
         lambda: closure(h, budget_layers=12),
         lambda: gap_points(h, gap_region(h), extra_periods=1),
+        lambda: is_cohen_macaulay(d),
+        lambda: is_gorenstein(d, budget_layers=12),
+        lambda: is_buchsbaum(d, budget_layers=12),
     ):
         try:
             out.append(run())
@@ -113,11 +122,8 @@ def _results(h):
 
 @pytest.mark.parametrize("name", BODIES)
 def test_object_path_matches_int64(name, request, monkeypatch):
-    # each run on a fresh handle: the handle keeps its scan and closure,
-    # so a second run on one handle would only read them back
     verts = request.getfixturevalue(name).body.vertices
-    expected = _results(build(verts))
+    expected = _results(verts)
     monkeypatch.setattr(geometry, "_INT64_LIMIT", 0)
-    h = build(verts)
-    assert shell_integer_points(h.span_hull, 2).dtype == object
-    assert _results(h) == expected
+    assert shell_integer_points(build(verts).span_hull, 2).dtype == object
+    assert _results(verts) == expected
