@@ -768,18 +768,14 @@ def gap_points(h, region: GapRegion, extra_periods: int = 2) -> list[Point3]:
 
 
 def gap_rows(h, region: GapRegion, extra_periods: int = 2) -> np.ndarray:
-    """The points of `gap_points` as an `(N, 3)` integer array (int64
-    unless the shell scan needed object): the non-members of every shell
-    up to the bound, lexsorted once."""
+    """The points of `gap_points` as an `(N, 3)` integer array in
+    lexicographic order (int64 unless the kernel needs object): the
+    gaps of every shell up to the bound, off one column-kernel pass
+    (`semigroup._gap_rows`)."""
     # imported here because `semigroup` imports this module
-    from .semigroup import _shell_gaps
+    from .semigroup import _gap_rows
 
     if extra_periods < 0:
         raise BadParameter("extra_periods must be nonnegative")
     maxh = max(region.periods.values(), default=1)
-    bound = region.base_level + extra_periods * maxh + 1
-    gaps = np.concatenate(
-        [rows for _s, rows in _shell_gaps(h, bound)]
-        or [np.empty((0, 3), dtype=np.int64)]
-    )
-    return gaps[np.lexsort((gaps[:, 2], gaps[:, 1], gaps[:, 0]))]
+    return _gap_rows(h, region.base_level + extra_periods * maxh + 1)

@@ -67,7 +67,7 @@ from .semigroup import (
     _as_intvec,
     _closure_rows,
     _first_member,
-    _shell_gaps,
+    _gap_rows,
     build,
     closure,
     in_cone_int,
@@ -315,6 +315,7 @@ def _decide(
     diag["chord_classes"] = tuple(classes)
     point_rays = [i for i in range(3) if classes[i] == "point"]
 
+    witness = None
     if len(point_rays) <= 1:
         # the emptiness test of the module docstring: no gap in the
         # first shells (one translation period more with a point chord)
@@ -333,61 +334,39 @@ def _decide(
             i, j = 0, 1
             case = "all chords are segments: finite gap set emptiness"
         diag["scan_shells"] = last
-        gaps = [
-            p
-            for _s, rows in _shell_gaps(h, last)
-            for p in map(tuple, rows.tolist())
-            if p not in added
-        ]
-        if not gaps:
-            return PropertyVerdict(
-                property=prop,
-                verdict="yes",
-                witness=None,
-                case_used=case,
-                diagnostics=diag,
+        start = next(
+            (p for p in map(tuple, _gap_rows(h, last).tolist()) if p not in added),
+            None,
+        )
+        if start is not None:
+            cap = 16 * (kappa + h.period() + 4)
+            p = _staircase(
+                h, added, start, gens[i].int_tuple(), gens[j].int_tuple(), cap
             )
-        cap = 16 * (kappa + h.period() + 4)
-        p = _staircase(
-            h, added, min(gaps), gens[i].int_tuple(), gens[j].int_tuple(), cap
+            witness = Witness(point=Point3.of(*p), indices=(i, j))
+    else:
+        sep, templates = _separation(h, gens)
+        diag["separation_level"] = sep
+        region = _corner_window(h, sep, templates)
+        diag["region_points"] = len(region)
+        gaps = region[~_closure_rows(h, region, added)]
+        diag["region_gaps"] = len(gaps)
+        # hits[i, r]: gap r translated by generator i is a member
+        moves = int_rows([g.int_tuple() for g in gens])
+        hits = np.array([_closure_rows(h, gaps + g, added) for g in moves])
+        refuters = np.flatnonzero(hits.sum(axis=0) >= 2)
+        case = (
+            "corner-slab window at separation level %d over %d point "
+            "chords" % (sep, len(point_rays))
         )
-        return PropertyVerdict(
-            property=prop,
-            verdict="no",
-            witness=Witness(point=Point3.of(*p), indices=(i, j)),
-            case_used=case,
-            diagnostics=diag,
-        )
-
-    sep, templates = _separation(h, gens)
-    diag["separation_level"] = sep
-    region = _corner_window(h, sep, templates)
-    diag["region_points"] = len(region)
-    gaps = region[~_closure_rows(h, region, added)]
-    diag["region_gaps"] = len(gaps)
-    # hits[i, r]: gap r translated by generator i is a member
-    moves = int_rows([g.int_tuple() for g in gens])
-    hits = np.array([_closure_rows(h, gaps + g, added) for g in moves])
-    refuters = np.flatnonzero(hits.sum(axis=0) >= 2)
-    case = (
-        "corner-slab window at separation level %d over %d point "
-        "chords" % (sep, len(point_rays))
-    )
-    if len(refuters):
-        r = refuters[0]
-        p = Point3.of(*gaps[r].tolist())
-        idx = tuple(np.flatnonzero(hits[:, r]).tolist())
-        return PropertyVerdict(
-            property=prop,
-            verdict="no",
-            witness=Witness(point=p, indices=idx[:2]),
-            case_used=case,
-            diagnostics=diag,
-        )
+        if len(refuters):
+            r = refuters[0]
+            idx = tuple(np.flatnonzero(hits[:, r]).tolist())
+            witness = Witness(point=Point3.of(*gaps[r].tolist()), indices=idx[:2])
     return PropertyVerdict(
         property=prop,
-        verdict="yes",
-        witness=None,
+        verdict="yes" if witness is None else "no",
+        witness=witness,
         case_used=case,
         diagnostics=diag,
     )
@@ -435,7 +414,13 @@ def _corner_window(
     hull planes n.X <= c are found once and each translate by `move`
     reads them as n.X <= c + n.move.  The hull is sep times
     conv(0, p0, p1, p2), from integer rows on the ray points' common
-    denominator."""
+    denominator.  A window whose ray periods sum past 2^16 is refused
+    with UnsupportedCase before anything is listed."""
+    periods = sum(ray_period(h, t.ray) for t in templates.values())
+    if periods > 2**16:
+        raise UnsupportedCase(
+            "the corner window spans %d translates, more than 2^16" % periods
+        )
     den = lcm(*(_ray_row(h, i)[1] for i in range(3)))
     tips = [_scale(_ray_step(h, i, den), sep) for i in range(3)]
     blocks = [_lattice_points([(0, 0, 0), *tips], den)]

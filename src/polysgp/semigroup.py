@@ -305,14 +305,27 @@ def _shell(
         yield block, member_rows(h, block, s)
 
 
-def _shell_gaps(
-    h: SemigroupHandle, last: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The gaps of shells 1..last: the non-members of each block of
-    `_shell`, as (shell, rows) in lexicographic order within a shell."""
-    for s in range(1, last + 1):
-        for pts, ok in _shell(h, s):
-            yield s, pts[~ok]
+def _gap_rows(h: SemigroupHandle, last: int) -> np.ndarray:
+    """The gaps of shells 1..last as one (N, 3) integer array in
+    lexicographic order (object when the kernel needs it), from one
+    column-kernel pass over last*H, H the span hull conv({0} u B).
+
+    H holds 0, so its dilations nest and shells 1..last partition last*H
+    minus the origin; H lies in the cone, so their gaps are exactly the
+    non-members of last*H, the origin being a member.  Membership is
+    asked `_BLOCK` rows at a time.  A box of more than 2^32 cells is
+    refused with UnsupportedCase before anything is listed."""
+    hull = h.span_hull
+    box = np.array(hull.rows, dtype=object) * last
+    top, bottom = box.max(axis=0) // hull.scale, -box.min(axis=0) // hull.scale
+    cells = np.prod(top + bottom + 1)
+    if cells > 2**32:
+        raise UnsupportedCase(
+            "the gaps of shells 1..%d span a box of %d cells, more than 2^32"
+            % (last, cells)
+        )
+    blocks = geometry._column_blocks(hull.rows, hull.scale, hull.int_facets, last)
+    return geometry._stack(pts[~_closure_rows(h, pts)] for pts in blocks)
 
 
 def _closure_rows(
@@ -745,10 +758,13 @@ def closure_member_int(
 def closure(h: SemigroupHandle, budget_layers: int = 400) -> ClosureResult:
     """Compute the closure semigroup and its minimal generators.
 
-    Candidate additions live inside the dilation of the origin-spanned
-    hull at the overlap level; a safety rescan one full period further
-    must produce nothing new, otherwise the configuration is outside
-    the supported families and is reported as such.
+    The candidates are the gaps of shells 1..kappa + period
+    (`_gap_rows`) whose translates by every minimal generator are
+    members; they must lie in the span hull H dilated to the overlap
+    level kappa.  One in a shell past kappa (the least s with the point
+    in s*H, off H's facets a.x >= c with c < 0) is outside the supported
+    families: UnsupportedCase names the least such shell's
+    lexicographically least one.
     """
     if not h.simplicial:
         raise NotSimplicial("closure is computed for three-ray cones")
@@ -759,18 +775,18 @@ def closure(h: SemigroupHandle, budget_layers: int = 400) -> ClosureResult:
     msg = minimal_generators(h, budget_layers=budget_layers)
     gens = [g.int_tuple() for g in msg.generators]
 
-    added: list[IntVec] = []
-    for s, rows in _shell_gaps(h, kappa + period):
-        for g in gens:
-            if not len(rows):
-                break
-            rows = rows[_closure_rows(h, rows + np.array(g, dtype=rows.dtype))]
-        if len(rows) and s > kappa:
-            raise UnsupportedCase(
-                "closure point %s beyond the overlap level %d"
-                % (tuple(rows[0].tolist()), kappa)
-            )
-        added.extend(map(tuple, rows.tolist()))
+    rows = _gap_rows(h, kappa + period)
+    for g in gens:
+        rows = rows[_closure_rows(h, rows + np.array(g, dtype=rows.dtype))]
+    added: list[IntVec] = list(map(tuple, rows.tolist()))
+    far = [f for f in h.span_hull.int_facets if f[3] < 0]
+    shells = [max(-(-_dot(f, p) // f[3]) for f in far) for p in added]
+    if shells and max(shells) > kappa:
+        s = min(s for s in shells if s > kappa)
+        raise UnsupportedCase(
+            "closure point %s beyond the overlap level %d"
+            % (added[shells.index(s)], kappa)
+        )
 
     # the only possible closure generators are the original minimal
     # generators and the added points

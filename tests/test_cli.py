@@ -1,7 +1,12 @@
 """End-to-end command line checks, run in-process through main()."""
 
 import dataclasses
+import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -144,6 +149,25 @@ def test_uncut_bridge_past_three_rays_is_unsupported(tmp_path, capsys, seed):
     for cmd in ("gaps", "decompose"):
         assert main([cmd, str(path)]) == 2
         assert "error [UnsupportedCase]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cmd, refusal",
+    [
+        ("gaps", "span a box of"),
+        ("is-cm", "the corner window spans"),
+        ("is-gorenstein", "the corner window spans"),
+    ],
+)
+def test_wide_normals_body_is_refused_not_listed(tmp_path, capsys, cmd, refusal):
+    # each ray's period is 2 * 10**18 + 1: the gap listing would walk
+    # about 4 * 10**18 shells and the decider window 6 * 10**18 slab
+    # translates, so both are refused before anything is allocated
+    path = tmp_path / "wide.txt"
+    path.write_text(_document(WIDE_NORMALS_VERTICES), encoding="utf-8")
+    assert main([cmd, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error [UnsupportedCase]" in err and refusal in err
 
 
 def test_budget_flag_only_where_it_is_read(s3_file, capsys):
@@ -424,6 +448,34 @@ def test_gap_listing_joins_blocks(tmp_path, capsys, monkeypatch):
             assert main(argv) == 0
             expect = _reference_gaps(vertices, structured, False)
             assert capsys.readouterr().out == expect
+
+
+def _limit_address_space():
+    cap = 1_500_000 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_gap_listing_fits_in_a_bounded_address_space(tmp_path):
+    # tetra seed 8 lists 14 382 619 gaps (about 200 MB of text, a 345 MB
+    # array); the listing holds its blocks and one stacked copy, so it
+    # finishes under 1.5 GB of address space with the same bytes
+    path = tmp_path / "tetra8.txt"
+    path.write_text(_document(instancegen.tetra_vertices(8)), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polysgp.cli", "gaps", str(path)],
+        # one BLAS thread, so no per-thread arena counts against the limit
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        stdout=subprocess.PIPE,
+        preexec_fn=_limit_address_space,
+    )
+    digest = hashlib.sha256()
+    while chunk := proc.stdout.read(1 << 20):
+        digest.update(chunk)
+    assert proc.wait() == 0
+    assert digest.hexdigest() == (
+        "f9aa02d403c04b1a5c8356ebb01bc7dc2d9ad3c92bec9cb11e5a0dc836823631"
+    )
 
 
 def test_oracle_check_passes_on_small_box(s3_file, capsys):

@@ -158,14 +158,14 @@ def _counting(monkeypatch, *names):
 def test_structure_chain_scans_and_closes_once(monkeypatch):
     # the handle keeps the Apery scan and the closure, so the structure
     # chain scans the shells for the Apery set once and runs the
-    # closure's candidate loop (its walk over `_shell_gaps`) once
-    calls = _counting(monkeypatch, "_apery_scan", "_shell_gaps")
+    # closure's candidate listing (its pass of `_gap_rows`) once
+    calls = _counting(monkeypatch, "_apery_scan", "_gap_rows")
     h = build(S5_VERTICES)
     minimal_generators(h)
     apery_intersection(h)
     closure(h)
     assert is_buchsbaum(h).verdict == "yes"
-    assert calls == {"_apery_scan": 1, "_shell_gaps": 1}
+    assert calls == {"_apery_scan": 1, "_gap_rows": 1}
 
 
 def _outcome(fn, h, budget):
@@ -211,12 +211,12 @@ def test_unsupported_closure_is_not_kept(monkeypatch):
     # again, and is_buchsbaum reports the case as unsupported
     h = build(S5_VERTICES)
     h._overlap = 0
-    calls = _counting(monkeypatch, "_apery_scan", "_shell_gaps")
+    calls = _counting(monkeypatch, "_apery_scan", "_gap_rows")
     for _ in range(2):
         with pytest.raises(UnsupportedCase, match=r"\(5, 5, 5\)"):
             closure(h)
     assert is_buchsbaum(h).verdict == "unsupported"
-    assert calls == {"_apery_scan": 1, "_shell_gaps": 3}
+    assert calls == {"_apery_scan": 1, "_gap_rows": 3}
 
 
 def test_minimal_generators_non_simplicial(pyramid):
