@@ -28,7 +28,7 @@ stop at the first member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import lcm
 from typing import Optional
 
@@ -66,8 +66,10 @@ from .semigroup import (
     _apery_rows,
     _as_intvec,
     _closure_rows,
+    _cm_yes,
     _first_member,
     _gap_rows,
+    _ray_apery,
     build,
     closure,
     in_cone_int,
@@ -124,7 +126,9 @@ def check_condition3(h: SemigroupHandle, p) -> Condition3Result:
 
 def is_cohen_macaulay(h: SemigroupHandle) -> PropertyVerdict:
     """Decide Cohen-Macaulayness of the semigroup ring; the handle keeps
-    the verdict, which `is_gorenstein` reads too."""
+    the verdict, which `is_gorenstein`, `is_buchsbaum`,
+    `semigroup.closure` and the Apery set (`semigroup._ray_apery`) read
+    too."""
     if not h.simplicial:
         raise NotSimplicial("the decision procedures need a three-ray cone")
     if h._cm is None:
@@ -137,24 +141,49 @@ def is_cohen_macaulay(h: SemigroupHandle) -> PropertyVerdict:
 def is_buchsbaum(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdict:
     """Decide Buchsbaumness: Cohen-Macaulayness of the closure
     semigroup, with membership, generators, and the separation level
-    all recomputed relative to the closure."""
+    all recomputed relative to the closure.
+
+    The Cohen-Macaulay verdict is asked for first.  On "yes" the
+    closure is the semigroup itself (`semigroup.closure`), so the
+    answer is that verdict once the Apery set is complete at this
+    budget; neither the closure nor the generators are computed.
+    Otherwise the closure is; when it adds no point, `_decide` would
+    get the inputs the kept verdict came from, so that verdict is
+    returned again, and only a closure that adds points is decided
+    afresh.  An UnsupportedCase from the Cohen-Macaulay decider is
+    raised, as `is_cohen_macaulay` and `is_gorenstein` raise it.  A
+    corner window past 2^16 translates depends on the ray periods
+    alone, so the closure's decider would refuse it too.  A gap box
+    past 2^32 cells in the decider's emptiness test also raises here;
+    asking the closure first gave an "unsupported" verdict when
+    `closure`'s own gap box was past 2^32 cells too.  After an
+    AssumptionViolated the closure is decided as if no verdict were
+    kept."""
     if not h.simplicial:
         raise NotSimplicial("the decision procedures need a three-ray cone")
     try:
-        cl = closure(h, budget_layers=budget_layers)
-    except UnsupportedCase as exc:
-        return PropertyVerdict(
-            property="Buchsbaum",
-            verdict="unsupported",
-            witness=None,
-            case_used="closure computation: %s" % exc,
-            diagnostics={},
-        )
+        cm: Optional[PropertyVerdict] = is_cohen_macaulay(h)
+    except AssumptionViolated:
+        cm = None
+    if _cm_yes(h):
+        added, certified = frozenset(), _ray_apery(h, budget_layers)[2]
+    else:
+        try:
+            cl = closure(h, budget_layers=budget_layers)
+        except UnsupportedCase as exc:
+            return PropertyVerdict(
+                property="Buchsbaum",
+                verdict="unsupported",
+                witness=None,
+                case_used="closure computation: %s" % exc,
+                diagnostics={},
+            )
+        added, certified = cl.added_set, cl.gens_of_closure.certified
     diag: dict = {
         "membership": "closure",
-        "closure_added_points": len(cl.added_points),
+        "closure_added_points": len(added),
     }
-    if not cl.gens_of_closure.certified:
+    if not certified:
         return PropertyVerdict(
             property="Buchsbaum",
             verdict="inconclusive",
@@ -162,26 +191,25 @@ def is_buchsbaum(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdic
             case_used="closure generator enumeration hit its layer budget",
             diagnostics=diag,
         )
-    gens = _closure_ray_generators(h, cl.added_set)
+    gens = _closure_ray_generators(h, added)
     diag["generators_recomputed"] = tuple(gens) != tuple(h.ray_generators)
-    return _decide(
-        h,
-        gens,
-        prop="Buchsbaum",
-        diag=diag,
-        added=cl.added_set,
-    )
+    if cm is not None and not added:
+        return replace(
+            cm, property="Buchsbaum", diagnostics={**diag, **cm.diagnostics}
+        )
+    return _decide(h, gens, prop="Buchsbaum", diag=diag, added=added)
 
 
 def is_gorenstein(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdict:
     """Decide Gorensteinness: Cohen-Macaulay plus a unique maximal
     element in the intersection of the ray-generator Apery sets.
 
-    The Cohen-Macaulay verdict is asked for first, so on a "yes" the
-    Apery set comes from the cosets of Z^3 / ZE
-    (`semigroup._coset_apery`) rather than the shell scan; it is the
-    same set, cut by `budget_layers` the same way, and a coset whose
-    least point is no member raises AssumptionViolated."""
+    The Cohen-Macaulay verdict is asked for first and kept, and a "no"
+    is the answer.  On a "yes" the Apery set comes from the cosets of
+    Z^3 / ZE (`semigroup._coset_apery`, picked by `_ray_apery` from the
+    kept verdict) rather than the shell scan; it is the same set, cut by
+    `budget_layers` the same way, and a coset whose least point is no
+    member raises AssumptionViolated."""
     cm = is_cohen_macaulay(h)
     if cm.verdict == "no":
         return PropertyVerdict(

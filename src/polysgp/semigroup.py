@@ -23,12 +23,21 @@ reference the array kernel is tested against.  One order sieve,
 `_order_sieve`, picks the minimal generators, the closure's generators
 and the maximal Apery elements out of a finite set.
 
-The Apery set of the ray generators E is scanned shell by shell
-(`_apery_scan`), except on a three-ray cone whose handle keeps a "yes"
-Cohen-Macaulay verdict: there each coset of Z^3 / ZE holds exactly
-one Apery element, its least point in the semigroup, and
-`_coset_apery` finds all of them at once by membership probes and
-reports what the scan would at the same budget.
+A "yes" Cohen-Macaulay verdict kept on a three-ray handle (`_cm_yes`)
+picks the cheap path of the structure chain.  Each coset of Z^3 / ZE
+(E the ray generators) then holds exactly one Apery element, its least
+point in the semigroup, and `_coset_apery` finds all of them at once
+by membership probes and reports what the shell scan would at the
+same budget; the closure is the semigroup itself, since a closure
+point is a gap with members among its ray-generator translates.
+`closure` and `rings.is_buchsbaum` ask for the verdict first
+(`_ask_cm`), as `rings.is_gorenstein` does; `minimal_generators` and
+`apery_intersection` only read a verdict already kept, because the
+decider's window can take far more memory than the shell scan.
+Without a kept "yes" (a "no", more than three rays, or a decider that
+raised AssumptionViolated or UnsupportedCase, or was never asked) the
+Apery set is scanned shell by shell (`_apery_scan`) and the closure's
+candidates are listed.
 
 The handle keeps what several entry points read: the Apery set of the
 ray generators, which `minimal_generators` and `apery_intersection`
@@ -542,18 +551,40 @@ def _ray_apery(
 ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], bool, int]:
     """The ray generators E of `minimal_generators` and the Apery
     elements over them, computed once per handle and budget: by
-    `_coset_apery` on a three-ray cone whose handle keeps a "yes"
-    Cohen-Macaulay verdict, and by `_apery_scan` otherwise.  Both
-    return the same elements, `complete` flag and layer count."""
+    `_coset_apery` on a handle that keeps a "yes" Cohen-Macaulay
+    verdict (`_cm_yes`), and by `_apery_scan` otherwise.  Both return
+    the same elements, `complete` flag and layer count.  No verdict is
+    asked for here: on some bodies the decider's window needs far more
+    memory than the scan."""
     if budget_layers not in h._apery:
         rays = h.ray_generators or [
             _smallest_ray_point(h, i) for i in range(len(h.rays))
         ]
         gens = tuple(g.int_tuple() for g in rays)
-        cm = h._cm is not None and h._cm.verdict == "yes"
-        apery = _coset_apery if cm and len(gens) == 3 else _apery_scan
+        apery = _coset_apery if _cm_yes(h) else _apery_scan
         h._apery[budget_layers] = (gens, *apery(h, gens, budget_layers))
     return h._apery[budget_layers]
+
+
+def _cm_yes(h: SemigroupHandle) -> bool:
+    """Whether the handle keeps a "yes" Cohen-Macaulay verdict;
+    `rings.is_cohen_macaulay` keeps its verdicts, on three-ray cones
+    only."""
+    return h._cm is not None and h._cm.verdict == "yes"
+
+
+def _ask_cm(h: SemigroupHandle) -> bool:
+    """`_cm_yes` once `rings.is_cohen_macaulay` has been asked of a
+    three-ray cone; a decider that raises AssumptionViolated or
+    UnsupportedCase keeps no verdict."""
+    from .rings import is_cohen_macaulay  # rings imports this module
+
+    if h.simplicial:
+        try:
+            is_cohen_macaulay(h)
+        except (AssumptionViolated, UnsupportedCase):
+            pass
+    return _cm_yes(h)
 
 
 def _scan_base(h: SemigroupHandle, gens: Sequence[IntVec]) -> tuple[int, int]:
@@ -758,7 +789,15 @@ def closure_member_int(
 def closure(h: SemigroupHandle, budget_layers: int = 400) -> ClosureResult:
     """Compute the closure semigroup and its minimal generators.
 
-    The candidates are the gaps of shells 1..kappa + period
+    A closure point is a gap whose translates by every minimal
+    generator, the three ray generators among them, are members.  The
+    Cohen-Macaulay verdict is asked for first (`_ask_cm`): a "yes" says
+    that no gap has two ray-generator translates in the semigroup, so
+    then the closure adds nothing, its generators are the
+    `minimal_generators` result (from the cosets, `_ray_apery`), and no
+    gap is listed.
+
+    Otherwise the candidates are the gaps of shells 1..kappa + period
     (`_gap_rows`) whose translates by every minimal generator are
     members; they must lie in the span hull H dilated to the overlap
     level kappa.  One in a shell past kappa (the least s with the point
@@ -772,7 +811,11 @@ def closure(h: SemigroupHandle, budget_layers: int = 400) -> ClosureResult:
         return h._closure[budget_layers]
     kappa = max(1, h.overlap)
     period = h.period()
+    cm_yes = _ask_cm(h)
     msg = minimal_generators(h, budget_layers=budget_layers)
+    if cm_yes:
+        h._closure[budget_layers] = ClosureResult((), msg, frozenset())
+        return h._closure[budget_layers]
     gens = [g.int_tuple() for g in msg.generators]
 
     rows = _gap_rows(h, kappa + period)

@@ -157,12 +157,15 @@ def test_uncut_bridge_past_three_rays_is_unsupported(tmp_path, capsys, seed):
         ("gaps", "span a box of"),
         ("is-cm", "the corner window spans"),
         ("is-gorenstein", "the corner window spans"),
+        ("is-buchsbaum", "the corner window spans"),
     ],
 )
 def test_wide_normals_body_is_refused_not_listed(tmp_path, capsys, cmd, refusal):
     # each ray's period is 2 * 10**18 + 1: the gap listing would walk
     # about 4 * 10**18 shells and the decider window 6 * 10**18 slab
-    # translates, so both are refused before anything is allocated
+    # translates, so both are refused before anything is allocated;
+    # is-buchsbaum asks the Cohen-Macaulay decider first and meets the
+    # window's refusal before any Apery scan
     path = tmp_path / "wide.txt"
     path.write_text(_document(WIDE_NORMALS_VERTICES), encoding="utf-8")
     assert main([cmd, str(path)]) == 2

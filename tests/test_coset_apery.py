@@ -27,8 +27,10 @@ from polysgp.rings import (
 )
 from polysgp.semigroup import (
     _apery_scan,
+    _ask_cm,
     _coset_apery,
     _ray_apery,
+    closure,
     member_int,
 )
 
@@ -114,10 +116,7 @@ def test_is_gorenstein_unchanged_on_fresh_handles(name, budget, monkeypatch):
         assert fast.verdict == "inconclusive"
 
 
-@pytest.mark.parametrize(
-    "name", ["s3", "gorenstein_no", "family3", "tetra1", "poly4"]
-)
-def test_ray_apery_takes_the_cosets_only_after_a_yes(name, monkeypatch):
+def _count_apery_calls(monkeypatch):
     calls = {"_coset_apery": 0, "_apery_scan": 0}
     for fn in calls:
 
@@ -126,12 +125,55 @@ def test_ray_apery_takes_the_cosets_only_after_a_yes(name, monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(semigroup, fn, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name", ["s3", "gorenstein_no", "family3", "tetra1", "poly4"]
+)
+def test_ray_apery_takes_the_cosets_only_after_a_yes(name, monkeypatch):
+    # `_ray_apery` asks for no verdict: a fresh handle scans, and the
+    # cosets come only once the handle keeps a "yes"
+    calls = _count_apery_calls(monkeypatch)
     h = _BODIES[name]()
     _ray_apery(h, 400)
+    assert h._cm is None
     is_cohen_macaulay(h)
     _ray_apery(h, 399)
     assert calls == {"_coset_apery": 1, "_apery_scan": 1}
     assert h._apery[399][1:] == h._apery[400][1:]
+
+
+@pytest.mark.parametrize(
+    "name", ["s3", "gorenstein_no", "family3", "tetra1", "poly4"]
+)
+def test_closure_asks_first_and_reads_the_cosets(name, monkeypatch):
+    calls = _count_apery_calls(monkeypatch)
+    h = _BODIES[name]()
+    assert closure(h).is_trivial()
+    assert h._cm.verdict == "yes"
+    assert calls == {"_coset_apery": 1, "_apery_scan": 0}
+
+
+@pytest.mark.parametrize("verts", [S5_VERTICES, WE_VERTICES])
+def test_closure_scans_after_a_no(verts, monkeypatch):
+    calls = _count_apery_calls(monkeypatch)
+    h = build(verts)
+    closure(h)
+    assert h._cm.verdict == "no"
+    assert calls == {"_coset_apery": 0, "_apery_scan": 1}
+
+
+def test_a_decider_that_raises_leaves_the_scan(monkeypatch):
+    # the Cohen-Macaulay decider fails an invariant on poly seed 735
+    # (the strict xfail below); asking keeps no verdict, and the Apery
+    # set is scanned
+    calls = _count_apery_calls(monkeypatch)
+    h = build(instancegen.poly_vertices(735))
+    assert not _ask_cm(h) and h._cm is None
+    ray_gens, found, complete, scanned = _ray_apery(h, 3)
+    assert not complete and scanned == 3
+    assert calls == {"_coset_apery": 0, "_apery_scan": 1}
 
 
 # Overlap level and ray-generator index past which a drawn body is

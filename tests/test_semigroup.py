@@ -21,7 +21,7 @@ from polysgp.errors import (
     PolysgpError,
     UnsupportedCase,
 )
-from polysgp import semigroup
+from polysgp import rings, semigroup
 from polysgp.rings import is_buchsbaum
 from polysgp.semigroup import (
     _first_member,
@@ -141,17 +141,17 @@ def test_budget_exhaustion_flags_partial(s3, nn, we, gorenstein_no):
             assert set(gens.int_tuples()) <= set(full.int_tuples())
 
 
-def _counting(monkeypatch, *names):
-    """Count the calls of each named `semigroup` function from inside
-    the module."""
+def _counting(monkeypatch, *names, module=semigroup):
+    """Count the calls of each named function of `module` (`semigroup`
+    by default) from inside the module."""
     calls = dict.fromkeys(names, 0)
     for name in names:
 
-        def counted(*args, _fn=getattr(semigroup, name), _name=name):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(semigroup, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -166,6 +166,31 @@ def test_structure_chain_scans_and_closes_once(monkeypatch):
     closure(h)
     assert is_buchsbaum(h).verdict == "yes"
     assert calls == {"_apery_scan": 1, "_gap_rows": 1}
+
+
+def test_cm_yes_chain_decides_once_and_lists_no_gap(monkeypatch):
+    # s3 is Cohen-Macaulay: `minimal_generators` asks for no verdict and
+    # scans once; `closure` asks, and the one decider run gives a
+    # closure that adds nothing and the Buchsbaum verdict, so no gap is
+    # listed
+    calls = _counting(monkeypatch, "_apery_scan", "_coset_apery", "_gap_rows")
+    decided = _counting(monkeypatch, "_decide", module=rings)
+    h = build(S3_VERTICES)
+    minimal_generators(h)
+    apery_intersection(h)
+    assert closure(h).is_trivial()
+    assert is_buchsbaum(h).verdict == "yes"
+    assert calls == {"_apery_scan": 1, "_coset_apery": 0, "_gap_rows": 0}
+    assert decided == {"_decide": 1}
+
+
+def test_buchsbaum_on_a_fresh_cm_yes_handle_sieves_nothing(monkeypatch):
+    # the verdict and the Apery set's `complete` flag are all it reads
+    calls = _counting(monkeypatch, "minimal_generators", "_order_sieve")
+    closed = _counting(monkeypatch, "closure", module=rings)
+    assert is_buchsbaum(build(S3_VERTICES)).verdict == "yes"
+    assert calls == {"minimal_generators": 0, "_order_sieve": 0}
+    assert closed == {"closure": 0}
 
 
 def _outcome(fn, h, budget):
