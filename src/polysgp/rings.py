@@ -165,11 +165,10 @@ def is_buchsbaum(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdic
         cm: Optional[PropertyVerdict] = is_cohen_macaulay(h)
     except AssumptionViolated:
         cm = None
-    if _cm_yes(h):
-        added, certified = frozenset(), _ray_apery(h, budget_layers)[2]
-    else:
+    added: frozenset = frozenset()
+    if not _cm_yes(h):
         try:
-            cl = closure(h, budget_layers=budget_layers)
+            added = closure(h, budget_layers=budget_layers).added_set
         except UnsupportedCase as exc:
             return PropertyVerdict(
                 property="Buchsbaum",
@@ -178,7 +177,7 @@ def is_buchsbaum(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdic
                 case_used="closure computation: %s" % exc,
                 diagnostics={},
             )
-        added, certified = cl.added_set, cl.gens_of_closure.certified
+    certified = _ray_apery(h, budget_layers)[2]
     diag: dict = {
         "membership": "closure",
         "closure_added_points": len(added),
@@ -362,11 +361,9 @@ def _decide(
             i, j = 0, 1
             case = "all chords are segments: finite gap set emptiness"
         diag["scan_shells"] = last
-        start = next(
-            (p for p in map(tuple, _gap_rows(h, last).tolist()) if p not in added),
-            None,
-        )
-        if start is not None:
+        gaps = _gap_rows(h, last, added)
+        if len(gaps):
+            start = tuple(gaps[0].tolist())
             cap = 16 * (kappa + h.period() + 4)
             p = _staircase(
                 h, added, start, gens[i].int_tuple(), gens[j].int_tuple(), cap

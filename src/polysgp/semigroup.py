@@ -16,10 +16,10 @@ ray of a primitive direction d has m the numerator of the simplest
 fraction on the ray's chord.  The cone is tested against its facet
 normals, the cross products of consecutive extremal rays.  Every
 membership question asked inside the package goes to the array kernel
-`_dilation_rows` as an integer array of at most `_BLOCK` rows, through
-`_shell` or `_closure_rows` (both by way of `member_rows`), or
-directly where the least dilation is wanted; `member_int` is the
-reference the array kernel is tested against.  One order sieve,
+`_dilation_rows`, `_BLOCK` rows at a time, through `_shell` (which
+checks least dilations) or `_closure_rows` (which adds the origin and
+the closure's points), or directly; `member_int` is the reference the
+array kernel is tested against.  One order sieve,
 `_order_sieve`, picks the minimal generators, the closure's generators
 and the maximal Apery elements out of a finite set.
 
@@ -27,11 +27,11 @@ A "yes" Cohen-Macaulay verdict kept on a three-ray handle (`_cm_yes`)
 picks the cheap path of the structure chain.  Each coset of Z^3 / ZE
 (E the ray generators) then holds exactly one Apery element, its least
 point in the semigroup, and `_coset_apery` finds all of them at once
-by membership probes and reports what the shell scan would at the
-same budget; the closure is the semigroup itself, since a closure
-point is a gap with members among its ray-generator translates.
-`closure` and `rings.is_buchsbaum` ask for the verdict first
-(`_ask_cm`), as `rings.is_gorenstein` does; `minimal_generators` and
+by membership probes, with the shell where the scan would stop; the
+closure is the semigroup itself, since a closure point is a gap with
+members among its ray-generator translates.  `closure` and
+`rings.is_buchsbaum` ask for the verdict first (`_ask_cm`), as
+`rings.is_gorenstein` does; `minimal_generators` and
 `apery_intersection` only read a verdict already kept, because the
 decider's window can take far more memory than the shell scan.
 Without a kept "yes" (a "no", more than three rays, or a decider that
@@ -39,15 +39,15 @@ raised AssumptionViolated or UnsupportedCase, or was never asked) the
 Apery set is scanned shell by shell (`_apery_scan`) and the closure's
 candidates are listed.
 
-The handle keeps what several entry points read: the Apery set of the
-ray generators, which `minimal_generators` and `apery_intersection`
-share, and the closure, which `is_buchsbaum` reuses; each is computed
-once per handle and `budget_layers` value and never answers a call with
-another budget.
+The handle keeps one Apery record (`AperyRecord`), which
+`minimal_generators` and `apery_intersection` read at every budget
+(`_ray_apery`), and the closure once per `budget_layers` value, which
+`is_buchsbaum` reuses.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Optional, Sequence
@@ -96,8 +96,9 @@ def _as_intvec(p) -> IntVec:
 class GeneratorSet:
     """Minimal generating set of the semigroup when `certified`;
     otherwise the layer budget ran out first and the set is partial.
-    `layers_scanned` counts the dilation shells the Apery scan read, or
-    would read when the set comes from the cosets (`_ray_apery`)."""
+    `layers_scanned` counts the shells a scan at the budget reads, the
+    budget or the scan's stop shell if less, whatever made the handle's
+    Apery record (`_ray_apery`)."""
 
     generators: tuple[Point3, ...]
     certified: bool
@@ -117,6 +118,19 @@ class AperyBasis:
     complete: bool
 
 
+@dataclass(frozen=True)
+class AperyRecord:
+    """A handle's Apery set (`_ray_apery`): the ray generators, the
+    elements over them in scan order with their shells, the shell where
+    the scan stops (None if its budget ran out first), and the shells read."""
+
+    gens: tuple[IntVec, ...]
+    found: tuple[IntVec, ...]
+    shells: tuple[int, ...]
+    stop: Optional[int]
+    read: int
+
+
 class SemigroupHandle:
     """Computed view of one polytope semigroup.
 
@@ -128,10 +142,11 @@ class SemigroupHandle:
     on each ray, read off its chord.  Only `build` makes one, after its
     OriginInside check.  The span hull, the vertex classification, the
     overlap level and the Cohen-Macaulay verdict are computed on first
-    use and kept for the handle's lifetime, and so are the Apery set
+    use and kept for the handle's lifetime, and so are one Apery record
     (`_ray_apery`) and the closure, once per `budget_layers` value.
-    Queries are thread-safe: two threads racing to fill one of these
-    compute the same value and store identical results.
+    Queries are thread-safe: racing threads store identical values, and
+    a call answers from the Apery record it read or made, even when a
+    racing call replaces it with a shorter scan.
     """
 
     __slots__ = (
@@ -170,7 +185,7 @@ class SemigroupHandle:
             cone.append(tuple(v // g for v in n))
         self._cone = tuple(cone)
         # the facet rows (int64 when they fit) and the largest |a|_1 and
-        # |c| over them, from which `member_rows` picks its dtype
+        # |c| over them, from which `_dilation_rows` picks its dtype
         a = abs(np.array(body.int_facets, dtype=object))
         self._facet_bound = (a[:, :3].sum(axis=1).max(), a[:, 3].max())
         fits = sum(self._facet_bound) < geometry._INT64_LIMIT
@@ -183,7 +198,7 @@ class SemigroupHandle:
         self._classification: Optional[decomposition.VertexClassification] = None
         self._overlap: Optional[int] = None
         self._cm = None
-        self._apery: dict[int, tuple] = {}
+        self._apery: Optional[AperyRecord] = None
         self._closure: dict[int, ClosureResult] = {}
 
     @property
@@ -258,47 +273,32 @@ def in_cone_int(h: SemigroupHandle, p: IntVec) -> bool:
     return True
 
 
-def member_rows(
-    h: SemigroupHandle, pts: np.ndarray, shell: Optional[int] = None
-) -> np.ndarray:
-    """`member_int` over the rows of an (N, 3) integer array, as a bool
-    array: p is in k*B iff a.p >= k*c on every facet row (a, c), so the
-    rows with c < 0 bound k below, those with c > 0 above, and those
-    with c = 0 must hold at k = 0.
-
-    With `shell`, a member whose least dilation is not `shell` raises
-    AssumptionViolated.
-    """
-    ok, lo = _dilation_rows(h, pts)
-    if shell is not None:
-        wrong = np.flatnonzero(ok & (lo != shell))
-        if len(wrong):
-            i = wrong[0]
-            raise AssumptionViolated(
-                "shell %d point %s reports dilation %s"
-                % (shell, tuple(pts[i].tolist()), int(lo[i]))
-            )
-    return ok | ~pts.any(axis=1)
-
-
 def _dilation_rows(
     h: SemigroupHandle, pts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel of `member_rows`: whether some dilation k >= 1 holds
-    each row, and the least k that can (read only where it does)."""
+    """Whether some dilation k >= 1 holds each row of an (N, 3) integer
+    array, and the least k that can (read only where it does): p is in
+    k*B iff a.p >= k*c on every facet row (a, c), so the rows with c < 0
+    bound k below, those with c > 0 above, and those with c = 0 must
+    hold at k = 0.  The facet products are formed `_BLOCK` rows at a
+    time."""
     # at or above `kernel_dtype`'s bound: |a.p| + |c| over every facet
     # is at most max |a|_1 * max |p_i| + max |c|
     norm, top_c = h._facet_bound
-    top = norm * max(1, int(abs(pts).max(initial=0))) + top_c
+    top = norm * max(1, int(pts.max(initial=0)), -int(pts.min(initial=0))) + top_c
     dtype = np.int64 if top < geometry._INT64_LIMIT else object
-    p = pts.astype(dtype, copy=False)
     a = h._facets.astype(dtype, copy=False)
     c = a[:, 3]
     far, near = c < 0, c > 0
-    v = p @ a[:, :3].T
-    lo = (-(-v[:, far] // c[far])).max(axis=1, initial=1)
-    hi = (v[:, near] // c[near]).min(axis=1)
-    ok = (p >= 0).all(axis=1) & (v[:, c == 0] >= 0).all(axis=1) & (lo <= hi)
+    ok, lo = np.empty(len(pts), dtype=bool), np.empty(len(pts), dtype=dtype)
+    for i in range(0, len(pts), _BLOCK):
+        at = slice(i, i + _BLOCK)
+        p = pts[at].astype(dtype, copy=False)
+        v = p @ a[:, :3].T
+        least = (-(-v[:, far] // c[far])).max(axis=1, initial=1)
+        hi = (v[:, near] // c[near]).min(axis=1)
+        ok[at] = (p >= 0).all(axis=1) & (v[:, c == 0] >= 0).all(axis=1) & (least <= hi)
+        lo[at] = least
     return ok, lo
 
 
@@ -307,23 +307,34 @@ def _shell(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The integer points of shell s (see `semigroup_shells`) in
     lexicographic order, as blocks of rows with their membership; the
-    callers' work on a block stays within its size."""
+    callers' work on a block stays within its size.  A member whose
+    least dilation is not s raises AssumptionViolated."""
     pts = shell_integer_points(h.span_hull, s)
     for i in range(0, len(pts), _BLOCK):
         block = pts[i : i + _BLOCK]
-        yield block, member_rows(h, block, s)
+        ok, lo = _dilation_rows(h, block)
+        wrong = np.flatnonzero(ok & (lo != s))
+        if len(wrong):
+            raise AssumptionViolated(
+                "shell %d point %s reports dilation %s"
+                % (s, tuple(block[wrong[0]].tolist()), int(lo[wrong[0]]))
+            )
+        yield block, ok
 
 
-def _gap_rows(h: SemigroupHandle, last: int) -> np.ndarray:
+def _gap_rows(
+    h: SemigroupHandle, last: int, added: frozenset[IntVec] = frozenset()
+) -> np.ndarray:
     """The gaps of shells 1..last as one (N, 3) integer array in
     lexicographic order (object when the kernel needs it), from one
-    column-kernel pass over last*H, H the span hull conv({0} u B).
+    column-kernel pass over last*H, H the span hull conv({0} u B); with
+    `added`, the closure's gaps, those not in it.
 
     H holds 0, so its dilations nest and shells 1..last partition last*H
     minus the origin; H lies in the cone, so their gaps are exactly the
-    non-members of last*H, the origin being a member.  Membership is
-    asked `_BLOCK` rows at a time.  A box of more than 2^32 cells is
-    refused with UnsupportedCase before anything is listed."""
+    non-members of last*H, the origin being a member.  A box of more
+    than 2^32 cells is refused with UnsupportedCase before anything is
+    listed."""
     hull = h.span_hull
     box = np.array(hull.rows, dtype=object) * last
     top, bottom = box.max(axis=0) // hull.scale, -box.min(axis=0) // hull.scale
@@ -334,7 +345,7 @@ def _gap_rows(h: SemigroupHandle, last: int) -> np.ndarray:
             % (last, cells)
         )
     blocks = geometry._column_blocks(hull.rows, hull.scale, hull.int_facets, last)
-    return geometry._stack(pts[~_closure_rows(h, pts)] for pts in blocks)
+    return geometry._stack(pts[~_closure_rows(h, pts, added)] for pts in blocks)
 
 
 def _closure_rows(
@@ -342,15 +353,11 @@ def _closure_rows(
     pts: np.ndarray,
     added: frozenset[IntVec] = frozenset(),
 ) -> np.ndarray:
-    """`member_rows` over blocks of `_BLOCK` rows, with the rows it
-    rejects looked up in `added`: the closure's membership when `added`
-    is its `added_set`, and plain membership when `added` is empty.
-    Every membership question outside `_shell` comes here."""
-    blocks = range(0, len(pts), _BLOCK)
-    ok = np.concatenate(
-        [member_rows(h, pts[i : i + _BLOCK]) for i in blocks]
-        or [np.zeros(0, dtype=bool)]
-    )
+    """Membership of each row of an (N, 3) integer array: the origin,
+    the rows `_dilation_rows` holds and, of the rest, those in `added`,
+    the closure's added points (none for plain membership).  Every
+    membership question outside `_shell` comes here."""
+    ok = _dilation_rows(h, pts)[0] | ~pts.any(axis=1)
     if added:
         out = np.flatnonzero(~ok)
         ok[out] = [tuple(p) in added for p in pts[out].tolist()]
@@ -549,21 +556,29 @@ def _apery_rows(
 def _ray_apery(
     h: SemigroupHandle, budget_layers: int
 ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], bool, int]:
-    """The ray generators E of `minimal_generators` and the Apery
-    elements over them, computed once per handle and budget: by
-    `_coset_apery` on a handle that keeps a "yes" Cohen-Macaulay
-    verdict (`_cm_yes`), and by `_apery_scan` otherwise.  Both return
-    the same elements, `complete` flag and layer count.  No verdict is
-    asked for here: on some bodies the decider's window needs far more
-    memory than the scan."""
-    if budget_layers not in h._apery:
+    """The ray generators E of `minimal_generators`, the Apery elements
+    over them, and the `complete` flag and layer count of a scan at
+    `budget_layers`, read off the handle's `AperyRecord`: made by
+    `_coset_apery` on a handle that keeps a "yes" Cohen-Macaulay verdict
+    (`_cm_yes`), by `_apery_scan` otherwise, and again only when it is a
+    scan cut below the budget.  The elements are shell-major and
+    lexicographic within a shell, so the scan at budget b finds the
+    prefix with shell at most min(b, read), complete if it stops by b.
+    No verdict is asked for here: on some bodies the decider's window
+    needs far more memory than the scan."""
+    rec = h._apery
+    if rec is None or (rec.stop is None and rec.read < budget_layers):
         rays = h.ray_generators or [
             _smallest_ray_point(h, i) for i in range(len(h.rays))
         ]
         gens = tuple(g.int_tuple() for g in rays)
-        apery = _coset_apery if _cm_yes(h) else _apery_scan
-        h._apery[budget_layers] = (gens, *apery(h, gens, budget_layers))
-    return h._apery[budget_layers]
+        if _cm_yes(h):
+            rec = h._apery = _coset_apery(h, gens)
+        else:
+            rec = h._apery = _apery_scan(h, gens, budget_layers)
+    last = max(0, min(budget_layers, rec.read))
+    found = rec.found[: bisect_right(rec.shells, last)]
+    return rec.gens, found, rec.stop is not None and rec.stop <= budget_layers, last
 
 
 def _cm_yes(h: SemigroupHandle) -> bool:
@@ -599,21 +614,19 @@ def _scan_base(h: SemigroupHandle, gens: Sequence[IntVec]) -> tuple[int, int]:
 
 def _apery_scan(
     h: SemigroupHandle, gens: Sequence[IntVec], budget_layers: int
-) -> tuple[tuple[IntVec, ...], bool, int]:
+) -> AperyRecord:
     """Nonzero semigroup points p with p - g outside the semigroup for
     every g in `gens`, scanned shell by shell.
 
     Stops once the scan is past `_scan_base` and a full period has
-    passed with no new element.  Returns the elements in scan order,
-    whether the scan stopped that way (rather than at the budget), and
-    the number of layers scanned.
+    passed with no new element, or after `budget_layers` shells, which
+    the record's `stop` tells apart.
     """
     base, period = _scan_base(h, gens)
-
     found: list[IntVec] = []
-    last_hit = 0
-    scanned = 0
-    while scanned < budget_layers:
+    shells: list[int] = []
+    scanned, stop = 0, None
+    while stop is None and scanned < budget_layers:
         scanned += 1
         for pts, ok in _shell(h, scanned):
             rows = pts[ok]
@@ -622,12 +635,11 @@ def _apery_scan(
                     break
                 d = rows - np.array(g, dtype=rows.dtype)
                 rows = rows[~_closure_rows(h, d)]
-            if len(rows):
-                found.extend(map(tuple, rows.tolist()))
-                last_hit = scanned
-        if scanned >= base and scanned >= last_hit + period:
-            return tuple(found), True, scanned
-    return tuple(found), False, scanned
+            found.extend(map(tuple, rows.tolist()))
+            shells.extend([scanned] * len(rows))
+        if scanned >= max(base, period + (shells[-1] if shells else 0)):
+            stop = scanned
+    return AperyRecord(tuple(gens), tuple(found), tuple(shells), stop, scanned)
 
 
 def _scan_stop(shells: Iterable[int], base: int, period: int) -> int:
@@ -644,9 +656,7 @@ def _scan_stop(shells: Iterable[int], base: int, period: int) -> int:
     return max(base, last + period)
 
 
-def _coset_apery(
-    h: SemigroupHandle, gens: Sequence[IntVec], budget_layers: int
-) -> tuple[tuple[IntVec, ...], bool, int]:
+def _coset_apery(h: SemigroupHandle, gens: Sequence[IntVec]) -> AperyRecord:
     """`_apery_scan` over three ray generators E of a Cohen-Macaulay
     semigroup, read off the cosets of Z^3 / ZE instead of the shells.
 
@@ -667,7 +677,7 @@ def _coset_apery(
     column and h2 h3 that of its 2x2 minors on the last two columns,
     moved into the parallelepiped with E's adjugate.  Each element's
     shell is its least dilation, and `_scan_stop` says where the scan
-    would stop, so the result is `_apery_scan`'s at every budget.
+    would stop, so the record is `_apery_scan`'s at any budget past it.
     """
     e1, e2, e3 = gens
     adj = (_cross(e2, e3), _cross(e3, e1), _cross(e1, e2))
@@ -706,24 +716,17 @@ def _coset_apery(
         least -= (t - hi)[:, None] * e
 
     least = least[least.any(axis=1)]
-    blocks = [
-        _dilation_rows(h, least[i : i + _BLOCK])
-        for i in range(0, len(least), _BLOCK)
-    ]
-    ok = np.concatenate([b[0] for b in blocks] or [np.zeros(0, dtype=bool)])
-    shell = np.concatenate([b[1] for b in blocks] or [np.zeros(0, dtype=int)])
+    ok, shell = _dilation_rows(h, least)
     if not ok.all():
         raise AssumptionViolated(
             "least point %s of its coset is no member: the kept "
             "Cohen-Macaulay verdict is wrong"
             % (tuple(least[np.flatnonzero(~ok)[0]].tolist()),)
         )
-    base, period = _scan_base(h, gens)
-    stop = _scan_stop(np.unique(shell).tolist(), base, period)
-    scanned = max(0, min(stop, budget_layers))
+    stop = _scan_stop(np.unique(shell).tolist(), *_scan_base(h, gens))
     order = np.lexsort((least[:, 2], least[:, 1], least[:, 0], shell))
-    found = least[order[shell[order] <= scanned]]
-    return tuple(map(tuple, found.tolist())), stop <= budget_layers, scanned
+    found = tuple(map(tuple, least[order].tolist()))
+    return AperyRecord(tuple(gens), found, tuple(shell[order].tolist()), stop, stop)
 
 
 def _order_sieve(

@@ -1,10 +1,11 @@
-"""The summary of `tools/bench_pairs.py` on canned run output; no
-benchmark is run."""
+"""The summary of `tools/bench_pairs.py` on canned run output, and its
+source line counts on temporary trees; no benchmark is run."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -70,3 +71,44 @@ def test_one_incorrect_run_clears_all_correct():
 def test_a_run_that_printed_nothing_is_refused():
     with pytest.raises(ValueError):
         bench_pairs.final_result("\n\n")
+
+
+def _module(tree, name, text):
+    path = tree / "src" / "polysgp" / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+def test_src_lines_counts_as_wc_does(tmp_path):
+    _module(tmp_path, "a.py", "x = 1\ny = 2\n")
+    # wc -l counts newlines: a last line without one is not counted
+    _module(tmp_path, "b.py", "z = 3\nw = 4")
+    _module(tmp_path, "notes.txt", "not a module\n")
+    (tmp_path / "src" / "other.py").write_text("outside the package\n")
+    assert bench_pairs.src_lines(tmp_path) == 3
+
+
+def test_bench_file_records_src_lines_of_both_sides(tmp_path, monkeypatch):
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, check=True, capture_output=True,
+        )
+
+    spec = {"run_seconds": 1, "end_to_end": [
+        {"name": name, "better": better} for name, better in _BETTER.items()
+    ]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    _module(tmp_path, "a.py", "x = 1\ny = 2\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    _module(tmp_path, "b.py", "z = 3\n")
+    canned = bench_pairs.final_result(_output(True, 100.0, 0.001))
+    monkeypatch.setattr(bench_pairs, "_run", lambda *args: canned)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--pr", "7", "--change", "c", "--workloads", "structure"]
+    assert bench_pairs.main(argv) == 0
+    bench = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert bench["src_lines"] == {"parent": 2, "change": 3}
+    assert bench["runs"]["structure seed 0"]["pairs"] == bench_pairs.PAIRS

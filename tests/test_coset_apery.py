@@ -1,6 +1,7 @@
 """The Apery set of a Cohen-Macaulay three-ray cone read off the cosets
 of Z^3 / ZE (`semigroup._coset_apery`), against the shell scan
-(`semigroup._apery_scan`) it replaces there."""
+(`semigroup._apery_scan`) it replaces there, and the one record per
+handle that `semigroup._ray_apery` answers every budget from."""
 
 from __future__ import annotations
 
@@ -66,6 +67,13 @@ def _gens(h):
     return tuple(g.int_tuple() for g in h.ray_generators)
 
 
+def _answer(h, record, budget):
+    """What `_ray_apery` answers at `budget` off `record`: the elements,
+    the `complete` flag and the layer count."""
+    h._apery = record
+    return _ray_apery(h, budget)[1:]
+
+
 # Certifying layer count up to which the scan runs at every budget; a
 # deeper scan runs once, and its shells 1..b stand for budget b.
 _EVERY_BUDGET = 30
@@ -76,16 +84,18 @@ def test_coset_apery_matches_scan_at_every_budget(name, monkeypatch):
     h = _BODIES[name]()
     assert is_cohen_macaulay(h).verdict == "yes" and h.overlap <= 25
     gens = _gens(h)
-    top = _coset_apery(h, gens, 400)
-    assert top[1] and top == _coset_apery(h, gens, top[2])
+    cosets = _coset_apery(h, gens)
+    top = _answer(h, cosets, 400)
+    assert top[1] and top == _answer(h, cosets, top[2])
     if top[2] > _EVERY_BUDGET:
-        assert top == _apery_scan(h, gens, 400)
+        assert top == _answer(h, _apery_scan(h, gens, 400), 400)
         found, _, last = top
         shell = [member_int(h, p)[1] for p in found]
         assert shell == sorted(shell) and shell[-1] < last
+        assert cosets.shells == tuple(shell)
         for budget in range(1, last):
             want = tuple(p for p, s in zip(found, shell) if s <= budget)
-            assert _coset_apery(h, gens, budget) == (want, False, budget)
+            assert _answer(h, cosets, budget) == (want, False, budget)
         return
     # the scan at budget b reads shells 1..b, the same at every budget,
     # so each shell is enumerated once and replayed for the larger ones
@@ -98,8 +108,8 @@ def test_coset_apery_matches_scan_at_every_budget(name, monkeypatch):
 
     monkeypatch.setattr(semigroup, "_shell", replay)
     for budget in range(1, top[2] + 1):
-        got = _coset_apery(h, gens, budget)
-        assert got == _apery_scan(h, gens, budget), budget
+        got = _answer(h, cosets, budget)
+        assert got == _answer(h, _apery_scan(h, gens, budget), budget), budget
     assert got == top
 
 
@@ -110,7 +120,9 @@ def test_coset_apery_matches_scan_at_every_budget(name, monkeypatch):
 def test_is_gorenstein_unchanged_on_fresh_handles(name, budget, monkeypatch):
     fast = is_gorenstein(_BODIES[name](), budget_layers=budget)
     # the scan again, whatever verdict the handle keeps
-    monkeypatch.setattr(semigroup, "_coset_apery", _apery_scan)
+    monkeypatch.setattr(
+        semigroup, "_coset_apery", lambda h, gens: _apery_scan(h, gens, budget)
+    )
     assert is_gorenstein(_BODIES[name](), budget_layers=budget) == fast
     if budget == 1:
         assert fast.verdict == "inconclusive"
@@ -132,16 +144,61 @@ def _count_apery_calls(monkeypatch):
     "name", ["s3", "gorenstein_no", "family3", "tetra1", "poly4"]
 )
 def test_ray_apery_takes_the_cosets_only_after_a_yes(name, monkeypatch):
-    # `_ray_apery` asks for no verdict: a fresh handle scans, and the
-    # cosets come only once the handle keeps a "yes"
+    # `_ray_apery` asks for no verdict: a fresh handle scans, and a
+    # "yes" kept afterwards leaves the complete scan answering every
+    # budget; a handle that keeps the "yes" first reads the cosets
     calls = _count_apery_calls(monkeypatch)
     h = _BODIES[name]()
-    _ray_apery(h, 400)
-    assert h._cm is None
+    scanned = _ray_apery(h, 400)
+    assert h._cm is None and scanned[2]
     is_cohen_macaulay(h)
-    _ray_apery(h, 399)
+    assert _ray_apery(h, 399) == scanned
+    assert calls == {"_coset_apery": 0, "_apery_scan": 1}
+    fresh = _BODIES[name]()
+    is_cohen_macaulay(fresh)
+    assert _ray_apery(fresh, 399) == scanned
     assert calls == {"_coset_apery": 1, "_apery_scan": 1}
-    assert h._apery[399][1:] == h._apery[400][1:]
+
+
+def test_one_coset_run_answers_every_budget(monkeypatch):
+    calls = _count_apery_calls(monkeypatch)
+    h = _BODIES["tetra1"]()
+    is_cohen_macaulay(h)
+    top = _ray_apery(h, 400)
+    stop = top[3]
+    for budget in [*range(1, stop + 1), 400]:
+        got = _ray_apery(h, budget)
+        assert got[2] == (budget >= stop) and got[3] == min(budget, stop)
+    assert got == top
+    assert calls == {"_coset_apery": 1, "_apery_scan": 0}
+
+
+def test_one_complete_scan_answers_every_budget(monkeypatch):
+    calls = _count_apery_calls(monkeypatch)
+    h = _BODIES["s3"]()
+    top = _ray_apery(h, 400)
+    assert top[2] and h._apery.stop == top[3]
+    for budget in [*range(top[3], 0, -1), 400]:
+        assert _ray_apery(h, budget)[3] == min(budget, top[3])
+    assert calls == {"_coset_apery": 0, "_apery_scan": 1}
+
+
+@pytest.mark.parametrize("cm_first", [False, True])
+def test_a_cut_scan_is_run_again_for_a_larger_budget(cm_first, monkeypatch):
+    # a scan cut at 3 answers budgets up to 3, and a larger budget makes
+    # the record again: by the cosets once a "yes" is kept
+    calls = _count_apery_calls(monkeypatch)
+    h = _BODIES["gorenstein_no"]()
+    cut = _ray_apery(h, 3)
+    assert not cut[2] and h._apery.stop is None and h._apery.read == 3
+    assert _ray_apery(h, 2) == _ray_apery(build(GORENSTEIN_NO_VERTICES), 2)
+    assert calls == {"_coset_apery": 0, "_apery_scan": 2}
+    if cm_first:
+        is_cohen_macaulay(h)
+    full = _ray_apery(h, 400)
+    assert full == _ray_apery(build(GORENSTEIN_NO_VERTICES), 400)
+    assert full[1][: len(cut[1])] == cut[1]
+    assert calls == {"_coset_apery": int(cm_first), "_apery_scan": 4 - cm_first}
 
 
 @pytest.mark.parametrize(
@@ -212,7 +269,7 @@ def test_coset_apery_matches_scan_on_drawn_bodies(kind, seed):
     while (drawn := _admitted(kind, seed)) is None:
         seed += 1
     verts, h, gens = drawn
-    got, want = _coset_apery(h, gens, 400), _apery_scan(h, gens, 400)
+    got, want = _coset_apery(h, gens), _apery_scan(h, gens, 400)
     assert got == want, "%s seed %d: %s" % (kind, seed, verts)
 
 

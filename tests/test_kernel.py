@@ -22,10 +22,10 @@ from polysgp.geometry import (
     shell_integer_points,
 )
 from polysgp.semigroup import (
+    _dilation_rows,
     apery_intersection,
     closure,
     member_int,
-    member_rows,
     minimal_generators,
     semigroup_shells,
 )
@@ -89,9 +89,12 @@ def test_huge_facet_coefficients_take_the_object_path():
     h = build([(1, 0, 0), (0, 1, 0), (0, 0, 1), corner])
     assert shell_integer_points(h.span_hull, 2).dtype == object
     assert _kernel_shells(h, 3) == _reference_shells(h, 3)
-    grid = list(product(range(5), repeat=3))
-    got = member_rows(h, np.array(grid, dtype=np.int64)).tolist()
-    assert got == [member_int(h, p)[0] for p in grid]
+    # the origin, a member at dilation 0, is the callers' rule
+    grid = list(product(range(5), repeat=3))[1:]
+    ok, lo = _dilation_rows(h, np.array(grid, dtype=np.int64))
+    assert lo.dtype == object
+    got = [(m, k if m else None) for m, k in zip(ok.tolist(), lo.tolist())]
+    assert got == [member_int(h, p) for p in grid]
 
 
 def _results(verts):

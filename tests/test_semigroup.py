@@ -534,13 +534,13 @@ def test_thin_body_ray_generator_stops_at_first_member(monkeypatch):
     # read off the chords, so `build` asks no membership question, and
     # the first member on that ray is the 100th multiple
     rows = []
-    kernel = semigroup.member_rows
+    kernel = semigroup._dilation_rows
 
-    def counting(h, pts, shell=None):
+    def counting(h, pts):
         rows.append(len(pts))
-        return kernel(h, pts, shell)
+        return kernel(h, pts)
 
-    monkeypatch.setattr(semigroup, "member_rows", counting)
+    monkeypatch.setattr(semigroup, "_dilation_rows", counting)
     h, *_ = [
         build(v) for v in (THIN_VERTICES, S3_VERTICES, S5_VERTICES, WE_VERTICES)
     ]

@@ -16,6 +16,8 @@ BENCHMARK.json's run_seconds, in its side's directory, and only its
 final JSON line is read.  After every pair the summary is written to
 BENCH_<pr>.json at the checkout's root, whose `runs` entries for other
 workloads or seeds are kept, so workloads can be run one at a time.
+The file also records `src_lines`, each side's `wc -l src/polysgp/*.py`
+total, the net source line count next to the bench.
 """
 
 from __future__ import annotations
@@ -89,6 +91,13 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
         "all_correct": all(r["correct"] for pair in pairs for r in pair),
         "metrics": metrics,
     }
+
+
+def src_lines(tree: Path) -> int:
+    """The line count `wc -l src/polysgp/*.py` totals in `tree`: the
+    newlines of the package's modules."""
+    modules = (tree / "src" / "polysgp").glob("*.py")
+    return sum(path.read_bytes().count(b"\n") for path in modules)
 
 
 def _git(root: Path, *args: str) -> bytes:
@@ -180,6 +189,9 @@ def main(argv=None) -> int:
         change.mkdir()
         _export_commit(root, bench["parent_commit"], parent)
         _copy_working_tree(root, change)
+        bench["src_lines"] = {
+            "parent": src_lines(parent), "change": src_lines(change),
+        }
         for workload in args.workloads:
             for seed in args.seeds:
                 key = "%s seed %d" % (workload, seed)
