@@ -40,6 +40,7 @@ from .geometry import (
     _scale,
     _scaled_ints,
     _sign,
+    _stack,
     _sub,
     convex_hull,
     integer_points_in_hull,
@@ -771,11 +772,11 @@ def gap_rows(h, region: GapRegion, extra_periods: int = 2) -> np.ndarray:
     """The points of `gap_points` as an `(N, 3)` integer array in
     lexicographic order (int64 unless the kernel needs object): the
     gaps of every shell up to the bound, off one column-kernel pass
-    (`semigroup._gap_rows`)."""
+    (`semigroup._gap_rows`), stacked."""
     # imported here because `semigroup` imports this module
     from .semigroup import _gap_rows
 
     if extra_periods < 0:
         raise BadParameter("extra_periods must be nonnegative")
     maxh = max(region.periods.values(), default=1)
-    return _gap_rows(h, region.base_level + extra_periods * maxh + 1)
+    return _stack(_gap_rows(h, region.base_level + extra_periods * maxh + 1))

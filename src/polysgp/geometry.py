@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import AssumptionViolated, BadParameter, DegenerateInput
+from .errors import AssumptionViolated, BadParameter, DegenerateInput, UnsupportedCase
 
 
 def _frac(value) -> Fraction:
@@ -718,17 +718,27 @@ def _lattice_points(rows, scale: int) -> np.ndarray:
     segment or a point goes through the column kernel as a solid does."""
     if not rows:
         return _stack([])
-    return _points_under(rows, scale, _primitive(_hull_planes(rows)))
+    return _stack(_points_under(rows, scale, _primitive(_hull_planes(rows))))
 
 
-def _points_under(rows, scale: int, planes) -> np.ndarray:
+def _points_under(rows, scale: int, planes) -> Iterator[np.ndarray]:
     """The integer points x with n.(scale*x) <= c for every primitive
     integer plane (n, c), where the planes cut out a polytope inside the
-    bounding box of the integer triples `rows` over `scale`: as
-    `_lattice_points` returns them.  Each plane is the primitive facet
-    -n.x >= -floor(c / scale), exactly, since n.x is an integer."""
+    bounding box of the integer triples `rows` over `scale`: as the
+    column kernel's blocks, in lexicographic order.  Each plane is the
+    primitive facet -n.x >= -floor(c / scale), exactly, since n.x is an
+    integer."""
     facets = [(-n[0], -n[1], -n[2], -(c // scale)) for n, c in planes]
-    return _stack(_column_blocks(rows, scale, facets))
+    return _column_blocks(rows, scale, facets)
+
+
+def _refuse_box(rows, scale: int, s: int, what: str) -> None:
+    """Refuse, with UnsupportedCase naming the listing by `what`, an
+    integer box of s*rows/scale (the box `_column_blocks` scans) of more
+    than 2^32 cells."""
+    cells = prod(max(c) * s // scale + -min(c) * s // scale + 1 for c in zip(*rows))
+    if cells > 2**32:
+        raise UnsupportedCase("%s a box of %d cells, more than 2^32" % (what, cells))
 
 
 def minkowski_difference_contains_origin(a, b) -> bool:

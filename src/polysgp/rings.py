@@ -13,24 +13,25 @@ infinite) gap set must actually be inspected:
 * two or three point-chord rays: the gap set is infinite but periodic,
   and one period of corner slabs past the separation level, together
   with the hull below it, carries a refuting gap iff any gap does.
-  That window is one integer array: the hull comes off the column
-  kernel and the slabs are translated templates, so no dilation is
-  built.
+  That window is read one block of rows at a time: the hull's blocks
+  come off the column kernel and the slabs are translated templates,
+  so no dilation is built and no whole window is held.
 
 Gorenstein adds the unique-maximal-element test on the intersection of
 the ray-generator Apery sets, and Buchsbaum is the Cohen-Macaulay
 question asked of the closure semigroup instead.  The deciders ask
 every membership question, in the semigroup or in its closure, of an
-integer array at once: the sorted window and a gap's generator
-translates; the steps of a staircase climb go in growing blocks that
-stop at the first member.
+integer array at once: a block of the window or of the gap listing,
+its gaps' generator translates, and the steps of a staircase climb up
+to their cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from math import lcm
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -55,11 +56,13 @@ from .geometry import (
     _cross,
     _dot,
     _hull_planes,
-    _lattice_points,
     _points_under,
     _primitive,
+    _refuse_box,
     _scale,
+    _stack,
     int_rows,
+    kernel_dtype,
 )
 from .semigroup import (
     SemigroupHandle,
@@ -67,7 +70,6 @@ from .semigroup import (
     _as_intvec,
     _closure_rows,
     _cm_yes,
-    _first_member,
     _gap_rows,
     _ray_apery,
     build,
@@ -126,9 +128,9 @@ def check_condition3(h: SemigroupHandle, p) -> Condition3Result:
 
 def is_cohen_macaulay(h: SemigroupHandle) -> PropertyVerdict:
     """Decide Cohen-Macaulayness of the semigroup ring; the handle keeps
-    the verdict, which `is_gorenstein`, `is_buchsbaum`,
-    `semigroup.closure` and the Apery set (`semigroup._ray_apery`) read
-    too."""
+    the verdict.  Every query on a three-ray handle asks for it first:
+    `is_gorenstein`, `is_buchsbaum`, and the Apery record that the
+    structure chain reads (`semigroup._ray_apery`)."""
     if not h.simplicial:
         raise NotSimplicial("the decision procedures need a three-ray cone")
     if h._cm is None:
@@ -151,14 +153,14 @@ def is_buchsbaum(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdic
     get the inputs the kept verdict came from, so that verdict is
     returned again, and only a closure that adds points is decided
     afresh.  An UnsupportedCase from the Cohen-Macaulay decider is
-    raised, as `is_cohen_macaulay` and `is_gorenstein` raise it.  A
-    corner window past 2^16 translates depends on the ray periods
-    alone, so the closure's decider would refuse it too.  A gap box
-    past 2^32 cells in the decider's emptiness test also raises here;
-    asking the closure first gave an "unsupported" verdict when
-    `closure`'s own gap box was past 2^32 cells too.  After an
-    AssumptionViolated the closure is decided as if no verdict were
-    kept."""
+    raised, as `is_cohen_macaulay` and `is_gorenstein` raise it: a
+    corner window past 2^16 translates (which depends on the ray periods
+    alone, so the closure's decider would refuse it too), one whose hull
+    box is past 2^32 cells, or a gap box past 2^32 cells in the
+    decider's emptiness test, where asking the closure first gave an
+    "unsupported" verdict if `closure`'s own gap box was past 2^32 cells
+    too.  After an AssumptionViolated the closure is decided as if no
+    verdict were kept."""
     if not h.simplicial:
         raise NotSimplicial("the decision procedures need a three-ray cone")
     try:
@@ -361,9 +363,10 @@ def _decide(
             i, j = 0, 1
             case = "all chords are segments: finite gap set emptiness"
         diag["scan_shells"] = last
-        gaps = _gap_rows(h, last, added)
-        if len(gaps):
-            start = tuple(gaps[0].tolist())
+        # the blocks are in lexicographic order: the first gap is the least
+        first = next((b[0] for b in _gap_rows(h, last, added) if len(b)), None)
+        if first is not None:
+            start = tuple(first.tolist())
             cap = 16 * (kappa + h.period() + 4)
             p = _staircase(
                 h, added, start, gens[i].int_tuple(), gens[j].int_tuple(), cap
@@ -372,22 +375,28 @@ def _decide(
     else:
         sep, templates = _separation(h, gens)
         diag["separation_level"] = sep
-        region = _corner_window(h, sep, templates)
-        diag["region_points"] = len(region)
-        gaps = region[~_closure_rows(h, region, added)]
-        diag["region_gaps"] = len(gaps)
-        # hits[i, r]: gap r translated by generator i is a member
         moves = int_rows([g.int_tuple() for g in gens])
-        hits = np.array([_closure_rows(h, gaps + g, added) for g in moves])
-        refuters = np.flatnonzero(hits.sum(axis=0) >= 2)
+        diag["region_points"] = diag["region_gaps"] = 0
+        # the lexicographically least refuter of each block
+        refuting = []
+        for region in _corner_window(h, sep, templates):
+            gaps = region[~_closure_rows(h, region, added)]
+            diag["region_points"] += len(region)
+            diag["region_gaps"] += len(gaps)
+            # hits[i, r]: gap r translated by generator i is a member
+            hits = np.array([_closure_rows(h, gaps + g, added) for g in moves])
+            refuters = np.flatnonzero(hits.sum(axis=0) >= 2)
+            if len(refuters):
+                r = refuters[np.lexsort(gaps[refuters].T[::-1])[0]]
+                idx = tuple(np.flatnonzero(hits[:, r]).tolist())
+                refuting.append((tuple(gaps[r].tolist()), idx[:2]))
         case = (
             "corner-slab window at separation level %d over %d point "
             "chords" % (sep, len(point_rays))
         )
-        if len(refuters):
-            r = refuters[0]
-            idx = tuple(np.flatnonzero(hits[:, r]).tolist())
-            witness = Witness(point=Point3.of(*gaps[r].tolist()), indices=idx[:2])
+        if refuting:
+            point, idx = min(refuting)
+            witness = Witness(point=Point3.of(*point), indices=idx)
     return PropertyVerdict(
         property=prop,
         verdict="yes" if witness is None else "no",
@@ -417,38 +426,44 @@ def _staircase(
 def _climb(
     h: SemigroupHandle, added: frozenset, p: IntVec, g: IntVec, cap: int
 ) -> int:
-    """Least l in 1..cap with p + l*g a member (`_first_member`)."""
-    l = _first_member(h, p, g, cap, added)
-    if l is None:
+    """Least l in 1..cap with p + l*g a member, asked of the cap's steps
+    in one array for `_closure_rows`."""
+    steps = int_rows([_add(p, _scale(g, l)) for l in range(1, cap + 1)])
+    hits = np.flatnonzero(_closure_rows(h, steps, added))
+    if not len(hits):
         raise AssumptionViolated(
             "no member found along %s from %s within %d steps" % (g, p, cap)
         )
-    return l
+    return int(hits[0]) + 1
 
 
 def _corner_window(
     h: SemigroupHandle, sep: int, templates: dict[int, _Template]
-) -> np.ndarray:
+) -> Iterator[np.ndarray]:
     """Integer points of one full period of corner slabs from the
-    separation level, plus the hull joining the origin to the
-    separation-level ray points, as distinct rows in lexicographic
-    order.  Everything goes through the column kernel, so no dilation
-    and no `Polyhedron` is built.  Slab (i, k) is the base-level
-    template of ray i moved by k - base times ray point i: a template's
-    rows and its ray point share the template's denominator, so its
-    hull planes n.X <= c are found once and each translate by `move`
-    reads them as n.X <= c + n.move.  The hull is sep times
-    conv(0, p0, p1, p2), from integer rows on the ray points' common
-    denominator.  A window whose ray periods sum past 2^16 is refused
-    with UnsupportedCase before anything is listed."""
+    separation level, plus the hull sep*conv(0, p0, p1, p2) joining the
+    origin to the separation-level ray points, as blocks of distinct
+    rows, no row in two blocks.  The hull's blocks come off the column
+    kernel one at a time, from integer rows on the ray points' common
+    denominator.  Slab (i, k) is the base-level template of ray i moved
+    by k - base times ray point i: a template's rows and its ray point
+    share the template's denominator, so its hull planes n.X <= c are
+    found once and each translate by `move` reads them as n.X <= c +
+    n.move.  The translates' points are deduplicated, those inside the
+    hull are dropped by its planes, and the rest join the first hull
+    block.  A window whose ray periods sum past 2^16, and then one whose
+    hull box has more than 2^32 cells, is refused with UnsupportedCase
+    before anything is listed."""
     periods = sum(ray_period(h, t.ray) for t in templates.values())
     if periods > 2**16:
         raise UnsupportedCase(
             "the corner window spans %d translates, more than 2^16" % periods
         )
     den = lcm(*(_ray_row(h, i)[1] for i in range(3)))
-    tips = [_scale(_ray_step(h, i, den), sep) for i in range(3)]
-    blocks = [_lattice_points([(0, 0, 0), *tips], den)]
+    corners = [(0, 0, 0), *(_scale(_ray_step(h, i, den), sep) for i in range(3))]
+    what = "the hull of the corner window at separation level %d spans" % sep
+    _refuse_box(corners, den, 1, what)
+    blocks = []
     for t in templates.values():
         step = _ray_step(h, t.ray, t.den)
         planes = _primitive(_hull_planes(t.rows))
@@ -457,9 +472,14 @@ def _corner_window(
             move = _scale(step, m)
             rows = [_add(r, move) for r in t.rows]
             moved = [(n, c + _dot(n, move)) for n, c in planes]
-            blocks.append(_points_under(rows, t.den, moved))
-    pts = np.concatenate(blocks)
+            blocks.extend(_points_under(rows, t.den, moved))
+    pts = _stack(blocks)
     pts = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
     repeat = np.zeros(len(pts), dtype=bool)
     repeat[1:] = (pts[1:] == pts[:-1]).all(axis=1)
-    return pts[~repeat]
+    planes = _primitive(_hull_planes(corners))
+    rows = [(*n, c) for n, c in planes]
+    a = np.array(rows, kernel_dtype(rows, den * int(np.abs(pts).max(initial=1))))
+    inside = (den * pts.astype(a.dtype) @ a[:, :3].T <= a[:, 3]).all(axis=1)
+    hull = _points_under(corners, den, planes)
+    return chain([np.concatenate([next(hull), pts[~repeat & ~inside]])], hull)

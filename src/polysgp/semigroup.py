@@ -23,21 +23,19 @@ array kernel is tested against.  One order sieve,
 `_order_sieve`, picks the minimal generators, the closure's generators
 and the maximal Apery elements out of a finite set.
 
-A "yes" Cohen-Macaulay verdict kept on a three-ray handle (`_cm_yes`)
-picks the cheap path of the structure chain.  Each coset of Z^3 / ZE
-(E the ray generators) then holds exactly one Apery element, its least
+The Cohen-Macaulay verdict steers every query on a three-ray handle,
+by one rule: it is asked for first.  `_ray_apery` asks for it
+(`_ask_cm`) before it makes the Apery record that `minimal_generators`,
+`apery_intersection` and `closure` read, and `rings.is_buchsbaum` and
+`rings.is_gorenstein` ask for it too.  On a "yes" each coset of Z^3 /
+ZE (E the ray generators) holds exactly one Apery element, its least
 point in the semigroup, and `_coset_apery` finds all of them at once
 by membership probes, with the shell where the scan would stop; the
 closure is the semigroup itself, since a closure point is a gap with
-members among its ray-generator translates.  `closure` and
-`rings.is_buchsbaum` ask for the verdict first (`_ask_cm`), as
-`rings.is_gorenstein` does; `minimal_generators` and
-`apery_intersection` only read a verdict already kept, because the
-decider's window can take far more memory than the shell scan.
-Without a kept "yes" (a "no", more than three rays, or a decider that
-raised AssumptionViolated or UnsupportedCase, or was never asked) the
-Apery set is scanned shell by shell (`_apery_scan`) and the closure's
-candidates are listed.
+members among its ray-generator translates.  Otherwise (a "no", more
+than three rays, or a decider that raised AssumptionViolated or
+UnsupportedCase) the Apery set is scanned shell by shell
+(`_apery_scan`) and the closure's candidates are listed.
 
 The handle keeps one Apery record (`AperyRecord`), which
 `minimal_generators` and `apery_intersection` read at every budget
@@ -324,28 +322,22 @@ def _shell(
 
 def _gap_rows(
     h: SemigroupHandle, last: int, added: frozenset[IntVec] = frozenset()
-) -> np.ndarray:
-    """The gaps of shells 1..last as one (N, 3) integer array in
-    lexicographic order (object when the kernel needs it), from one
-    column-kernel pass over last*H, H the span hull conv({0} u B); with
-    `added`, the closure's gaps, those not in it.
+) -> Iterator[np.ndarray]:
+    """The gaps of shells 1..last as blocks of rows, in lexicographic
+    order within and across the blocks (object when the kernel needs
+    it), from one column-kernel pass over last*H, H the span hull
+    conv({0} u B); with `added`, the closure's gaps, those not in it.
 
     H holds 0, so its dilations nest and shells 1..last partition last*H
     minus the origin; H lies in the cone, so their gaps are exactly the
     non-members of last*H, the origin being a member.  A box of more
     than 2^32 cells is refused with UnsupportedCase before anything is
-    listed."""
+    listed (`geometry._refuse_box`)."""
     hull = h.span_hull
-    box = np.array(hull.rows, dtype=object) * last
-    top, bottom = box.max(axis=0) // hull.scale, -box.min(axis=0) // hull.scale
-    cells = np.prod(top + bottom + 1)
-    if cells > 2**32:
-        raise UnsupportedCase(
-            "the gaps of shells 1..%d span a box of %d cells, more than 2^32"
-            % (last, cells)
-        )
+    what = "the gaps of shells 1..%d span" % last
+    geometry._refuse_box(hull.rows, hull.scale, last, what)
     blocks = geometry._column_blocks(hull.rows, hull.scale, hull.int_facets, last)
-    return geometry._stack(pts[~_closure_rows(h, pts, added)] for pts in blocks)
+    return (pts[~_closure_rows(h, pts, added)] for pts in blocks)
 
 
 def _closure_rows(
@@ -362,30 +354,6 @@ def _closure_rows(
         out = np.flatnonzero(~ok)
         ok[out] = [tuple(p) in added for p in pts[out].tolist()]
     return ok
-
-
-def _first_member(
-    h: SemigroupHandle,
-    p: IntVec,
-    g: IntVec,
-    cap: int,
-    added: frozenset[IntVec] = frozenset(),
-) -> Optional[int]:
-    """Least l in 1..cap with p + l*g in `_closure_rows`, or None.  The
-    steps go in blocks that double from 8 rows up to `_BLOCK` and stop
-    at the first block with a member, so a short climb asks about a few
-    points and a long cap holds one block at a time."""
-    l, size = 1, 8
-    while l <= cap:
-        top = min(cap, l + size - 1)
-        steps = int_rows(
-            [tuple(a + m * b for a, b in zip(p, g)) for m in range(l, top + 1)]
-        )
-        hits = np.flatnonzero(_closure_rows(h, steps, added))
-        if len(hits):
-            return l + int(hits[0])
-        l, size = top + 1, min(2 * size, _BLOCK)
-    return None
 
 
 def build(vertices: Sequence) -> SemigroupHandle:
@@ -558,21 +526,21 @@ def _ray_apery(
 ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], bool, int]:
     """The ray generators E of `minimal_generators`, the Apery elements
     over them, and the `complete` flag and layer count of a scan at
-    `budget_layers`, read off the handle's `AperyRecord`: made by
-    `_coset_apery` on a handle that keeps a "yes" Cohen-Macaulay verdict
-    (`_cm_yes`), by `_apery_scan` otherwise, and again only when it is a
-    scan cut below the budget.  The elements are shell-major and
-    lexicographic within a shell, so the scan at budget b finds the
-    prefix with shell at most min(b, read), complete if it stops by b.
-    No verdict is asked for here: on some bodies the decider's window
-    needs far more memory than the scan."""
+    `budget_layers`, read off the handle's `AperyRecord`.  The record
+    is made when there is none, or when it is a scan cut below the
+    budget; the Cohen-Macaulay verdict is asked for first (`_ask_cm`),
+    and a "yes" makes it by `_coset_apery`, anything else by
+    `_apery_scan`.  This is the one place that picks the cosets.  The
+    elements are shell-major and lexicographic within a shell, so the
+    scan at budget b finds the prefix with shell at most min(b, read),
+    complete if it stops by b."""
     rec = h._apery
     if rec is None or (rec.stop is None and rec.read < budget_layers):
         rays = h.ray_generators or [
             _smallest_ray_point(h, i) for i in range(len(h.rays))
         ]
         gens = tuple(g.int_tuple() for g in rays)
-        if _cm_yes(h):
+        if _ask_cm(h):
             rec = h._apery = _coset_apery(h, gens)
         else:
             rec = h._apery = _apery_scan(h, gens, budget_layers)
@@ -794,11 +762,12 @@ def closure(h: SemigroupHandle, budget_layers: int = 400) -> ClosureResult:
 
     A closure point is a gap whose translates by every minimal
     generator, the three ray generators among them, are members.  The
-    Cohen-Macaulay verdict is asked for first (`_ask_cm`): a "yes" says
-    that no gap has two ray-generator translates in the semigroup, so
-    then the closure adds nothing, its generators are the
-    `minimal_generators` result (from the cosets, `_ray_apery`), and no
-    gap is listed.
+    generators come first, and making their Apery record asks for the
+    Cohen-Macaulay verdict (`_ray_apery`), which is then read off the
+    handle: a "yes" says that no gap has two ray-generator translates in
+    the semigroup, so then the closure adds nothing, its generators are
+    the `minimal_generators` result (from the cosets), and no gap is
+    listed.
 
     Otherwise the candidates are the gaps of shells 1..kappa + period
     (`_gap_rows`) whose translates by every minimal generator are
@@ -814,14 +783,13 @@ def closure(h: SemigroupHandle, budget_layers: int = 400) -> ClosureResult:
         return h._closure[budget_layers]
     kappa = max(1, h.overlap)
     period = h.period()
-    cm_yes = _ask_cm(h)
     msg = minimal_generators(h, budget_layers=budget_layers)
-    if cm_yes:
+    if _cm_yes(h):
         h._closure[budget_layers] = ClosureResult((), msg, frozenset())
         return h._closure[budget_layers]
     gens = [g.int_tuple() for g in msg.generators]
 
-    rows = _gap_rows(h, kappa + period)
+    rows = geometry._stack(_gap_rows(h, kappa + period))
     for g in gens:
         rows = rows[_closure_rows(h, rows + np.array(g, dtype=rows.dtype))]
     added: list[IntVec] = list(map(tuple, rows.tolist()))

@@ -36,6 +36,7 @@ import instancegen  # noqa: E402
 from polysgp import build  # noqa: E402
 from polysgp.decomposition import _separation, slabs  # noqa: E402
 from polysgp.errors import PolysgpError  # noqa: E402
+from polysgp.geometry import _stack  # noqa: E402
 from polysgp.rings import (  # noqa: E402
     _corner_window,
     gorenstein_family,
@@ -102,7 +103,7 @@ def _slabs(h, k) -> dict:
 
 def _window(h) -> dict:
     sep, templates = _separation(h)
-    rows = _corner_window(h, sep, templates).tolist()
+    rows = sorted(_stack(_corner_window(h, sep, templates)).tolist())
     digest = hashlib.sha256(repr(rows).encode("ascii")).hexdigest()
     return {"separation": sep, "rows": len(rows), "sha256": digest}
 

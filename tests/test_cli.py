@@ -481,6 +481,64 @@ def test_gap_listing_fits_in_a_bounded_address_space(tmp_path):
     )
 
 
+def _run_limited(tmp_path, command, seed):
+    """`polysgp <command>` on tetra seed `seed` in a subprocess under
+    1.5 GB of address space."""
+    path = tmp_path / ("tetra%d.txt" % seed)
+    path.write_text(_document(instancegen.tetra_vertices(seed)), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "polysgp.cli", command, str(path)],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        preexec_fn=_limit_address_space,
+        timeout=300,
+    )
+
+
+def test_cm_decider_fits_in_a_bounded_address_space(tmp_path):
+    # tetra seed 891's corner window holds 19 046 821 points, all but
+    # 832 of them in the hull; the decider reads it one kernel block at
+    # a time
+    proc = _run_limited(tmp_path, "is-cm", 891)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == (
+        "property: Cohen-Macaulay\n"
+        "verdict: yes\n"
+        "case: corner-slab window at separation level 106 over 3 point "
+        "chords\n"
+        "witness: none\n"
+        "chord_classes: point, point, point\n"
+        "overlap_level: 106\n"
+        "region_gaps: 14171445\n"
+        "region_points: 19046821\n"
+        "separation_level: 106\n"
+    )
+
+
+def test_generators_after_the_cm_decider_fit_in_a_bounded_address_space(
+    tmp_path,
+):
+    # `msg` asks for the verdict on tetra seed 891 and reads the cosets;
+    # the bytes are those of the shell scan
+    proc = _run_limited(tmp_path, "msg", 891)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "94f4ffd061c84a3ec8affb96880cd5975f2760ad6dc09ea85c4a396840d5e1c2"
+    )
+
+
+def test_a_corner_window_past_the_box_cap_is_refused(tmp_path):
+    # tetra seed 1241's window hull has a box of 6.9e9 cells
+    proc = _run_limited(tmp_path, "is-cm", 1241)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == (
+        "error [UnsupportedCase]: the hull of the corner window at "
+        "separation level 401 spans a box of 6871990224 cells, more than "
+        "2^32\n"
+    )
+
+
 def test_oracle_check_passes_on_small_box(s3_file, capsys):
     assert main(["oracle-check", "--box", "9", s3_file]) == 0
     out = capsys.readouterr().out

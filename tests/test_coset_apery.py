@@ -144,20 +144,15 @@ def _count_apery_calls(monkeypatch):
     "name", ["s3", "gorenstein_no", "family3", "tetra1", "poly4"]
 )
 def test_ray_apery_takes_the_cosets_only_after_a_yes(name, monkeypatch):
-    # `_ray_apery` asks for no verdict: a fresh handle scans, and a
-    # "yes" kept afterwards leaves the complete scan answering every
-    # budget; a handle that keeps the "yes" first reads the cosets
+    # `_ray_apery` asks for the verdict before it makes a record: a
+    # fresh Cohen-Macaulay handle keeps the "yes" and reads the cosets,
+    # which answer as the complete scan does
     calls = _count_apery_calls(monkeypatch)
     h = _BODIES[name]()
-    scanned = _ray_apery(h, 400)
-    assert h._cm is None and scanned[2]
-    is_cohen_macaulay(h)
-    assert _ray_apery(h, 399) == scanned
-    assert calls == {"_coset_apery": 0, "_apery_scan": 1}
-    fresh = _BODIES[name]()
-    is_cohen_macaulay(fresh)
-    assert _ray_apery(fresh, 399) == scanned
-    assert calls == {"_coset_apery": 1, "_apery_scan": 1}
+    got = _ray_apery(h, 399)
+    assert h._cm.verdict == "yes" and got[2]
+    assert calls == {"_coset_apery": 1, "_apery_scan": 0}
+    assert got[1:] == _answer(h, _apery_scan(h, _gens(h), 400), 399)
 
 
 def test_one_coset_run_answers_every_budget(monkeypatch):
@@ -174,9 +169,11 @@ def test_one_coset_run_answers_every_budget(monkeypatch):
 
 
 def test_one_complete_scan_answers_every_budget(monkeypatch):
+    # we is not Cohen-Macaulay, so its record is a scan
     calls = _count_apery_calls(monkeypatch)
-    h = _BODIES["s3"]()
+    h = build(WE_VERTICES)
     top = _ray_apery(h, 400)
+    assert h._cm.verdict == "no"
     assert top[2] and h._apery.stop == top[3]
     for budget in [*range(top[3], 0, -1), 400]:
         assert _ray_apery(h, budget)[3] == min(budget, top[3])
@@ -185,20 +182,22 @@ def test_one_complete_scan_answers_every_budget(monkeypatch):
 
 @pytest.mark.parametrize("cm_first", [False, True])
 def test_a_cut_scan_is_run_again_for_a_larger_budget(cm_first, monkeypatch):
-    # a scan cut at 3 answers budgets up to 3, and a larger budget makes
-    # the record again: by the cosets once a "yes" is kept
+    # a scan of we (not Cohen-Macaulay) cut at 3 answers budgets up to
+    # 3, and a larger budget makes the record again; asking for the
+    # verdict before the first record changes nothing, since making a
+    # record asks for it anyway
     calls = _count_apery_calls(monkeypatch)
-    h = _BODIES["gorenstein_no"]()
-    cut = _ray_apery(h, 3)
-    assert not cut[2] and h._apery.stop is None and h._apery.read == 3
-    assert _ray_apery(h, 2) == _ray_apery(build(GORENSTEIN_NO_VERTICES), 2)
-    assert calls == {"_coset_apery": 0, "_apery_scan": 2}
+    h = build(WE_VERTICES)
     if cm_first:
         is_cohen_macaulay(h)
+    cut = _ray_apery(h, 3)
+    assert not cut[2] and h._apery.stop is None and h._apery.read == 3
+    assert _ray_apery(h, 2) == _ray_apery(build(WE_VERTICES), 2)
+    assert calls == {"_coset_apery": 0, "_apery_scan": 2}
     full = _ray_apery(h, 400)
-    assert full == _ray_apery(build(GORENSTEIN_NO_VERTICES), 400)
+    assert full == _ray_apery(build(WE_VERTICES), 400)
     assert full[1][: len(cut[1])] == cut[1]
-    assert calls == {"_coset_apery": int(cm_first), "_apery_scan": 4 - cm_first}
+    assert calls == {"_coset_apery": 0, "_apery_scan": 4}
 
 
 @pytest.mark.parametrize(

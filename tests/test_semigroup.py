@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import instancegen
 from polysgp import build, oracle
 from polysgp.errors import (
+    AssumptionViolated,
     BadParameter,
     DegenerateInput,
     NotSimplicial,
@@ -24,7 +25,6 @@ from polysgp.errors import (
 from polysgp import rings, semigroup
 from polysgp.rings import is_buchsbaum
 from polysgp.semigroup import (
-    _first_member,
     _order_sieve,
     apery_intersection,
     closure,
@@ -169,10 +169,10 @@ def test_structure_chain_scans_and_closes_once(monkeypatch):
 
 
 def test_cm_yes_chain_decides_once_and_lists_no_gap(monkeypatch):
-    # s3 is Cohen-Macaulay: `minimal_generators` asks for no verdict and
-    # scans once; `closure` asks, and the one decider run gives a
-    # closure that adds nothing and the Buchsbaum verdict, so no gap is
-    # listed
+    # s3 is Cohen-Macaulay: `minimal_generators` asks for the verdict
+    # and reads the cosets; the one decider run also gives a closure
+    # that adds nothing and the Buchsbaum verdict, so no shell is
+    # scanned and no gap is listed
     calls = _counting(monkeypatch, "_apery_scan", "_coset_apery", "_gap_rows")
     decided = _counting(monkeypatch, "_decide", module=rings)
     h = build(S3_VERTICES)
@@ -180,7 +180,7 @@ def test_cm_yes_chain_decides_once_and_lists_no_gap(monkeypatch):
     apery_intersection(h)
     assert closure(h).is_trivial()
     assert is_buchsbaum(h).verdict == "yes"
-    assert calls == {"_apery_scan": 1, "_coset_apery": 0, "_gap_rows": 0}
+    assert calls == {"_apery_scan": 0, "_coset_apery": 1, "_gap_rows": 0}
     assert decided == {"_decide": 1}
 
 
@@ -491,6 +491,15 @@ def test_order_sieve_in_the_closure_matches_pairwise(body, points):
         ) == _pairwise_extremal(points, member, descending)
 
 
+def _climbed(h, added, p, g, cap):
+    """`rings._climb`'s step count, or None where it finds no member."""
+    try:
+        return rings._climb(h, added, p, g, cap)
+    except AssumptionViolated as exc:
+        assert "no member found" in str(exc)
+        return None
+
+
 @given(
     st.sampled_from(["we", "s5"]),
     st.booleans(),
@@ -499,8 +508,7 @@ def test_order_sieve_in_the_closure_matches_pairwise(body, points):
     st.integers(min_value=1, max_value=70),
 )
 @settings(max_examples=60, deadline=None)
-def test_first_member_matches_per_point_scan(body, in_closure, p, gi, cap):
-    # caps up to 70 cross the block edges at 8, 24 and 56 steps
+def test_climb_matches_per_point_scan(body, in_closure, p, gi, cap):
     h, cl = _closure_of(body)
     added = cl.added_set if in_closure else frozenset()
     g = h.ray_generators[gi].int_tuple()
@@ -513,20 +521,19 @@ def test_first_member_matches_per_point_scan(body, in_closure, p, gi, cap):
         ),
         None,
     )
-    assert _first_member(h, p, g, cap, added) == expected
+    assert _climbed(h, added, p, g, cap) == expected
 
 
 THIN_VERTICES = [(100, 0, 0), (F(100001, 1000), 0, 0), (100, 1, 0), (100, 0, 1)]
 
 
-def test_first_member_finds_every_step_across_blocks():
+def test_climb_finds_every_step_of_its_cap():
     # on the x-axis of the thin body the first member is (100, 0, 0),
-    # so from (100 - t, 0, 0) it is t steps away, on each side of every
-    # block edge
+    # so from (100 - t, 0, 0) it is t steps away
     h = build(THIN_VERTICES)
     for t in range(1, 101):
-        assert _first_member(h, (100 - t, 0, 0), (1, 0, 0), 150) == t
-    assert _first_member(h, (0, 0, 0), (1, 0, 0), 99) is None
+        assert _climbed(h, frozenset(), (100 - t, 0, 0), (1, 0, 0), 150) == t
+    assert _climbed(h, frozenset(), (0, 0, 0), (1, 0, 0), 99) is None
 
 
 def test_thin_body_ray_generator_stops_at_first_member(monkeypatch):
