@@ -42,8 +42,8 @@ import numpy as np
 
 from . import geometry, oracle
 from .decomposition import (
+    _gap_blocks,
     gap_region,
-    gap_rows,
     ray_chord_class,
     ray_period,
     slab_integer_points,
@@ -305,36 +305,38 @@ _GAP_JSON = "    [\n      %d,\n      %d,\n      %d\n    ]"
 _POINTS_SLOT = "@points@"
 
 
-def _write_rows(rows: np.ndarray, fmt: str, sep: str) -> None:
-    """Write `rows` formatted with `fmt` and joined by `sep`, `_BLOCK`
-    rows at a time, so no string for the whole listing is built."""
-    for i in range(0, len(rows), _BLOCK):
-        block = rows[i : i + _BLOCK]
-        sys.stdout.write(
-            (sep if i else "")
-            + sep.join([fmt] * len(block)) % tuple(block.ravel().tolist())
-        )
+def _write_rows(blocks: Sequence[np.ndarray], fmt: str, sep: str) -> None:
+    """Write the rows of `blocks` formatted with `fmt` and joined by
+    `sep`, `_BLOCK` rows at a time, so no string for the whole listing
+    is built."""
+    lead = ""
+    for rows in blocks:
+        for i in range(0, len(rows), _BLOCK):
+            block = rows[i : i + _BLOCK]
+            sys.stdout.write(
+                lead + sep.join([fmt] * len(block)) % tuple(block.ravel().tolist())
+            )
+            lead = sep
 
 
 def _cmd_gaps(args) -> int:
     h = _load_handle(args.input)
     region = gap_region(h)
-    rows = gap_rows(h, region, extra_periods=args.extra_periods)
+    # the kernel's blocks are kept as they come, with no stacked copy
+    blocks = list(_gap_blocks(h, region, args.extra_periods))
+    count = sum(map(len, blocks))
     status = 0
 
     oracle_lines: list[str] = []
     if args.oracle:
-        top = int(rows.max()) if len(rows) else 1
+        top = max((int(b.max()) for b in blocks if len(b)), default=1)
         gaps = oracle.Cube(h, oracle.box_for(h, top + 1)).gaps()
-        wrong = rows[~gaps[tuple(rows.T)]]
-        if len(wrong):
-            status = 2
-            for p in wrong.tolist():
+        for rows in blocks:
+            for p in rows[~gaps[tuple(rows.T)]].tolist():
+                status = 2
                 oracle_lines.append("not a gap by the oracle: %s" % (_pstr(p),))
-        else:
-            oracle_lines.append(
-                "oracle: ok, all %d points confirmed as gaps" % len(rows)
-            )
+        if not status:
+            oracle_lines.append("oracle: ok, all %d points confirmed as gaps" % count)
 
     if args.format == "structured":
         record = {
@@ -343,7 +345,7 @@ def _cmd_gaps(args) -> int:
             "separation_level": region.separation,
             "base_level": region.base_level,
             "periods": {str(k): v for k, v in sorted(region.periods.items())},
-            "count": len(rows),
+            "count": count,
             "points": _POINTS_SLOT,
         }
         if args.oracle:
@@ -351,9 +353,9 @@ def _cmd_gaps(args) -> int:
         head, _slot, tail = json.dumps(
             record, default=_json_default, sort_keys=True, indent=2
         ).partition('"%s"' % _POINTS_SLOT)
-        if len(rows):
+        if count:
             sys.stdout.write(head + "[\n")
-            _write_rows(rows, _GAP_JSON, ",\n")
+            _write_rows(blocks, _GAP_JSON, ",\n")
             print("\n  ]" + tail)
         else:
             print(head + "[]" + tail)
@@ -364,8 +366,8 @@ def _cmd_gaps(args) -> int:
             % ("unavailable" if region.separation is None else region.separation)
         )
         print("base_level: %d" % region.base_level)
-        print("gap points: %d" % len(rows))
-        _write_rows(rows, "  %d %d %d\n", "")
+        print("gap points: %d" % count)
+        _write_rows(blocks, "  %d %d %d\n", "")
         for line in oracle_lines:
             print(line)
     return status
@@ -650,17 +652,14 @@ def _cmd_export(args) -> int:
             _emit_json(record)
             return 0
         out: list[str] = ["# slab decomposition at level %d" % k]
+        named = [("corner_ray%d_level%d" % (s.ray, s.level), s) for s in ss.corner]
+        named += [
+            ("bridge_%d_%d_level%d" % (s.ray, s.next_ray, s.level), s)
+            for s in ss.bridge
+        ]
         base = 0
-        for s in ss.corner:
-            base = _mesh_object(
-                out, "corner_ray%d_level%d" % (s.ray, s.level),
-                s.hull(), s.vertex_list(), base,
-            )
-        for s in ss.bridge:
-            base = _mesh_object(
-                out, "bridge_%d_%d_level%d" % (s.ray, s.next_ray, s.level),
-                s.hull(), s.vertex_list(), base,
-            )
+        for name, s in named:
+            base = _mesh_object(out, name, s.hull(), s.vertex_list(), base)
         print("\n".join(out))
         return 0
 

@@ -8,6 +8,11 @@ slabs, and the whole family translates along the rays from level to
 level.  This module classifies the vertices driving that structure,
 computes the overlap and separation levels, builds the slabs, and
 enumerates the gap points themselves.
+
+Each slab is built once, as integer rows over their least common
+denominator: the separation level, the Cohen-Macaulay decider's corner
+window and the public queries all read those rows, and the rational
+vertices are views made when read.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +41,7 @@ from .geometry import (
     _dot,
     _hull_planes,
     _int_scale,
+    _lattice_points,
     _primitive_direction,
     _scale,
     _scaled_ints,
@@ -43,7 +49,6 @@ from .geometry import (
     _stack,
     _sub,
     convex_hull,
-    integer_points_in_hull,
 )
 
 IntVec = tuple[int, int, int]
@@ -78,12 +83,17 @@ class VertexClassification:
 
 
 class _Slab:
-    """A slab whose `vertex_list` spans its hull."""
+    """Vertices as integer `rows` over `den`, their least common
+    denominator, so slabs with equal vertices are equal."""
+
+    def vertex_list(self) -> tuple[Point3, ...]:
+        den = self.den
+        return tuple(Point3(*(Fraction(c, den) for c in r)) for r in self.rows)
 
     def hull(self) -> Optional[Polyhedron]:
         """Full-dimensional hull, or None when the slab is flat."""
         try:
-            return convex_hull(self.vertex_list())
+            return convex_hull(self.rows, self.den)
         except DegenerateInput:
             return None
 
@@ -92,59 +102,45 @@ class _Slab:
 class CornerSlab(_Slab):
     """Gap slab at one corner: the region between level k and level k+1
     hanging off a point-chord ray: the hull of the two apexes and a fan
-    of crossing points.  The hull can be flat, for instance when the fan
-    is empty or its points line up behind one another as seen from the
-    axis."""
-
-    ray: int
-    level: int
-    apex_pair: tuple[Point3, Point3]
-    fan: tuple[Point3, ...]
-
-    def vertex_list(self) -> tuple[Point3, ...]:
-        return (*self.apex_pair, *self.fan)
-
-
-@dataclass(frozen=True)
-class BridgeSlab(_Slab):
-    """Gap slab joining two adjacent corner slabs: the hull of one
-    triangle from each."""
-
-    ray: int
-    next_ray: int
-    level: int
-    triangles: tuple[tuple[Point3, Point3, Point3], ...]
-
-    def vertex_list(self) -> tuple[Point3, ...]:
-        return self.triangles[0] + self.triangles[1]
-
-
-@dataclass(frozen=True)
-class SlabSet:
-    corner: tuple[CornerSlab, ...]
-    bridge: tuple[BridgeSlab, ...]
-
-
-def _point(row: IntVec, den: int) -> Point3:
-    return Point3(*(Fraction(c, den) for c in row))
-
-
-@dataclass(frozen=True)
-class _Template:
-    """Corner slab (ray, level) on integer rows over one denominator:
-    the apex pair, then the fan in sweep order.  The deciders work on
-    templates; `slab` gives the public CornerSlab."""
+    of crossing points, its rows in that order, the fan in sweep order.
+    The hull can be flat, for instance when the fan is empty or its
+    points line up behind one another as seen from the axis."""
 
     ray: int
     level: int
     rows: tuple[IntVec, ...]
     den: int
 
-    def slab(self) -> CornerSlab:
-        pts = tuple(_point(r, self.den) for r in self.rows)
-        return CornerSlab(
-            ray=self.ray, level=self.level, apex_pair=pts[:2], fan=pts[2:]
-        )
+    @property
+    def apex_pair(self) -> tuple[Point3, Point3]:
+        return self.vertex_list()[:2]
+
+    @property
+    def fan(self) -> tuple[Point3, ...]:
+        return self.vertex_list()[2:]
+
+
+@dataclass(frozen=True)
+class BridgeSlab(_Slab):
+    """Gap slab joining two adjacent corner slabs: the hull of one
+    triangle from each, its rows the two triangles in turn."""
+
+    ray: int
+    next_ray: int
+    level: int
+    rows: tuple[IntVec, ...]
+    den: int
+
+    @property
+    def triangles(self) -> tuple[tuple[Point3, Point3, Point3], ...]:
+        v = self.vertex_list()
+        return v[:3], v[3:]
+
+
+@dataclass(frozen=True)
+class SlabSet:
+    corner: tuple[CornerSlab, ...]
+    bridge: tuple[BridgeSlab, ...]
 
 
 @dataclass(frozen=True)
@@ -263,7 +259,8 @@ def _ray_hit(h, i: int) -> RayHit:
 def ray_point(h, i: int) -> Point3:
     """The structural point of ray i: the chord itself for a point
     chord, otherwise the near end of the segment chord."""
-    return _point(*_ray_row(h, i))
+    row, d = _ray_row(h, i)
+    return Point3(*(Fraction(c, d) for c in row))
 
 
 def ray_chord_class(h, i: int) -> str:
@@ -365,8 +362,8 @@ def _corner_fan_points(h, i: int, k: int) -> tuple[list[IntVec], int]:
     return list(dict.fromkeys(rows)), den
 
 
-def _ordered_fan(h, i: int, k: int) -> _Template:
-    """Corner slab (i, k) as a template: the apex pair k*p, (k + 1)*p of
+def _ordered_fan(h, i: int, k: int) -> CornerSlab:
+    """Corner slab (i, k): the apex pair k*p, (k + 1)*p of
     the ray point p and the fan points swept in cyclic order so the
     last one faces the cyclically next ray, on one denominator.  Fan
     points seen under the same angle are kept, ordered near to far.
@@ -426,14 +423,16 @@ def _ordered_fan(h, i: int, k: int) -> _Template:
     rows, den = _on_one_scale(
         [(_scale(p, k), pd), (_scale(p, k + 1), pd)] + [(f, den) for f in fan]
     )
-    return _Template(ray=i, level=k, rows=tuple(rows), den=den)
+    return CornerSlab(ray=i, level=k, rows=tuple(rows), den=den)
 
 
-def _translated(h, t: _Template, k: int) -> _Template:
-    """Template (i, base) moved to level k >= base >= max(1, overlap
-    level): every row moves by (k - base) times ray point i."""
+def _translated(h, t: CornerSlab, k: int) -> CornerSlab:
+    """Corner slab (i, base) moved to level k >= base >= max(1, overlap
+    level): every row moves by (k - base) times ray point i = P/d.  The
+    rows stay on their least denominator: each move is a multiple of
+    den/d, the gcd of den and the apex rows at every level."""
     move = _scale(_ray_step(h, t.ray, t.den), k - t.level)
-    return _Template(t.ray, k, tuple(_add(r, move) for r in t.rows), t.den)
+    return CornerSlab(t.ray, k, tuple(_add(r, move) for r in t.rows), t.den)
 
 
 def _bridge_triangles(
@@ -472,10 +471,10 @@ def _bridge_triangles(
     return (*a[:2], qa), (*b[:2], qb)
 
 
-def _slab_set(h, corner: tuple[_Template, ...]) -> SlabSet:
+def _slab_set(h, corner: tuple[CornerSlab, ...]) -> SlabSet:
     """The corner slabs of one level with the bridges between
-    consecutive ones, each bridge cut on the two templates' common
-    denominator."""
+    consecutive ones, each bridge cut on the two corner slabs' common
+    denominator and kept on its own least one."""
     t = len(h.rays)
     by_ray = {c.ray: c for c in corner}
     bridges = []
@@ -496,9 +495,9 @@ def _slab_set(h, corner: tuple[_Template, ...]) -> SlabSet:
             if h.simplicial:  # bridges are proved on three rays only
                 raise
             raise UnsupportedCase(str(exc)) from None
-        tris = tuple(tuple(_point(r, den) for r in tri) for tri in tris)
-        bridges.append(BridgeSlab(c.ray, nxt.ray, c.level, tris))
-    return SlabSet(corner=tuple(c.slab() for c in corner), bridge=tuple(bridges))
+        rows, least = _on_one_scale([(r, den) for tri in tris for r in tri])
+        bridges.append(BridgeSlab(c.ray, nxt.ray, c.level, tuple(rows), least))
+    return SlabSet(corner=corner, bridge=tuple(bridges))
 
 
 def _check_level(h, k: int) -> None:
@@ -513,14 +512,8 @@ def slabs(h, k: int) -> SlabSet:
     corner slabs exist on point-chord rays, bridges between consecutive
     point-chord rays)."""
     _check_level(h, k)
-    return _slab_set(
-        h,
-        tuple(
-            _ordered_fan(h, i, k)
-            for i in range(len(h.rays))
-            if h.ray_data[i].kind == "point"
-        ),
-    )
+    rays = [i for i, r in enumerate(h.ray_data) if r.kind == "point"]
+    return _slab_set(h, tuple(_ordered_fan(h, i, k) for i in rays))
 
 
 def corner_slab(h, i: int, k: int) -> CornerSlab:
@@ -528,12 +521,13 @@ def corner_slab(h, i: int, k: int) -> CornerSlab:
     _check_level(h, k)
     if _ray_hit(h, i).kind != "point":
         raise BadParameter("ray %d has a segment chord, no corner slab" % i)
-    return _ordered_fan(h, i, k).slab()
+    return _ordered_fan(h, i, k)
 
 
 def slab_integer_points(slab) -> set[IntVec]:
-    """Integer points of a slab (its hull, flat slabs included)."""
-    return set(integer_points_in_hull(slab.vertex_list()))
+    """Integer points of a slab (its hull, flat slabs included), listed
+    off its rows by the column kernel."""
+    return set(map(tuple, _lattice_points(slab.rows, slab.den).tolist()))
 
 
 def separation_level(
@@ -552,7 +546,7 @@ def separation_level(
 
 def _separation(
     h, generators: Optional[Sequence[Point3]] = None
-) -> tuple[int, dict[int, _Template]]:
+) -> tuple[int, dict[int, CornerSlab]]:
     """The separation level together with the corner templates it was
     derived from: one corner slab per point-chord ray at the base level
     max(1, overlap level), keyed by ray.  `_translated` moves a template
@@ -728,7 +722,7 @@ def gap_region(h) -> GapRegion:
     kappa = h.overlap
     sep: Optional[int] = None
     reason: Optional[str] = None
-    templates: dict[int, _Template] = {}
+    templates: dict[int, CornerSlab] = {}
     try:
         sep, templates = _separation(h)
     except UnsupportedCase as exc:
@@ -770,13 +764,17 @@ def gap_points(h, region: GapRegion, extra_periods: int = 2) -> list[Point3]:
 
 def gap_rows(h, region: GapRegion, extra_periods: int = 2) -> np.ndarray:
     """The points of `gap_points` as an `(N, 3)` integer array in
-    lexicographic order (int64 unless the kernel needs object): the
-    gaps of every shell up to the bound, off one column-kernel pass
-    (`semigroup._gap_rows`), stacked."""
+    lexicographic order (int64 unless the kernel needs object)."""
+    return _stack(_gap_blocks(h, region, extra_periods))
+
+
+def _gap_blocks(h, region: GapRegion, extra_periods: int) -> Iterator[np.ndarray]:
+    """The gaps of every shell up to the bound, as the lexicographic
+    blocks of one column-kernel pass (`semigroup._gap_rows`)."""
     # imported here because `semigroup` imports this module
     from .semigroup import _gap_rows
 
     if extra_periods < 0:
         raise BadParameter("extra_periods must be nonnegative")
     maxh = max(region.periods.values(), default=1)
-    return _stack(_gap_rows(h, region.base_level + extra_periods * maxh + 1))
+    return _gap_rows(h, region.base_level + extra_periods * maxh + 1)

@@ -36,10 +36,10 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .decomposition import (
+    CornerSlab,
     _ray_row,
     _ray_step,
     _separation,
-    _Template,
     ray_chord_class,
     ray_period,
 )
@@ -438,16 +438,16 @@ def _climb(
 
 
 def _corner_window(
-    h: SemigroupHandle, sep: int, templates: dict[int, _Template]
+    h: SemigroupHandle, sep: int, templates: dict[int, CornerSlab]
 ) -> Iterator[np.ndarray]:
     """Integer points of one full period of corner slabs from the
     separation level, plus the hull sep*conv(0, p0, p1, p2) joining the
     origin to the separation-level ray points, as blocks of distinct
     rows, no row in two blocks.  The hull's blocks come off the column
     kernel one at a time, from integer rows on the ray points' common
-    denominator.  Slab (i, k) is the base-level template of ray i moved
-    by k - base times ray point i: a template's rows and its ray point
-    share the template's denominator, so its hull planes n.X <= c are
+    denominator.  Slab (i, k) is the base-level corner slab of ray i
+    moved by k - base times ray point i, whose step is a row over the
+    slab's own denominator, so the slab's hull planes n.X <= c are
     found once and each translate by `move` reads them as n.X <= c +
     n.move.  The translates' points are deduplicated, those inside the
     hull are dropped by its planes, and the rest join the first hull

@@ -33,6 +33,7 @@ def _output(correct, qps, p50):
 
 
 _BETTER = {"queries_per_s": "higher", "query_p50_s": "lower"}
+_BOUNDS = {"queries_per_s": 0.25, "query_p50_s": 0.25}
 
 
 def test_summary_of_canned_pairs():
@@ -48,7 +49,7 @@ def test_summary_of_canned_pairs():
         tuple(bench_pairs.final_result(_output(True, *side)) for side in pair)
         for pair in runs
     ]
-    got = bench_pairs.summarize(pairs, _BETTER)
+    got = bench_pairs.summarize(pairs, _BETTER, _BOUNDS)
     assert got["pairs"] == 5 and got["all_correct"] is True
     qps = got["metrics"]["queries_per_s"]
     assert qps["better"] == "higher"
@@ -61,11 +62,65 @@ def test_summary_of_canned_pairs():
     assert p50["change_wins"] == 3
 
 
+def _pairs(parent_qps, change_qps):
+    """Pairs of final results with the given queries per second."""
+    return [
+        (
+            bench_pairs.final_result(_output(True, p, 0.001)),
+            bench_pairs.final_result(_output(True, c, 0.001)),
+        )
+        for p, c in zip(parent_qps, change_qps)
+    ]
+
+
+def _verdict(parent_qps, change_qps):
+    got = bench_pairs.summarize(_pairs(parent_qps, change_qps), _BETTER, _BOUNDS)
+    return got["metrics"]["queries_per_s"]["verdict"]
+
+
+def test_verdicts_of_canned_pairs():
+    narrow = [100.0, 101.0, 99.0, 100.0, 102.0]
+    # the change's median 30% below the parent's, past the 25% bound
+    assert _verdict(narrow, [70.0, 71.0, 69.0, 70.0, 72.0]) == "worse"
+    # 20% below, within the bound, on a narrow parent
+    assert _verdict(narrow, [80.0, 81.0, 79.0, 80.0, 82.0]) == "within"
+    # a parent spread wider than the bound leaves a close change open
+    wide = [60.0, 80.0, 100.0, 120.0, 140.0]
+    assert _verdict(wide, [90.0, 110.0, 100.0, 70.0, 130.0]) == "unresolved"
+    # unless every change run beats every parent run
+    assert _verdict(wide, [150.0, 151.0, 152.0, 153.0, 154.0]) == "within"
+    # a metric where lower reads better turns the comparison round
+    pairs = [
+        (
+            bench_pairs.final_result(_output(True, 100.0, 0.0010)),
+            bench_pairs.final_result(_output(True, 100.0, 0.0013)),
+        )
+    ] * 5
+    got = bench_pairs.summarize(pairs, _BETTER, _BOUNDS)["metrics"]
+    assert got["query_p50_s"]["verdict"] == "worse"
+    assert got["queries_per_s"]["verdict"] == "within"
+
+
+def test_claim_met_needs_nine_wins_and_a_gain_past_the_spread():
+    def metric(parent_qps, change_qps):
+        pairs = _pairs(parent_qps, change_qps)
+        got = bench_pairs.summarize(pairs, _BETTER, _BOUNDS)
+        return bench_pairs.claim_met(got["metrics"]["queries_per_s"], len(pairs))
+
+    parent = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+    # nine wins in ten, the median 10 above a parent spread of 1.5
+    assert metric(parent, [110.0] * 9 + [90.0]) is True
+    # eight wins in ten
+    assert metric(parent, [110.0] * 8 + [90.0, 90.0]) is False
+    # ten wins by a median gain of 1, inside the parent's spread
+    assert metric(parent, [p + 1.0 for p in parent]) is False
+
+
 def test_one_incorrect_run_clears_all_correct():
     good = bench_pairs.final_result(_output(True, 100.0, 0.001))
     bad = bench_pairs.final_result(_output(False, 100.0, 0.001))
     pairs = [(good, good), (good, bad)]
-    assert bench_pairs.summarize(pairs, _BETTER)["all_correct"] is False
+    assert bench_pairs.summarize(pairs, _BETTER, _BOUNDS)["all_correct"] is False
 
 
 def test_a_run_that_printed_nothing_is_refused():
@@ -96,7 +151,8 @@ def test_bench_file_records_src_lines_of_both_sides(tmp_path, monkeypatch):
         )
 
     spec = {"run_seconds": 1, "end_to_end": [
-        {"name": name, "better": better} for name, better in _BETTER.items()
+        {"name": name, "better": better, "bound": _BOUNDS[name]}
+        for name, better in _BETTER.items()
     ]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
     _module(tmp_path, "a.py", "x = 1\ny = 2\n")
@@ -108,7 +164,12 @@ def test_bench_file_records_src_lines_of_both_sides(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "_run", lambda *args: canned)
     monkeypatch.chdir(tmp_path)
     argv = ["--pr", "7", "--change", "c", "--workloads", "structure"]
+    argv += ["--claim", "structure:queries_per_s"]
     assert bench_pairs.main(argv) == 0
     bench = json.loads((tmp_path / "BENCH_7.json").read_text())
     assert bench["src_lines"] == {"parent": 2, "change": 3}
-    assert bench["runs"]["structure seed 0"]["pairs"] == bench_pairs.PAIRS
+    run = bench["runs"]["structure seed 0"]
+    assert run["pairs"] == bench_pairs.PAIRS
+    # every run reads the same: no verdict is worse, and no claim is met
+    assert {m["verdict"] for m in run["metrics"].values()} == {"within"}
+    assert bench["claimed"]["claim_met"] is False

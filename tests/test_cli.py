@@ -23,8 +23,8 @@ from conftest import (
     WE_VERTICES,
     WIDE_NORMALS_VERTICES,
 )
-from polysgp import build, cli, in_cone_int, oracle
-from polysgp.decomposition import gap_points, gap_region
+from polysgp import build, cli, geometry, in_cone_int, oracle
+from polysgp.decomposition import _gap_blocks, gap_points, gap_region
 from polysgp.cli import main, parse_vertices
 from polysgp.errors import ParseError
 from polysgp.geometry import Point3
@@ -384,6 +384,22 @@ def test_slab_mesh_export_matches_golden(tmp_path, capsys, vertices, golden):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text("utf-8")
 
 
+@pytest.mark.parametrize(
+    "vertices, golden",
+    [
+        (instancegen.tetra_vertices(14), "slabs_tetra14.json"),
+        (instancegen.poly_vertices(3), "slabs_poly3.json"),
+    ],
+)
+def test_slab_structured_export_matches_golden(tmp_path, capsys, vertices, golden):
+    # the exact apexes, fans in sweep order, triangles and integer points
+    path = tmp_path / "body.txt"
+    path.write_text(_document(vertices), encoding="utf-8")
+    argv = ["export", "--kind", "slabs", "--format", "structured", str(path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text("utf-8")
+
+
 # a body whose cone points are all members: its gap listing is empty
 NO_GAP_VERTICES = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]
 
@@ -453,15 +469,40 @@ def test_gap_listing_joins_blocks(tmp_path, capsys, monkeypatch):
             assert capsys.readouterr().out == expect
 
 
-def _limit_address_space():
-    cap = 1_500_000 * 1024
-    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+def test_gap_listing_writes_the_kernel_blocks_in_turn(tmp_path, capsys, monkeypatch):
+    # a kernel pass of many small blocks, some of them without gaps: the
+    # listing, its count and the oracle check go block by block
+    monkeypatch.setattr(geometry, "_BLOCK", 4)
+    for vertices in (S3_VERTICES, WE_VERTICES):
+        h = build(vertices)
+        blocks = list(_gap_blocks(h, gap_region(h), 2))
+        assert len(blocks) > 10 and not all(map(len, blocks))
+        path = tmp_path / "body.txt"
+        path.write_text(_document(vertices), encoding="utf-8")
+        for structured in (False, True):
+            argv = ["gaps", "--oracle", str(path)]
+            argv += ["--format", "structured"] if structured else []
+            assert main(argv) == 0
+            expect = _reference_gaps(vertices, structured, True)
+            assert capsys.readouterr().out == expect
+
+
+def _address_space_limit(kilobytes: int):
+    """A `preexec_fn` capping the child's address space, as `ulimit -v`
+    does."""
+
+    def limit():
+        cap = kilobytes * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return limit
 
 
 def test_gap_listing_fits_in_a_bounded_address_space(tmp_path):
     # tetra seed 8 lists 14 382 619 gaps (about 200 MB of text, a 345 MB
-    # array); the listing holds its blocks and one stacked copy, so it
-    # finishes under 1.5 GB of address space with the same bytes
+    # array); the listing writes the kernel's blocks with no stacked
+    # copy, so it finishes under 600 MB of address space with the same
+    # bytes (a stacked copy of the blocks does not fit)
     path = tmp_path / "tetra8.txt"
     path.write_text(_document(instancegen.tetra_vertices(8)), encoding="utf-8")
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -470,7 +511,7 @@ def test_gap_listing_fits_in_a_bounded_address_space(tmp_path):
         # one BLAS thread, so no per-thread arena counts against the limit
         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
         stdout=subprocess.PIPE,
-        preexec_fn=_limit_address_space,
+        preexec_fn=_address_space_limit(600_000),
     )
     digest = hashlib.sha256()
     while chunk := proc.stdout.read(1 << 20):
@@ -491,7 +532,7 @@ def _run_limited(tmp_path, command, seed):
         [sys.executable, "-m", "polysgp.cli", command, str(path)],
         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
         capture_output=True,
-        preexec_fn=_limit_address_space,
+        preexec_fn=_address_space_limit(1_500_000),
         timeout=300,
     )
 
@@ -643,12 +684,10 @@ def test_msg_oracle_reports_both_sides(s3_file, capsys, monkeypatch):
 
 def test_gaps_oracle_reports_members(we_file, capsys, monkeypatch):
     # (2, 2, 2) is a member of we; the repeated (1, 0, 0) is a gap
-    real = cli.gap_rows
+    real = cli._gap_blocks
     monkeypatch.setattr(
-        cli, "gap_rows",
-        lambda h, region, **kw: np.vstack(
-            [real(h, region, **kw), [[2, 2, 2], [1, 0, 0]]]
-        ),
+        cli, "_gap_blocks",
+        lambda *args: [*real(*args), np.array([[2, 2, 2], [1, 0, 0]])],
     )
     assert main(["gaps", "--oracle", we_file]) == 2
     assert capsys.readouterr().out == (

@@ -14,6 +14,7 @@ from conftest import (
     S3_VERTICES,
     S5_VERTICES,
     WE_VERTICES,
+    WIDE_NORMALS_VERTICES,
 )
 from test_acceptance import POLY_SEEDS, TETRA_SEEDS
 from polysgp import (
@@ -354,6 +355,64 @@ def test_corner_slab_fractional_period_translation():
             for q in slab_integer_points(lo_slab)
         }
         assert moved == slab_integer_points(hi_slab)
+
+
+def _same_hull(a, b) -> bool:
+    fields = ("rows", "scale", "int_facets", "facet_vertices", "edges")
+    if a is None or b is None:
+        return a is b
+    return all(getattr(a, f) == getattr(b, f) for f in fields)
+
+
+def test_slab_views_match_their_rational_reference():
+    # a slab's points and hull come off its integer rows; the Point3
+    # path through its vertex list is the reference.  A corner template
+    # translated up equals the corner slab built at that level, as an
+    # object, so the rows stay on their least denominator.
+    import instancegen
+
+    bodies = [
+        S3_VERTICES, S5_VERTICES, NN_VERTICES, WE_VERTICES,
+        GORENSTEIN_NO_VERTICES, WIDE_NORMALS_VERTICES,
+    ]
+    for seed in range(24):
+        bodies += [instancegen.tetra_vertices(seed), instancegen.poly_vertices(seed)]
+    checked = translated = 0
+    for verts in bodies:
+        try:
+            h = build(verts)
+        except DegenerateInput:
+            continue
+        base = max(1, h.overlap)
+        pieces = []
+        try:
+            for k in range(base, base + 3):
+                ss = slabs(h, k)
+                pieces += [*ss.corner, *ss.bridge]
+            region = gap_region(h)
+        except UnsupportedCase:
+            continue
+        pieces += [*region.corner_templates, *region.bridge_templates]
+        for s in pieces:
+            ref = s.vertex_list()
+            assert slab_integer_points(s) == set(geometry.integer_points_in_hull(ref))
+            try:
+                want = geometry.convex_hull(ref)
+            except DegenerateInput:
+                want = None
+            assert _same_hull(s.hull(), want), (verts, s)
+            checked += 1
+        try:
+            _sep, templates = decomposition._separation(h)
+        except (NotSimplicial, UnsupportedCase):
+            continue
+        for i, t in templates.items():
+            for k in range(base, base + 3):
+                assert decomposition._translated(h, t, k) == (
+                    decomposition._ordered_fan(h, i, k)
+                ), (verts, i, k)
+                translated += 1
+    assert checked > 500 and translated > 100, (checked, translated)
 
 
 def test_corner_slab_parameter_validation(s3):

@@ -18,6 +18,15 @@ BENCH_<pr>.json at the checkout's root, whose `runs` entries for other
 workloads or seeds are kept, so workloads can be run one at a time.
 The file also records `src_lines`, each side's `wc -l src/polysgp/*.py`
 total, the net source line count next to the bench.
+
+Each metric gets a `verdict` against its `bound` in BENCHMARK.json, a
+share of the parent's median: `worse` when the change's median is worse
+than the parent's by more than the bound; `unresolved` when it is not,
+but the parent's interquartile range exceeds the bound and not every
+change run beats every parent run; `within` otherwise.  With --claim,
+`claimed.claim_met` says whether the change won at least 9 pairs in 10
+and beat the parent's median by more than the parent's interquartile
+range.
 """
 
 from __future__ import annotations
@@ -43,7 +52,9 @@ METHOD = (
     "git archive, the change copied from the working tree), with no "
     "compiled bytecode in either copy. Medians and quartiles (inclusive "
     "method) over the pairs; change_wins counts the pairs where the "
-    "change reads better, ties counting for neither. Assembled by "
+    "change reads better, ties counting for neither; each metric's "
+    "verdict weighs the medians against its bound in BENCHMARK.json. "
+    "Assembled by "
     "tools/bench_pairs.py from each run's final JSON line; perfbench/ "
     "itself writes no bench file."
 )
@@ -70,11 +81,38 @@ def _spread(values: list[float]) -> dict:
     }
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
+def _verdict(parent: list[float], change: list[float], sign: int, bound: float) -> str:
+    """`worse`, `unresolved` or `within`, as the module docstring says;
+    `sign` is 1 when higher reads better and -1 when lower does."""
+    spread = _spread(parent)
+    allowed = bound * abs(spread["median"])
+    if sign * (spread["median"] - statistics.median(change)) > allowed:
+        return "worse"
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if spread["q3"] - spread["q1"] > allowed and not beats_all:
+        return "unresolved"
+    return "within"
+
+
+def claim_met(metric: dict, pairs: int) -> bool:
+    """Whether one `metrics` entry bears out a claimed gain: the change
+    wins at least 9 pairs in 10, and its median beats the parent's by
+    more than the parent's interquartile range."""
+    sign = 1 if metric["better"] == "higher" else -1
+    parent, change = metric["parent"], metric["change"]
+    gain = sign * (change["median"] - parent["median"])
+    wins = metric["change_wins"]
+    return 10 * wins >= 9 * pairs and gain > parent["q3"] - parent["q1"]
+
+
+def summarize(
+    pairs: list[tuple[dict, dict]], better: dict[str, str], bounds: dict[str, float]
+) -> dict:
     """One `runs` entry's `pairs`, `all_correct` and `metrics` from the
     (parent, change) final results of each pair.  `better` maps each
-    metric to "lower" or "higher"; a pair where the change reads better
-    counts toward `change_wins`, a tie for neither side."""
+    metric to "lower" or "higher" and `bounds` to its bound; a pair where
+    the change reads better counts toward `change_wins`, a tie for
+    neither side."""
     metrics = {}
     for name, direction in better.items():
         parent = [p["metrics"][name]["value"] for p, _c in pairs]
@@ -85,6 +123,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
             "parent": _spread(parent),
             "change": _spread(change),
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "verdict": _verdict(parent, change, sign, bounds[name]),
         }
     return {
         "pairs": len(pairs),
@@ -162,6 +201,7 @@ def main(argv=None) -> int:
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
     spec = json.loads((root / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     out = root / ("BENCH_%d.json" % args.pr)
     bench = json.loads(out.read_text()) if out.is_file() else {}
@@ -201,10 +241,17 @@ def main(argv=None) -> int:
                     result = {side: _run(side, workload, seed, seconds)
                               for side in order}
                     pairs.append((result[parent], result[change]))
-                    bench["runs"][key] = {
+                    run = bench["runs"][key] = {
                         "workload": workload, "seed": seed,
-                        **summarize(pairs, better),
+                        **summarize(pairs, better, bounds),
                     }
+                    claimed = bench.get("claimed")
+                    if args.claim and claimed["workload"] == workload and (
+                        claimed["seed"] == seed
+                    ):
+                        claimed["claim_met"] = claim_met(
+                            run["metrics"][claimed["metric"]], len(pairs)
+                        )
                     out.write_text(
                         json.dumps(bench, indent=2, ensure_ascii=False) + "\n"
                     )
