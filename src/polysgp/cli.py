@@ -24,9 +24,9 @@ of ``-`` (the default) reads standard input, so commands pipe:
     polysgp family --k 3 | polysgp is-gorenstein
 
 Exit status: 0 for any computed verdict (including "no"), 2 when the
-configuration falls outside the decided cases or a budget ran out, 1 for
-malformed input.  Output is deterministic byte for byte; ``--format
-structured`` emits canonical JSON.
+configuration falls outside the decided cases or a budget or memory
+ran out, 1 for malformed input.  Output is deterministic byte for
+byte; ``--format structured`` emits canonical JSON.
 """
 
 from __future__ import annotations
@@ -801,9 +801,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _INPUT_ERRORS as exc:
         print("error [%s]: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
-    except PolysgpError as exc:
-        # unsupported configurations, exhausted budgets, failed invariants
-        print("error [%s]: %s" % (type(exc).__name__, exc), file=sys.stderr)
+    except (PolysgpError, MemoryError) as exc:
+        # unsupported cases, exhausted budgets or memory, failed invariants
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print("error [%s]: %s" % (kind, exc), file=sys.stderr)
         return 2
 
 

@@ -277,7 +277,7 @@ def _ray_vertex_index(h, i: int) -> int:
     its own chord, a point_extremal or entry_extremal vertex."""
     row, d = _ray_row(h, i)
     s = h.body.scale
-    return h._vindex[tuple(c * s // d for c in row)]
+    return h.body.rows.index(tuple(c * s // d for c in row))
 
 
 def _ray_row(h, i: int) -> tuple[IntVec, int]:

@@ -68,12 +68,11 @@ from .semigroup import (
     SemigroupHandle,
     _apery_rows,
     _as_intvec,
+    _closure_added,
     _closure_rows,
-    _cm_yes,
     _gap_rows,
     _ray_apery,
     build,
-    closure,
     in_cone_int,
     member_int,
 )
@@ -127,16 +126,29 @@ def check_condition3(h: SemigroupHandle, p) -> Condition3Result:
 
 
 def is_cohen_macaulay(h: SemigroupHandle) -> PropertyVerdict:
-    """Decide Cohen-Macaulayness of the semigroup ring; the handle keeps
-    the verdict.  Every query on a three-ray handle asks for it first:
+    """Decide Cohen-Macaulayness of the semigroup ring: the handle's
+    kept outcome (`_cm_outcome`), a kept error raised again as a fresh
+    one.  Every query on a three-ray handle asks for it first:
     `is_gorenstein`, `is_buchsbaum`, and the Apery record that the
     structure chain reads (`semigroup._ray_apery`)."""
     if not h.simplicial:
         raise NotSimplicial("the decision procedures need a three-ray cone")
+    cm = _cm_outcome(h)
+    if isinstance(cm, PropertyVerdict):
+        return cm
+    raise type(cm)(*cm.args)
+
+
+def _cm_outcome(h: SemigroupHandle):
+    """The Cohen-Macaulay verdict of a three-ray handle, or the
+    AssumptionViolated or UnsupportedCase `_decide` raised, kept in
+    `h._cm` so that the decider runs once per handle.  An error is kept
+    as a fresh copy, which holds no traceback or chained exception."""
     if h._cm is None:
-        h._cm = _decide(
-            h, h.ray_generators, "Cohen-Macaulay", diag={}, added=frozenset()
-        )
+        try:
+            h._cm = _decide(h, h.ray_generators, "Cohen-Macaulay", {}, frozenset())
+        except (AssumptionViolated, UnsupportedCase) as exc:
+            h._cm = type(exc)(*exc.args)
     return h._cm
 
 
@@ -145,40 +157,27 @@ def is_buchsbaum(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdic
     semigroup, with membership, generators, and the separation level
     all recomputed relative to the closure.
 
-    The Cohen-Macaulay verdict is asked for first.  On "yes" the
-    closure is the semigroup itself (`semigroup.closure`), so the
-    answer is that verdict once the Apery set is complete at this
-    budget; neither the closure nor the generators are computed.
-    Otherwise the closure is; when it adds no point, `_decide` would
-    get the inputs the kept verdict came from, so that verdict is
-    returned again, and only a closure that adds points is decided
-    afresh.  An UnsupportedCase from the Cohen-Macaulay decider is
-    raised, as `is_cohen_macaulay` and `is_gorenstein` raise it: a
-    corner window past 2^16 translates (which depends on the ray periods
-    alone, so the closure's decider would refuse it too), one whose hull
-    box is past 2^32 cells, or a gap box past 2^32 cells in the
-    decider's emptiness test, where asking the closure first gave an
-    "unsupported" verdict if `closure`'s own gap box was past 2^32 cells
-    too.  After an AssumptionViolated the closure is decided as if no
-    verdict were kept."""
+    It reads the handle's Cohen-Macaulay outcome and the closure's added
+    points (`semigroup._closure_added`).  A kept UnsupportedCase is
+    raised again first; a closure refused with UnsupportedCase gives
+    "unsupported", and an Apery set cut by the budget "inconclusive".
+    A closure that adds no point is the semigroup, so the kept outcome
+    answers: its verdict, or its error raised again.  Only a closure
+    that adds points is decided afresh."""
     if not h.simplicial:
         raise NotSimplicial("the decision procedures need a three-ray cone")
+    if isinstance(_cm_outcome(h), UnsupportedCase):
+        is_cohen_macaulay(h)  # raises the kept error again
     try:
-        cm: Optional[PropertyVerdict] = is_cohen_macaulay(h)
-    except AssumptionViolated:
-        cm = None
-    added: frozenset = frozenset()
-    if not _cm_yes(h):
-        try:
-            added = closure(h, budget_layers=budget_layers).added_set
-        except UnsupportedCase as exc:
-            return PropertyVerdict(
-                property="Buchsbaum",
-                verdict="unsupported",
-                witness=None,
-                case_used="closure computation: %s" % exc,
-                diagnostics={},
-            )
+        added = _closure_added(h, budget_layers)
+    except UnsupportedCase as exc:
+        return PropertyVerdict(
+            property="Buchsbaum",
+            verdict="unsupported",
+            witness=None,
+            case_used="closure computation: %s" % exc,
+            diagnostics={},
+        )
     certified = _ray_apery(h, budget_layers)[2]
     diag: dict = {
         "membership": "closure",
@@ -194,7 +193,8 @@ def is_buchsbaum(h: SemigroupHandle, budget_layers: int = 400) -> PropertyVerdic
         )
     gens = _closure_ray_generators(h, added)
     diag["generators_recomputed"] = tuple(gens) != tuple(h.ray_generators)
-    if cm is not None and not added:
+    if not added:
+        cm = is_cohen_macaulay(h)
         return replace(
             cm, property="Buchsbaum", diagnostics={**diag, **cm.diagnostics}
         )

@@ -23,30 +23,28 @@ array kernel is tested against.  One order sieve,
 `_order_sieve`, picks the minimal generators, the closure's generators
 and the maximal Apery elements out of a finite set.
 
-The Cohen-Macaulay verdict steers every query on a three-ray handle,
-by one rule: it is asked for first.  `_ray_apery` asks for it
-(`_ask_cm`) before it makes the Apery record that `minimal_generators`,
+The Cohen-Macaulay outcome steers every query on a three-ray handle,
+by one rule: it is asked for first (`_cm_yes`).  `_ray_apery` asks
+before it makes the Apery record that `minimal_generators`,
 `apery_intersection` and `closure` read, and `rings.is_buchsbaum` and
-`rings.is_gorenstein` ask for it too.  On a "yes" each coset of Z^3 /
-ZE (E the ray generators) holds exactly one Apery element, its least
-point in the semigroup, and `_coset_apery` finds all of them at once
-by membership probes, with the shell where the scan would stop; the
+`rings.is_gorenstein` ask too.  On a "yes" each coset of Z^3 / ZE (E
+the ray generators) holds exactly one Apery element, its least point
+in the semigroup, and `_coset_apery` finds all of them at once by
+membership probes, with the shell where the scan would stop; the
 closure is the semigroup itself, since a closure point is a gap with
 members among its ray-generator translates.  Otherwise (a "no", more
-than three rays, or a decider that raised AssumptionViolated or
-UnsupportedCase) the Apery set is scanned shell by shell
-(`_apery_scan`) and the closure's candidates are listed.
+than three rays, or a kept decider error) the Apery set is scanned
+shell by shell (`_apery_scan`) and the closure's candidates are listed.
 
-The handle keeps one Apery record (`AperyRecord`), which
-`minimal_generators` and `apery_intersection` read at every budget
-(`_ray_apery`), and the closure once per `budget_layers` value, which
-`is_buchsbaum` reuses.
+The handle keeps each answer once and reads it at every budget: the
+Cohen-Macaulay outcome, an error included, one Apery record
+(`_ray_apery`) and one closure record (`_closure_added`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -135,16 +133,16 @@ class SemigroupHandle:
     Holds the body, its extremal rays in fan (cyclic) order, the per-ray
     chords, the cone's facet normals (`_cone`), the body's integer facet
     matrix, each body vertex's chord as integer ratios
-    (`geometry._chord`, in units of the vertex) with a row -> vertex
-    index map, and, for three-ray cones, the smallest semigroup element
-    on each ray, read off its chord.  Only `build` makes one, after its
-    OriginInside check.  The span hull, the vertex classification, the
-    overlap level and the Cohen-Macaulay verdict are computed on first
-    use and kept for the handle's lifetime, and so are one Apery record
-    (`_ray_apery`) and the closure, once per `budget_layers` value.
-    Queries are thread-safe: racing threads store identical values, and
-    a call answers from the Apery record it read or made, even when a
-    racing call replaces it with a shorter scan.
+    (`geometry._chord`, in units of the vertex), and, for three-ray
+    cones, the smallest semigroup element on each ray, read off its
+    chord.  Only `build` makes one, after its OriginInside check.  The
+    span hull, the vertex classification, the overlap level, the
+    Cohen-Macaulay outcome (`rings._cm_outcome`), one Apery record
+    (`_ray_apery`) and one closure record (`_closure_added`) are made on
+    first use and kept for the handle's lifetime.  Queries are
+    thread-safe: racing threads store equal values, and a call answers
+    from the Apery record it read or made, even when a racing call
+    replaces it with a shorter scan.
     """
 
     __slots__ = (
@@ -156,7 +154,6 @@ class SemigroupHandle:
         "_cone",
         "_facets",
         "_facet_bound",
-        "_vindex",
         "_chords",
         "_span_hull",
         "_classification",
@@ -188,7 +185,6 @@ class SemigroupHandle:
         self._facet_bound = (a[:, :3].sum(axis=1).max(), a[:, 3].max())
         fits = sum(self._facet_bound) < geometry._INT64_LIMIT
         self._facets = np.array(body.int_facets, np.int64 if fits else object)
-        self._vindex = {row: vi for vi, row in enumerate(body.rows)}
         self._chords = tuple(
             geometry._chord(body.int_facets, row, body.scale) for row in body.rows
         )
@@ -197,7 +193,7 @@ class SemigroupHandle:
         self._overlap: Optional[int] = None
         self._cm = None
         self._apery: Optional[AperyRecord] = None
-        self._closure: dict[int, ClosureResult] = {}
+        self._closure: Optional[np.ndarray] = None
 
     @property
     def span_hull(self) -> Polyhedron:
@@ -528,7 +524,7 @@ def _ray_apery(
     over them, and the `complete` flag and layer count of a scan at
     `budget_layers`, read off the handle's `AperyRecord`.  The record
     is made when there is none, or when it is a scan cut below the
-    budget; the Cohen-Macaulay verdict is asked for first (`_ask_cm`),
+    budget; the Cohen-Macaulay outcome is asked for first (`_cm_yes`),
     and a "yes" makes it by `_coset_apery`, anything else by
     `_apery_scan`.  This is the one place that picks the cosets.  The
     elements are shell-major and lexicographic within a shell, so the
@@ -540,7 +536,7 @@ def _ray_apery(
             _smallest_ray_point(h, i) for i in range(len(h.rays))
         ]
         gens = tuple(g.int_tuple() for g in rays)
-        if _ask_cm(h):
+        if _cm_yes(h):
             rec = h._apery = _coset_apery(h, gens)
         else:
             rec = h._apery = _apery_scan(h, gens, budget_layers)
@@ -550,24 +546,11 @@ def _ray_apery(
 
 
 def _cm_yes(h: SemigroupHandle) -> bool:
-    """Whether the handle keeps a "yes" Cohen-Macaulay verdict;
-    `rings.is_cohen_macaulay` keeps its verdicts, on three-ray cones
-    only."""
-    return h._cm is not None and h._cm.verdict == "yes"
+    """Whether the Cohen-Macaulay outcome of a three-ray handle, asked
+    for when the handle keeps none (`rings._cm_outcome`), is a "yes"."""
+    from .rings import _cm_outcome  # rings imports this module
 
-
-def _ask_cm(h: SemigroupHandle) -> bool:
-    """`_cm_yes` once `rings.is_cohen_macaulay` has been asked of a
-    three-ray cone; a decider that raises AssumptionViolated or
-    UnsupportedCase keeps no verdict."""
-    from .rings import is_cohen_macaulay  # rings imports this module
-
-    if h.simplicial:
-        try:
-            is_cohen_macaulay(h)
-        except (AssumptionViolated, UnsupportedCase):
-            pass
-    return _cm_yes(h)
+    return h.simplicial and getattr(_cm_outcome(h), "verdict", None) == "yes"
 
 
 def _scan_base(h: SemigroupHandle, gens: Sequence[IntVec]) -> tuple[int, int]:
@@ -761,37 +744,50 @@ def closure(h: SemigroupHandle, budget_layers: int = 400) -> ClosureResult:
     """Compute the closure semigroup and its minimal generators.
 
     A closure point is a gap whose translates by every minimal
-    generator, the three ray generators among them, are members.  The
-    generators come first, and making their Apery record asks for the
-    Cohen-Macaulay verdict (`_ray_apery`), which is then read off the
-    handle: a "yes" says that no gap has two ray-generator translates in
-    the semigroup, so then the closure adds nothing, its generators are
-    the `minimal_generators` result (from the cosets), and no gap is
-    listed.
-
-    Otherwise the candidates are the gaps of shells 1..kappa + period
-    (`_gap_rows`) whose translates by every minimal generator are
-    members; they must lie in the span hull H dilated to the overlap
-    level kappa.  One in a shell past kappa (the least s with the point
-    in s*H, off H's facets a.x >= c with c < 0) is outside the supported
-    families: UnsupportedCase names the least such shell's
-    lexicographically least one.
+    generator are members (`_closure_added`).  With none the closure's
+    generators are the `minimal_generators` result; otherwise they are
+    sieved out of those and the added points.
     """
     if not h.simplicial:
         raise NotSimplicial("closure is computed for three-ray cones")
-    if budget_layers in h._closure:
-        return h._closure[budget_layers]
-    kappa = max(1, h.overlap)
-    period = h.period()
     msg = minimal_generators(h, budget_layers=budget_layers)
-    if _cm_yes(h):
-        h._closure[budget_layers] = ClosureResult((), msg, frozenset())
-        return h._closure[budget_layers]
-    gens = [g.int_tuple() for g in msg.generators]
+    added = _closure_added(h, budget_layers)
+    if not added:
+        return ClosureResult((), msg, added)
+    gens = {g.int_tuple() for g in msg.generators}
+    accepted = sorted(_order_sieve(h, gens | added, added))
+    return ClosureResult(
+        added_points=tuple(Point3.of(*p) for p in sorted(added)),
+        gens_of_closure=replace(msg, generators=tuple(Point3.of(*p) for p in accepted)),
+        added_set=added,
+    )
 
-    rows = geometry._stack(_gap_rows(h, kappa + period))
-    for g in gens:
-        rows = rows[_closure_rows(h, rows + np.array(g, dtype=rows.dtype))]
+
+def _closure_added(h: SemigroupHandle, budget_layers: int) -> frozenset[IntVec]:
+    """The closure's added points at `budget_layers`, read off the
+    handle's closure record.  The Apery record is read first, which asks
+    for the Cohen-Macaulay outcome: on a "yes" no gap has two
+    ray-generator translates in the semigroup, so nothing is added.
+
+    Otherwise the record holds the gaps of shells 1..kappa + period
+    (`_gap_rows`) whose translates by the ray generators E are members,
+    and a point is added when its translates by the Apery elements read
+    at the budget are members too, as by the budget's minimal
+    generators: those outside E are Apery elements, and every Apery
+    element is one of them plus a member.  An added point must lie in
+    the span hull H dilated to the overlap level kappa; one in a shell
+    past kappa (the least s with the point in s*H, off H's facets a.x >=
+    c with c < 0) is outside the supported families: UnsupportedCase
+    names the least such shell's lexicographically least one.
+    """
+    gens, found, _, _ = _ray_apery(h, budget_layers)
+    if _cm_yes(h):
+        return frozenset()
+    kappa = max(1, h.overlap)
+    if h._closure is None:
+        gaps = geometry._stack(_gap_rows(h, kappa + h.period()))
+        h._closure = _translates_in(h, gaps, gens)
+    rows = _translates_in(h, h._closure, found)
     added: list[IntVec] = list(map(tuple, rows.tolist()))
     far = [f for f in h.span_hull.int_facets if f[3] < 0]
     shells = [max(-(-_dot(f, p) // f[3]) for f in far) for p in added]
@@ -801,18 +797,21 @@ def closure(h: SemigroupHandle, budget_layers: int = 400) -> ClosureResult:
             "closure point %s beyond the overlap level %d"
             % (added[shells.index(s)], kappa)
         )
+    return frozenset(added)
 
-    # the only possible closure generators are the original minimal
-    # generators and the added points
-    added_set = frozenset(added)
-    accepted = _order_sieve(h, set(gens) | added_set, added_set)
-    result = h._closure[budget_layers] = ClosureResult(
-        added_points=tuple(Point3.of(*p) for p in sorted(added)),
-        gens_of_closure=GeneratorSet(
-            generators=tuple(Point3.of(*p) for p in sorted(accepted)),
-            certified=msg.certified,
-            layers_scanned=msg.layers_scanned,
-        ),
-        added_set=added_set,
-    )
-    return result
+
+def _translates_in(
+    h: SemigroupHandle, rows: np.ndarray, moves: Sequence[IntVec]
+) -> np.ndarray:
+    """The rows whose translates by every one of `moves` are members, in
+    order, asked of about `_BLOCK` translates at a time."""
+    if not len(rows):
+        return rows
+    moves = int_rows(moves)
+    step = max(1, _BLOCK // max(1, len(moves)))
+    kept = []
+    for i in range(0, len(rows), step):
+        block = rows[i : i + step]
+        ok = _closure_rows(h, (block[:, None] + moves).reshape(-1, 3))
+        kept.append(block[ok.reshape(len(block), len(moves)).all(axis=1)])
+    return geometry._stack(kept)

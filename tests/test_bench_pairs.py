@@ -143,6 +143,35 @@ def test_src_lines_counts_as_wc_does(tmp_path):
     assert bench_pairs.src_lines(tmp_path) == 3
 
 
+def test_src_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
+    _module(tmp_path, "a.py", (
+        '"""Module doc,\n\nin two paragraphs."""\n'
+        "\n"
+        "import os  # a comment\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """One line."""\n'
+        "    # a comment line\n"
+        "    return (x +\n"
+        "            1)\n"
+    ))
+    _module(tmp_path, "b.py", (
+        "class C:\n"
+        '    """Doc."""\n'
+        "\n"
+        '    s = """a string over\n'
+        'two lines"""\n'
+        "\n"
+        "\n"
+        'def g(): """Doc on the line of its def."""'
+    ))
+    _module(tmp_path, "notes.txt", "not = a module\n")
+    # a.py: import, def, and the two lines of the return; b.py: class,
+    # the two lines of the string, and the def
+    assert bench_pairs.src_code_lines(tmp_path) == 8
+
+
 def test_bench_file_records_src_lines_of_both_sides(tmp_path, monkeypatch):
     def git(*args):
         subprocess.run(
@@ -168,6 +197,7 @@ def test_bench_file_records_src_lines_of_both_sides(tmp_path, monkeypatch):
     assert bench_pairs.main(argv) == 0
     bench = json.loads((tmp_path / "BENCH_7.json").read_text())
     assert bench["src_lines"] == {"parent": 2, "change": 3}
+    assert bench["src_code_lines"] == {"parent": 2, "change": 3}
     run = bench["runs"]["structure seed 0"]
     assert run["pairs"] == bench_pairs.PAIRS
     # every run reads the same: no verdict is worse, and no claim is met

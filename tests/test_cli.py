@@ -173,6 +173,27 @@ def test_wide_normals_body_is_refused_not_listed(tmp_path, capsys, cmd, refusal)
     assert "error [UnsupportedCase]" in err and refusal in err
 
 
+class _ArrayMemoryError(MemoryError):
+    """Stands in for numpy's allocation error, a MemoryError subclass."""
+
+
+@pytest.mark.parametrize("error", [MemoryError, _ArrayMemoryError])
+def test_running_out_of_memory_exits_two(s3_file, capsys, monkeypatch, error):
+    # a run that hit the memory limit exits with the status of a hit
+    # limit and one typed line, not with a traceback and the status of
+    # malformed input
+    def out_of_memory(*args, **kwargs):
+        raise error("Unable to allocate 1.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "minimal_generators", out_of_memory)
+    assert main(["msg", s3_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error [MemoryError]: Unable to allocate 1.00 GiB for an array\n"
+    )
+
+
 def test_budget_flag_only_where_it_is_read(s3_file, capsys):
     # is_cohen_macaulay takes no layer budget, so is-cm has no flag
     assert main(["is-cm", "--budget-layers", "1", s3_file]) == 1

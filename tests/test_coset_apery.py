@@ -28,7 +28,7 @@ from polysgp.rings import (
 )
 from polysgp.semigroup import (
     _apery_scan,
-    _ask_cm,
+    _cm_yes,
     _coset_apery,
     _ray_apery,
     closure,
@@ -222,11 +222,11 @@ def test_closure_scans_after_a_no(verts, monkeypatch):
 
 def test_a_decider_that_raises_leaves_the_scan(monkeypatch):
     # the Cohen-Macaulay decider fails an invariant on poly seed 735
-    # (the strict xfail below); asking keeps no verdict, and the Apery
-    # set is scanned
+    # (the strict xfail below); asking keeps that error, which is no
+    # "yes", and the Apery set is scanned
     calls = _count_apery_calls(monkeypatch)
     h = build(instancegen.poly_vertices(735))
-    assert not _ask_cm(h) and h._cm is None
+    assert not _cm_yes(h) and isinstance(h._cm, AssumptionViolated)
     ray_gens, found, complete, scanned = _ray_apery(h, 3)
     assert not complete and scanned == 3
     assert calls == {"_coset_apery": 0, "_apery_scan": 1}

@@ -184,13 +184,49 @@ def test_cm_yes_chain_decides_once_and_lists_no_gap(monkeypatch):
     assert decided == {"_decide": 1}
 
 
+def test_poly_seed_735_keeps_the_decider_error(monkeypatch):
+    # the Cohen-Macaulay decider raises on poly seed 735 (the strict
+    # xfail in test_coset_apery): the handle keeps that error, so the
+    # chain decides once and every later ask raises it again
+    decided = _counting(monkeypatch, "_decide", module=rings)
+    h = build(instancegen.poly_vertices(735))
+    minimal_generators(h)
+    apery_intersection(h)
+    assert closure(h).is_trivial()
+    asks = (
+        is_buchsbaum, rings.is_cohen_macaulay, rings.is_cohen_macaulay,
+        rings.is_gorenstein,
+    )
+    for fn in asks:
+        with pytest.raises(AssumptionViolated) as exc:
+            fn(h)
+        assert str(exc.value) == (
+            "bridge edge between rays 0 and 1: 0 candidate pairs parallel "
+            "to the corner chord"
+        )
+    assert decided == {"_decide": 1}
+    assert isinstance(h._cm, AssumptionViolated)
+    assert h._cm.__traceback__ is None
+
+
+# The sieving calls `is_buchsbaum` does not make, counted inside
+# `semigroup`; `rings` imports none of them.
+_SIEVES = ("closure", "minimal_generators", "_order_sieve")
+
+
 def test_buchsbaum_on_a_fresh_cm_yes_handle_sieves_nothing(monkeypatch):
     # the verdict and the Apery set's `complete` flag are all it reads
-    calls = _counting(monkeypatch, "minimal_generators", "_order_sieve")
-    closed = _counting(monkeypatch, "closure", module=rings)
+    calls = _counting(monkeypatch, *_SIEVES)
     assert is_buchsbaum(build(S3_VERTICES)).verdict == "yes"
-    assert calls == {"minimal_generators": 0, "_order_sieve": 0}
-    assert closed == {"closure": 0}
+    assert calls == dict.fromkeys(_SIEVES, 0)
+
+
+@pytest.mark.parametrize("verts", [WE_VERTICES, S5_VERTICES])
+def test_buchsbaum_on_a_fresh_cm_no_handle_sieves_nothing(verts, monkeypatch):
+    # it reads the closure's added points, not the closure's generators
+    calls = _counting(monkeypatch, *_SIEVES)
+    is_buchsbaum(build(verts))
+    assert calls == dict.fromkeys(_SIEVES, 0)
 
 
 def _outcome(fn, h, budget):
@@ -201,14 +237,15 @@ def _outcome(fn, h, budget):
 
 
 @pytest.mark.parametrize(
-    "verts", [S3_VERTICES, WE_VERTICES, GORENSTEIN_NO_VERTICES]
+    "verts", [S3_VERTICES, WE_VERTICES, GORENSTEIN_NO_VERTICES, S5_VERTICES]
 )
-def test_kept_results_match_fresh_handles(verts):
+def test_kept_results_match_fresh_handles(verts, monkeypatch):
     # one handle asked at every budget up to the certifying one, upwards
     # and then downwards, answers as a fresh handle does: a partial scan
-    # under a small budget never answers a larger one
+    # under a small budget never answers a larger one, and the closure
+    # record is listed once (never on a Cohen-Macaulay "yes")
     top = minimal_generators(build(verts)).layers_scanned
-    fns = (minimal_generators, apery_intersection, closure)
+    fns = (minimal_generators, apery_intersection, closure, is_buchsbaum)
     fresh = {
         (fn, b): _outcome(fn, build(verts), b)
         for fn in fns
@@ -216,9 +253,12 @@ def test_kept_results_match_fresh_handles(verts):
     }
     assert not fresh[minimal_generators, top - 1].certified
     shared = build(verts)
+    listed = _counting(monkeypatch, "_gap_rows")
     for b in [*range(1, top + 1), *range(top, 0, -1)]:
         for fn in fns:
             assert _outcome(fn, shared, b) == fresh[fn, b], (fn, b)
+    cm_yes = rings.is_cohen_macaulay(shared).verdict == "yes"
+    assert listed == {"_gap_rows": 0 if cm_yes else 1}
 
 
 @pytest.mark.parametrize("verts", [S3_VERTICES, S5_VERTICES, WE_VERTICES])
@@ -232,8 +272,8 @@ def test_structure_chain_in_either_order(verts):
 
 def test_unsupported_closure_is_not_kept(monkeypatch):
     # an overlap level set below the true one (3) puts the closure point
-    # (5, 5, 5) past it: each call runs the candidate loop and raises
-    # again, and is_buchsbaum reports the case as unsupported
+    # (5, 5, 5) past it: each call reads the one closure record and
+    # raises again, and is_buchsbaum reports the case as unsupported
     h = build(S5_VERTICES)
     h._overlap = 0
     calls = _counting(monkeypatch, "_apery_scan", "_gap_rows")
@@ -241,7 +281,7 @@ def test_unsupported_closure_is_not_kept(monkeypatch):
         with pytest.raises(UnsupportedCase, match=r"\(5, 5, 5\)"):
             closure(h)
     assert is_buchsbaum(h).verdict == "unsupported"
-    assert calls == {"_apery_scan": 1, "_gap_rows": 3}
+    assert calls == {"_apery_scan": 1, "_gap_rows": 1}
 
 
 def test_minimal_generators_non_simplicial(pyramid):

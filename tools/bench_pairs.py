@@ -17,7 +17,9 @@ final JSON line is read.  After every pair the summary is written to
 BENCH_<pr>.json at the checkout's root, whose `runs` entries for other
 workloads or seeds are kept, so workloads can be run one at a time.
 The file also records `src_lines`, each side's `wc -l src/polysgp/*.py`
-total, the net source line count next to the bench.
+total, the net source line count next to the bench, and
+`src_code_lines`, the lines of those modules that hold code (no blank
+line, comment or docstring), which trimming prose does not move.
 
 Each metric gets a `verdict` against its `bound` in BENCHMARK.json, a
 share of the parent's median: `worse` when the change's median is worse
@@ -32,6 +34,8 @@ range.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
@@ -40,6 +44,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 PAIRS = 10
@@ -139,6 +144,35 @@ def src_lines(tree: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in modules)
 
 
+_PROSE = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENDMARKER,
+}
+
+
+def src_code_lines(tree: Path) -> int:
+    """The lines of the package's modules in `tree` that hold code: the
+    lines some token covers (tokenize), other than comments and the
+    docstrings of modules, classes and functions (found with ast, and
+    told by where their string token starts).  Blank lines,
+    comments and docstrings do not count."""
+    total = 0
+    for path in (tree / "src" / "polysgp").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        docs = {
+            (node.body[0].value.lineno, node.body[0].value.col_offset)
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(node, clean=False) is not None
+        }
+        lines: set[int] = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in _PROSE and tok.start not in docs:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(lines)
+    return total
+
+
 def _git(root: Path, *args: str) -> bytes:
     return subprocess.run(
         ["git", *args], cwd=root, check=True, capture_output=True
@@ -231,6 +265,9 @@ def main(argv=None) -> int:
         _copy_working_tree(root, change)
         bench["src_lines"] = {
             "parent": src_lines(parent), "change": src_lines(change),
+        }
+        bench["src_code_lines"] = {
+            "parent": src_code_lines(parent), "change": src_code_lines(change),
         }
         for workload in args.workloads:
             for seed in args.seeds:
